@@ -89,8 +89,8 @@ void BM_NetworkDelivery(benchmark::State& state) {
       void handle_message(const net::Message&) override { ++count; }
       int count = 0;
     } sink;
-    const net::NodeId src = network.attach(&sink, "src");
-    const net::NodeId dst = network.attach(&sink, "dst");
+    const net::NodeId src = network.attach(&sink);
+    const net::NodeId dst = network.attach(&sink);
     for (int i = 0; i < 1000; ++i) {
       network.send(src, dst, 1, {});
     }

@@ -80,8 +80,7 @@ void CoallocatedProcess::enter_barrier(bool ok, const std::string& message) {
     return;
   }
   {
-    const std::string s =
-        api_->getenv(std::string(core::env::kSubjob));
+    const std::string s = api_->getenv(core::env::kSubjob);
     std::uint64_t v = 0;
     std::from_chars(s.data(), s.data() + s.size(), v);
     subjob_ = v;

@@ -14,19 +14,13 @@ std::uint64_t parse_u64(const std::string& s) {
   return v;
 }
 
-std::string endpoint_name(gram::ProcessApi& api) {
-  return api.host_name() + "/job" + std::to_string(api.job() & 0xffffffff) +
-         ".r" + std::to_string(api.local_rank());
-}
-
 }  // namespace
 
 BarrierClient::BarrierClient(gram::ProcessApi& api)
-    : api_(&api), endpoint_(api.network(), endpoint_name(api)) {
-  contact_ = static_cast<net::NodeId>(
-      parse_u64(api.getenv(std::string(env::kContact))));
-  request_ = parse_u64(api.getenv(std::string(env::kRequest)));
-  subjob_ = parse_u64(api.getenv(std::string(env::kSubjob)));
+    : api_(&api), endpoint_(api.network(), {}) {
+  contact_ = static_cast<net::NodeId>(parse_u64(api.getenv(env::kContact)));
+  request_ = parse_u64(api.getenv(env::kRequest));
+  subjob_ = parse_u64(api.getenv(env::kSubjob));
   endpoint_.register_notify(
       kNotifyRelease, [this](net::NodeId, util::Reader& payload) {
         ReleaseMessage msg = ReleaseMessage::decode(payload);

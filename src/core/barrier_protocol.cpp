@@ -79,6 +79,13 @@ RuntimeConfig RuntimeConfig::decode(util::Reader& r) {
 }
 
 void ReleaseInfo::encode(util::Writer& w) const {
+  encode(w, config, subjob_index, local_rank, global_rank, subjob_members);
+}
+
+void ReleaseInfo::encode(util::Writer& w, const RuntimeConfig& config,
+                         std::int32_t subjob_index, std::int32_t local_rank,
+                         std::int32_t global_rank,
+                         const std::vector<net::NodeId>& subjob_members) {
   config.encode(w);
   w.reserve(17 + 4 * subjob_members.size());
   w.i32(subjob_index);

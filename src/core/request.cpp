@@ -230,7 +230,9 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   if (sj == nullptr || sj->incarnation != incarnation ||
       sj->state != SubjobState::kSubmitting) {
     // The slot was edited or failed while the request was in flight; any
-    // job that did get created is an orphan — reap it.
+    // job that did get created is an orphan — reap it.  Its state changes
+    // can no longer matter to the slot, so drop its watcher too.
+    if (result.is_ok()) owner_->gram().forget(result.value());
     if (result.is_ok() && sj != nullptr &&
         sj->gatekeeper != net::kInvalidNode) {
       owner_->gram().cancel(sj->gatekeeper, result.value(),
@@ -457,15 +459,11 @@ void CoallocationRequest::send_release(const Subjob& sj, std::int32_t rank) {
     }
   }
   if (layout == nullptr) return;
-  ReleaseMessage msg;
-  msg.request = id_;
-  msg.info.config = config_table_;
-  msg.info.subjob_index = layout->index;
-  msg.info.local_rank = rank;
-  msg.info.global_rank = layout->rank_base + rank;
-  msg.info.subjob_members = sj.process_nodes;
+  // The bytes of ReleaseMessage::encode, written straight from the table.
   util::Writer w;
-  msg.encode(w);
+  w.u64(id_);
+  ReleaseInfo::encode(w, config_table_, layout->index, rank,
+                      layout->rank_base + rank, sj.process_nodes);
   owner_->endpoint().notify(sj.process_nodes[static_cast<std::size_t>(rank)],
                             kNotifyRelease, w.take());
 }

@@ -51,6 +51,12 @@ struct ReleaseInfo {
   std::vector<net::NodeId> subjob_members;  // address of each local rank
 
   void encode(util::Writer& w) const;
+  /// Encodes the same bytes from the parts, so a sender framing one release
+  /// per process need not copy the shared configuration into each.
+  static void encode(util::Writer& w, const RuntimeConfig& config,
+                     std::int32_t subjob_index, std::int32_t local_rank,
+                     std::int32_t global_rank,
+                     const std::vector<net::NodeId>& subjob_members);
   static ReleaseInfo decode(util::Reader& r);
 };
 

@@ -94,16 +94,19 @@ void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
             on_state != nullptr ? endpoint_->id() : net::kInvalidNode;
         util::Writer w;
         args.encode(w);
+        ++awaiting_[gatekeeper].submissions;
         endpoint_->call(
             gatekeeper, kMethodJobRequest, w.take(), timeout,
-            [this, on_accepted, on_state](const util::Status& status,
-                                          util::Reader& reply) {
+            [this, gatekeeper, on_accepted, on_state](
+                const util::Status& status, util::Reader& reply) {
               if (!status.is_ok()) {
+                settle_submission(gatekeeper, 0);
                 on_accepted(status);
                 return;
               }
               const JobId id = reply.u64();
               if (!reply.ok()) {
+                settle_submission(gatekeeper, 0);
                 on_accepted(util::Status(util::ErrorCode::kInternal,
                                          "malformed job-request reply"));
                 return;
@@ -113,30 +116,50 @@ void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
               }
               on_accepted(id);
               // Flush transitions that beat the accept reply here.
-              auto it = early_.find(id);
-              if (it != early_.end()) {
-                auto changes = std::move(it->second);
-                early_.erase(it);
-                auto wit = watchers_.find(id);
-                if (wit != watchers_.end()) {
-                  for (const JobStateChange& c : changes) wit->second(c);
-                }
-              }
+              settle_submission(gatekeeper, id);
             });
       });
 }
 
-void Client::on_state_notify(net::NodeId /*src*/, util::Reader& payload) {
+void Client::settle_submission(net::NodeId gatekeeper, JobId job) {
+  auto it = awaiting_.find(gatekeeper);
+  std::vector<JobStateChange> claimed;
+  auto& early = it->second.early;
+  for (auto c = early.begin(); c != early.end();) {
+    if (c->job == job) {
+      claimed.push_back(std::move(*c));
+      c = early.erase(c);
+    } else {
+      ++c;
+    }
+  }
+  if (--it->second.submissions == 0) awaiting_.erase(it);
+  auto wit = watchers_.find(job);
+  if (wit == watchers_.end()) return;
+  for (const JobStateChange& c : claimed) wit->second(c);
+}
+
+void Client::on_state_notify(net::NodeId src, util::Reader& payload) {
   JobStateChange change = decode_state_change(payload);
   if (!payload.ok()) return;
   auto it = watchers_.find(change.job);
-  if (it == watchers_.end()) {
-    // Either the accept reply is still in flight (buffer) or the job was
-    // forgotten (keep a short buffer anyway; forget() clears it).
-    early_[change.job].push_back(change);
+  if (it != watchers_.end()) {
+    it->second(change);
     return;
   }
-  it->second(change);
+  // No watcher: either the job's accept reply is still in flight (buffer
+  // it for that reply) or the job was forgotten (drop it).
+  auto awaiting = awaiting_.find(src);
+  if (awaiting != awaiting_.end()) {
+    awaiting->second.early.push_back(std::move(change));
+  }
+}
+
+std::size_t Client::buffered_change_count() const {
+  std::size_t n = 0;
+  // gridlint: allow(unordered-iter) — an order-independent sum for tests
+  for (const auto& [gatekeeper, a] : awaiting_) n += a.early.size();
+  return n;
 }
 
 void Client::cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
@@ -232,9 +255,6 @@ void Client::cancel_reservation(net::NodeId gatekeeper,
                   });
 }
 
-void Client::forget(JobId job) {
-  watchers_.erase(job);
-  early_.erase(job);
-}
+void Client::forget(JobId job) { watchers_.erase(job); }
 
 }  // namespace grid::gram

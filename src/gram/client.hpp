@@ -4,7 +4,10 @@
 // authentication and protocol overhead", §4.2) and then the job-request
 // RPC.  State-change notifications from job managers are dispatched to the
 // per-job callback; notifications that race ahead of the accept reply are
-// buffered so no transition is lost.
+// buffered so no transition is lost.  A change can only race ahead of a
+// reply that is still awaited, so changes are buffered per gatekeeper
+// while a submission to it waits for its reply, and dropped with the
+// buffer once none does (they belong to forgotten jobs).
 #pragma once
 
 #include <cstdint>
@@ -90,8 +93,17 @@ class Client {
 
   net::Endpoint& endpoint() { return *endpoint_; }
 
+  /// Jobs with a state callback attached.
+  std::size_t watcher_count() const { return watchers_.size(); }
+  /// State changes buffered for accept replies still in flight.
+  std::size_t buffered_change_count() const;
+
  private:
   void on_state_notify(net::NodeId src, util::Reader& payload);
+  /// A job request to `gatekeeper` got its reply (or failed): hands the
+  /// buffered changes of `job` (0 = none) to its watcher, then drops the
+  /// gatekeeper's buffer if no other submission to it is waiting.
+  void settle_submission(net::NodeId gatekeeper, JobId job);
   /// Runs the GSI handshake, re-trying whole handshakes on timeout when a
   /// retry policy is installed (the handshake is idempotent: an abandoned
   /// half-open exchange only leaves server-side state that expires).
@@ -112,7 +124,13 @@ class Client {
   std::uint64_t auth_retries_ = 0;
   std::uint64_t next_auth_stream_ = 1;
   std::unordered_map<JobId, StateFn> watchers_;
-  std::unordered_map<JobId, std::vector<JobStateChange>> early_;
+  /// Per gatekeeper: job requests awaiting their reply, and the unclaimed
+  /// state changes that arrived meanwhile.
+  struct AwaitingAccept {
+    int submissions = 0;
+    std::vector<JobStateChange> early;
+  };
+  std::unordered_map<net::NodeId, AwaitingAccept> awaiting_;
 };
 
 }  // namespace grid::gram

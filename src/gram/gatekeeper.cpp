@@ -1,5 +1,7 @@
 #include "gram/gatekeeper.hpp"
 
+#include <algorithm>
+
 #include "rsl/parser.hpp"
 #include "sched/reservation.hpp"
 
@@ -53,8 +55,35 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
   endpoint_.crash_hook = [this] { crash(); };
 }
 
+namespace {
+
+/// Index of a job id's sequence number in Gatekeeper::final_states_.
+std::size_t sequence_index(JobId id) { return (id & 0xffffffff) - 1; }
+
+}  // namespace
+
+void Gatekeeper::job_ended(JobId id) {
+  ended_.push_back(Ended{endpoint_.engine().now(), id});
+}
+
+void Gatekeeper::reap_finished() {
+  const sim::Time now = endpoint_.engine().now();
+  auto first_kept = ended_.begin();
+  for (; first_kept != ended_.end() && first_kept->at < now; ++first_kept) {
+    const JobManager* manager = live_job(first_kept->id);
+    if (manager == nullptr) continue;
+    const std::size_t i = sequence_index(first_kept->id);
+    if (final_states_.size() <= i) final_states_.resize(i + 1);
+    final_states_[i] = manager->state();
+    jobs_.erase(first_kept->id);
+  }
+  // What stays ended at this very instant: at most a few entries.
+  ended_.erase(ended_.begin(), first_kept);
+}
+
 void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
                                     util::Reader& args) {
+  reap_finished();
   JobRequestArgs request = JobRequestArgs::decode(args);
   if (!args.ok()) {
     endpoint_.respond_error(caller, call_id, util::ErrorCode::kInvalidArgument,
@@ -108,15 +137,20 @@ void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
   // Job ids are globally unique: gatekeeper address in the high bits.
   const JobId id =
       (static_cast<JobId>(endpoint_.id()) << 32) | next_job_++;
-  auto manager = std::make_unique<JobManager>(
-      endpoint_, *scheduler_, *registry_, id, job_request.take(), local_user,
-      request.callback_contact, costs_.exec_startup,
-      log_.child("jm" + std::to_string(id & 0xffffffff)));
+  // Registered before start(): the scheduler may start the job (and so
+  // call back, by id) inside the submit.
+  JobManager* manager =
+      jobs_
+          .emplace(id, std::make_unique<JobManager>(
+                           *this, id, job_request.take(), local_user,
+                           request.callback_contact, costs_.exec_startup,
+                           log_.child("jm" + std::to_string(id & 0xffffffff))))
+          .get();
   if (auto st = manager->start(); !st.is_ok()) {
+    jobs_.erase(id);
     endpoint_.respond_error(caller, call_id, st.code(), st.message());
     return;
   }
-  jobs_.emplace(id, std::move(manager));
   util::Writer w;
   w.u64(id);
   endpoint_.respond(caller, call_id, w.take());
@@ -124,24 +158,26 @@ void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
 
 void Gatekeeper::handle_job_cancel(net::NodeId caller, std::uint64_t call_id,
                                    util::Reader& args) {
+  reap_finished();
   const JobId id = args.u64();
   if (!args.ok()) {
     endpoint_.respond_error(caller, call_id, util::ErrorCode::kInvalidArgument,
                             "malformed cancel");
     return;
   }
-  auto* manager = jobs_.find(id);
-  if (manager == nullptr) {
+  // Cancelling a finished job is a successful no-op, reaped or not.
+  if (!job_state(id).is_ok()) {
     endpoint_.respond_error(caller, call_id, util::ErrorCode::kNotFound,
                             "unknown job");
     return;
   }
-  (*manager)->cancel();
+  if (JobManager* manager = live_job(id)) manager->cancel();
   endpoint_.respond(caller, call_id, {});
 }
 
 void Gatekeeper::handle_job_status(net::NodeId caller, std::uint64_t call_id,
                                    util::Reader& args) {
+  reap_finished();
   const JobId id = args.u64();
   if (!args.ok()) {
     endpoint_.respond_error(caller, call_id, util::ErrorCode::kInvalidArgument,
@@ -217,16 +253,30 @@ void Gatekeeper::handle_reserve_cancel(net::NodeId caller,
 }
 
 util::Result<JobState> Gatekeeper::job_state(JobId id) const {
-  const auto* manager = jobs_.find(id);
-  if (manager == nullptr) {
-    return util::Status(util::ErrorCode::kNotFound, "unknown job");
+  if (const auto* manager = jobs_.find(id)) return (*manager)->state();
+  // Reaped jobs carry this gatekeeper's address in the high half.
+  if ((id >> 32) == endpoint_.id() && (id & 0xffffffff) != 0) {
+    const std::size_t i = sequence_index(id);
+    if (i < final_states_.size() && is_terminal(final_states_[i])) {
+      return final_states_[i];
+    }
   }
-  return (*manager)->state();
+  return util::Status(util::ErrorCode::kNotFound, "unknown job");
 }
 
 void Gatekeeper::crash() {
-  jobs_.for_each(
-      [](JobId, std::unique_ptr<JobManager>& manager) { manager->crash(); });
+  // In acceptance (id) order: the slab reuses reaped jobs' slots, and the
+  // order process teardowns are scheduled in must not depend on that.
+  std::vector<JobId> ids;
+  ids.reserve(jobs_.size());
+  jobs_.for_each([&ids](JobId id, std::unique_ptr<JobManager>&) {
+    ids.push_back(id);
+  });
+  std::sort(ids.begin(), ids.end());
+  for (const JobId id : ids) live_job(id)->crash();
+  // The crash fails every job this host ever accepted, reaped ones too.
+  std::replace(final_states_.begin(), final_states_.end(), JobState::kDone,
+               JobState::kFailed);
 }
 
 }  // namespace grid::gram

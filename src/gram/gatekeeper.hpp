@@ -10,10 +10,16 @@
 // The request RPC is answered after step 4 (job accepted, PENDING); ACTIVE
 // and later states are pushed to the callback contact.  This reply point is
 // what serializes DUROC subjob submissions and produces Figure 4's slope.
+//
+// A finished job's manager is reaped lazily: the next job RPC after its
+// terminal instant destroys it and keeps only its final state (one byte),
+// so job_state(), status and cancel answer exactly as they did while the
+// manager lived.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gram/jobmanager.hpp"
 #include "gram/nis.hpp"
@@ -53,10 +59,14 @@ class Gatekeeper {
   const std::string& host_name() const { return host_name_; }
   net::Endpoint& endpoint() { return endpoint_; }
   sched::LocalScheduler& scheduler() { return *scheduler_; }
+  const gsi::ServerContext& gsi() const { return gsi_; }
 
-  /// Looks up a job's current state (server-side view).
+  /// Looks up a job's current state (server-side view); a reaped job
+  /// answers with its final state.
   util::Result<JobState> job_state(JobId id) const;
 
+  /// Jobs whose manager is still held: unfinished ones, plus finished ones
+  /// not yet reaped by a later request.
   std::size_t job_count() const { return jobs_.size(); }
 
   /// Simulates a host crash: all job managers vanish without callbacks.
@@ -65,6 +75,21 @@ class Gatekeeper {
   void crash();
 
  private:
+  friend class JobManager;
+
+  /// A job's manager, nullptr once reaped (or for an unknown id).
+  JobManager* live_job(JobId id) {
+    auto* manager = jobs_.find(id);
+    return manager == nullptr ? nullptr : manager->get();
+  }
+  /// Called by a JobManager entering a terminal state.
+  void job_ended(JobId id);
+  /// Destroys the managers of jobs whose terminal instant has passed.  By
+  /// then every zero-delay teardown of their processes (which still calls
+  /// back into the manager) has run; reaping at that instant would not be
+  /// safe.  Runs on job RPCs, so reaping schedules no events of its own.
+  void reap_finished();
+
   void handle_job_request(net::NodeId caller, std::uint64_t call_id,
                           util::Reader& args);
   void handle_job_cancel(net::NodeId caller, std::uint64_t call_id,
@@ -88,6 +113,14 @@ class Gatekeeper {
   util::Logger log_;
   std::uint64_t next_job_ = 1;
   sim::IdSlab<std::unique_ptr<JobManager>> jobs_;
+  struct Ended {
+    sim::Time at;
+    JobId id;
+  };
+  std::vector<Ended> ended_;  // awaiting reaping, in terminal-instant order
+  /// Final state of each reaped job, indexed by the job id's low half - 1
+  /// (kUnsubmitted for ids never accepted or not yet reaped).
+  std::vector<JobState> final_states_;
 };
 
 }  // namespace grid::gram

@@ -1,5 +1,6 @@
 #include "gram/jobmanager.hpp"
 
+#include "gram/gatekeeper.hpp"
 #include "gram/protocol.hpp"
 #include "sched/reservation.hpp"
 
@@ -21,11 +22,11 @@ class JobManager::Process final : public ProcessApi {
 
   void terminate() {
     if (behavior_ == nullptr) return;
-    std::shared_ptr<ProcessBehavior> b = std::move(behavior_);
+    std::unique_ptr<ProcessBehavior> b = std::move(behavior_);
     b->on_terminate();
     // Defer destruction past the current event: the kill may have been
     // triggered from a callback whose owner lives inside the behaviour.
-    engine().schedule_after(0, [b]() mutable { b.reset(); });
+    defer_teardown(std::move(b));
   }
 
   bool alive() const { return behavior_ != nullptr; }
@@ -43,7 +44,7 @@ class JobManager::Process final : public ProcessApi {
   const std::vector<std::string>& arguments() const override {
     return owner_->request_.arguments;
   }
-  std::string getenv(const std::string& name) const override {
+  std::string getenv(std::string_view name) const override {
     for (const auto& [k, v] : owner_->request_.environment) {
       if (k == name) return v;
     }
@@ -54,26 +55,31 @@ class JobManager::Process final : public ProcessApi {
     // exit() is almost always called from one of the behaviour's own
     // callbacks (network handler or timer); destroying it synchronously
     // would free objects still on the call stack, so defer.
-    std::shared_ptr<ProcessBehavior> b = std::move(behavior_);
-    engine().schedule_after(0, [b]() mutable { b.reset(); });
+    defer_teardown(std::move(behavior_));
     owner_->on_process_exit(rank_, ok, message);
   }
 
  private:
+  /// Destroys the behaviour in a zero-delay event.  Its destructor may
+  /// still call back into this ProcessApi (cancelling its timers), which is
+  /// why the gatekeeper reaps a job only after its terminal instant.
+  void defer_teardown(std::unique_ptr<ProcessBehavior> b) {
+    engine().schedule_after(0, [b = std::move(b)]() mutable { b.reset(); });
+  }
+
   JobManager* owner_;
   std::int32_t rank_;
   std::unique_ptr<ProcessBehavior> behavior_;
 };
 
-JobManager::JobManager(net::Endpoint& endpoint,
-                       sched::LocalScheduler& scheduler,
-                       const ExecutableRegistry& registry, JobId id,
+JobManager::JobManager(Gatekeeper& gatekeeper, JobId id,
                        rsl::JobRequest request, std::string local_user,
                        net::NodeId callback_contact, sim::Time exec_startup,
                        util::Logger logger)
-    : endpoint_(&endpoint),
-      scheduler_(&scheduler),
-      registry_(&registry),
+    : gatekeeper_(&gatekeeper),
+      endpoint_(&gatekeeper.endpoint()),
+      scheduler_(&gatekeeper.scheduler()),
+      registry_(gatekeeper.registry_),
       id_(id),
       request_(std::move(request)),
       local_user_(std::move(local_user)),
@@ -81,7 +87,7 @@ JobManager::JobManager(net::Endpoint& endpoint,
       exec_startup_(exec_startup),
       log_(std::move(logger)) {}
 
-JobManager::~JobManager() { endpoint_->engine().cancel(exec_event_); }
+JobManager::~JobManager() = default;
 
 util::Status JobManager::start() {
   sched::JobDescriptor desc;
@@ -90,6 +96,17 @@ util::Status JobManager::start() {
   desc.max_wall_time =
       request_.max_wall_time.has_value() ? *request_.max_wall_time : 0;
   desc.annotation = request_.executable;
+  // The scheduler may call back long after this manager is reaped (a
+  // crashed host's job stays queued or running), so its callbacks find the
+  // manager by id; a reaped job is terminal, where both are no-ops anyway.
+  Gatekeeper* gk = gatekeeper_;
+  const JobId id = id_;
+  auto on_start = [gk, id](sched::JobId) {
+    if (JobManager* m = gk->live_job(id)) m->on_scheduler_start();
+  };
+  auto on_end = [gk, id](sched::JobId, sched::EndReason reason) {
+    if (JobManager* m = gk->live_job(id)) m->on_scheduler_end(reason);
+  };
   util::Status status;
   if (request_.reservation_id != 0) {
     // The job is bound to an advance reservation (paper §5): it starts at
@@ -99,18 +116,10 @@ util::Status JobManager::start() {
       return {util::ErrorCode::kFailedPrecondition,
               "resource manager does not support advance reservations"};
     }
-    status = reserver->submit_reserved(
-        desc, request_.reservation_id,
-        [this](sched::JobId) { on_scheduler_start(); },
-        [this](sched::JobId, sched::EndReason reason) {
-          on_scheduler_end(reason);
-        });
+    status = reserver->submit_reserved(desc, request_.reservation_id,
+                                       on_start, on_end);
   } else {
-    status = scheduler_->submit(
-        desc, [this](sched::JobId) { on_scheduler_start(); },
-        [this](sched::JobId, sched::EndReason reason) {
-          on_scheduler_end(reason);
-        });
+    status = scheduler_->submit(desc, on_start, on_end);
   }
   if (!status.is_ok()) return status;
   scheduler_job_live_ = true;
@@ -123,8 +132,12 @@ void JobManager::on_scheduler_start() {
   // Processors are allocated; loading and exec'ing the executable takes
   // exec_startup before the processes are really running (ACTIVE).
   if (exec_startup_ > 0) {
-    exec_event_ = endpoint_->engine().schedule_after(
-        exec_startup_, [this] { exec_processes(); });
+    // Like the scheduler callbacks, the event finds the manager by id: a
+    // job cancelled during exec startup may be reaped before it fires.
+    endpoint_->engine().schedule_after(
+        exec_startup_, [gk = gatekeeper_, id = id_] {
+          if (JobManager* m = gk->live_job(id)) m->exec_processes();
+        });
     return;
   }
   exec_processes();
@@ -233,12 +246,14 @@ void JobManager::crash() {
     if (p->alive()) p->terminate();
   }
   live_ = 0;
+  if (!is_terminal(state_)) gatekeeper_->job_ended(id_);
   state_ = JobState::kFailed;
 }
 
 void JobManager::transition(JobState state, util::ErrorCode error,
                             const std::string& message) {
   if (state_ == state) return;
+  if (is_terminal(state) && !is_terminal(state_)) gatekeeper_->job_ended(id_);
   state_ = state;
   GRID_LOG(log_, kDebug) << "job " << id_ << " -> " << to_string(state)
                          << (message.empty() ? "" : ": " + message);

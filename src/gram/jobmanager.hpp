@@ -1,6 +1,7 @@
 // GRAM job manager: runs one accepted job on a local scheduler.
 //
-// Responsibilities (one instance per job, owned by the gatekeeper):
+// Responsibilities (one instance per job, owned by the gatekeeper until it
+// reaps the finished job):
 //  * submit the job to the host's local scheduler;
 //  * when the scheduler allocates processors, "exec" the requested number
 //    of simulated processes (looked up in the executable registry);
@@ -22,18 +23,19 @@
 
 namespace grid::gram {
 
+class Gatekeeper;
+
 class JobManager {
  public:
-  /// `endpoint` is the gatekeeper's endpoint (used to send callbacks);
-  /// `scheduler` and `registry` must outlive the manager.
+  /// `gatekeeper` owns the manager: callbacks leave through its endpoint,
+  /// the job runs on its local scheduler and registry, and it is told when
+  /// the job reaches a terminal state (it reaps the manager later).
   /// `exec_startup` models executable load/exec time between processor
   /// allocation and the processes entering main() (ACTIVE is reported when
   /// the processes are actually running).
-  JobManager(net::Endpoint& endpoint, sched::LocalScheduler& scheduler,
-             const ExecutableRegistry& registry, JobId id,
-             rsl::JobRequest request, std::string local_user,
-             net::NodeId callback_contact, sim::Time exec_startup,
-             util::Logger logger);
+  JobManager(Gatekeeper& gatekeeper, JobId id, rsl::JobRequest request,
+             std::string local_user, net::NodeId callback_contact,
+             sim::Time exec_startup, util::Logger logger);
   ~JobManager();
 
   JobManager(const JobManager&) = delete;
@@ -65,6 +67,7 @@ class JobManager {
   void transition(JobState state, util::ErrorCode error = util::ErrorCode::kOk,
                   const std::string& message = "");
 
+  Gatekeeper* gatekeeper_;
   net::Endpoint* endpoint_;
   sched::LocalScheduler* scheduler_;
   const ExecutableRegistry* registry_;
@@ -73,7 +76,6 @@ class JobManager {
   std::string local_user_;
   net::NodeId callback_contact_;
   sim::Time exec_startup_;
-  sim::EventId exec_event_;
   util::Logger log_;
 
   JobState state_ = JobState::kUnsubmitted;

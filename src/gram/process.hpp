@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +41,7 @@ class ProcessApi {
 
   virtual const std::vector<std::string>& arguments() const = 0;
   /// Environment lookup; empty string when unset.
-  virtual std::string getenv(const std::string& name) const = 0;
+  virtual std::string getenv(std::string_view name) const = 0;
 
   /// Terminates this process.  `ok` false marks the job as failed with
   /// `message`.  Must be called at most once; the behaviour object may be

@@ -102,12 +102,24 @@ void ServerContext::handle_final(net::NodeId caller, std::uint64_t call_id,
                                    local.status().message());
           return;
         }
+        const sim::Time now = endpoint_->engine().now();
+        while (dropped_ < sessions_.size() &&
+               sessions_[dropped_].expires < now) {
+          sessions_[dropped_++] = Session{};
+        }
+        if (dropped_ * 2 >= sessions_.size()) {
+          sessions_.erase(sessions_.begin(),
+                          sessions_.begin() +
+                              static_cast<std::ptrdiff_t>(dropped_));
+          base_token_ += dropped_;
+          dropped_ = 0;
+        }
         Session session;
         session.token = next_token_++;
         session.subject = hs.subject;
         session.local_user = local.take();
-        session.expires = endpoint_->engine().now() + sim::kHour;
-        sessions_[session.token] = session;
+        session.expires = now + sim::kHour;
+        sessions_.push_back(session);
         util::Writer w;
         w.reserve(22 + session.local_user.size());
         w.u64(session.token);
@@ -118,16 +130,17 @@ void ServerContext::handle_final(net::NodeId caller, std::uint64_t call_id,
 }
 
 util::Result<Session> ServerContext::validate(std::uint64_t token) const {
-  auto it = sessions_.find(token);
-  if (it == sessions_.end()) {
+  if (token == 0 || token >= next_token_) {
     return util::Status(util::ErrorCode::kPermissionDenied,
                         "unknown session token");
   }
-  if (it->second.expires < endpoint_->engine().now()) {
+  // Tokens below the first held session were dropped after they expired.
+  if (token < base_token_ + dropped_ ||
+      sessions_[token - base_token_].expires < endpoint_->engine().now()) {
     return util::Status(util::ErrorCode::kPermissionDenied,
                         "session expired");
   }
-  return it->second;
+  return sessions_[token - base_token_];
 }
 
 ClientContext::ClientContext(net::Endpoint& endpoint,

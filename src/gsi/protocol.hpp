@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "gsi/credential.hpp"
 #include "net/rpc.hpp"
@@ -63,10 +64,12 @@ class ServerContext {
                 CostModel costs = {});
 
   /// Looks up an established session; kPermissionDenied if unknown/expired.
+  /// A session dropped after its expiry still answers "session expired".
   util::Result<Session> validate(std::uint64_t token) const;
 
-  /// Number of live sessions (for tests).
-  std::size_t session_count() const { return sessions_.size(); }
+  /// Sessions held: every unexpired one, plus expired ones the next
+  /// handshake will drop.
+  std::size_t session_count() const { return sessions_.size() - dropped_; }
 
   const CostModel& costs() const { return costs_; }
 
@@ -89,7 +92,13 @@ class ServerContext {
   };
   std::unordered_map<std::uint64_t, PendingHandshake> pending_;
   std::uint64_t next_handshake_ = 1;
-  std::unordered_map<std::uint64_t, Session> sessions_;
+  /// Sessions in token order, which is also expiry order (every session
+  /// lives one hour from issue), so expired ones leave from the front:
+  /// slot i holds token base_token_ + i, and the first dropped_ slots are
+  /// emptied.  The vector sheds them once they are half of it.
+  std::vector<Session> sessions_;
+  std::uint64_t base_token_ = 1;
+  std::size_t dropped_ = 0;
 };
 
 /// Expected challenge response: ties the challenge to the subject.

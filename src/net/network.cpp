@@ -35,6 +35,22 @@ sim::Time BandwidthLatency::latency(NodeId, NodeId, std::size_t bytes) {
   return base_ + static_cast<sim::Time>(serialize);
 }
 
+sim::Time Network::TimeTable::get(NodeId id, sim::Time absent) const {
+  if (id == kInvalidNode) return absent;  // IdMap key 0 is its empty marker
+  const std::uint32_t i = index.find(id);
+  return i == sim::IdMap::kNotFound ? absent : values[i];
+}
+
+void Network::TimeTable::put(NodeId id, sim::Time value) {
+  const std::uint32_t i = index.find(id);
+  if (i != sim::IdMap::kNotFound) {
+    values[i] = value;
+    return;
+  }
+  index.insert(id, static_cast<std::uint32_t>(values.size()));
+  values.push_back(value);
+}
+
 Network::Network(sim::Engine& engine, NodeId id_base)
     : engine_(&engine),
       latency_(std::make_unique<FixedLatency>(2 * sim::kMillisecond)),
@@ -50,25 +66,21 @@ void Network::set_fabric(ShardFabric* fabric, std::uint32_t shard_index) {
 Network::Slot* Network::slot(NodeId id) {
   if (id < id_base_) return nullptr;
   const NodeId idx = id - id_base_;
-  if (idx >= nodes_.size() || !nodes_[idx].attached) return nullptr;
+  if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
   return &nodes_[idx];
 }
 
 const Network::Slot* Network::slot(NodeId id) const {
   if (id < id_base_) return nullptr;
   const NodeId idx = id - id_base_;
-  if (idx >= nodes_.size() || !nodes_[idx].attached) return nullptr;
+  if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
   return &nodes_[idx];
 }
 
-NodeId Network::attach(Node* node, std::string name) {
+NodeId Network::attach(Node* node) {
+  GRID_CHECK(node != nullptr, "Network::attach of a null node");
   const NodeId id = next_id_++;
-  nodes_.resize(id - id_base_ + 1);
-  Slot& s = nodes_[id - id_base_];
-  s.node = node;
-  s.name = std::move(name);
-  s.up = true;
-  s.attached = true;
+  nodes_.push_back(Slot{node});
   ++attached_;
   return id;
 }
@@ -77,7 +89,6 @@ void Network::detach(NodeId id) {
   Slot* s = slot(id);
   if (s == nullptr) return;
   s->node = nullptr;
-  s->attached = false;
   --attached_;
 }
 
@@ -140,13 +151,13 @@ void Network::deliver_remote(NodeId src, NodeId dst, std::uint32_t kind,
     return;
   }
   const Slot* d = slot(dst);
-  if (d == nullptr || !d->up || d->node == nullptr) {
+  if (d == nullptr || !d->up) {
     ++stats_.dropped_down;
     return;
   }
   // In flight across a destination crash: dropped even though the node is
   // back up, same rule the epoch counter enforces for local traffic.
-  if (d->last_crash >= sent_at) {
+  if (crash_times_.get(dst, -1) >= sent_at) {
     ++stats_.dropped_down;
     return;
   }
@@ -157,8 +168,8 @@ void Network::deliver_remote(NodeId src, NodeId dst, std::uint32_t kind,
   d->node->handle_message(msg);
 }
 
-void Network::deliver(Message msg, std::uint64_t src_epoch,
-                      std::uint64_t dst_epoch) {
+void Network::deliver(Message msg, std::uint32_t src_epoch,
+                      std::uint32_t dst_epoch) {
   // Partition and liveness are evaluated at delivery time, so a partition
   // injected while a message is in flight still swallows it.
   if (is_partitioned(msg.src, msg.dst)) {
@@ -166,7 +177,7 @@ void Network::deliver(Message msg, std::uint64_t src_epoch,
     return;
   }
   const Slot* d = slot(msg.dst);
-  if (d == nullptr || !d->up || d->node == nullptr) {
+  if (d == nullptr || !d->up) {
     ++stats_.dropped_down;
     return;
   }
@@ -181,7 +192,7 @@ void Network::deliver(Message msg, std::uint64_t src_epoch,
   d->node->handle_message(msg);
 }
 
-std::uint64_t Network::epoch_of(NodeId id) const {
+std::uint32_t Network::epoch_of(NodeId id) const {
   const Slot* s = slot(id);
   return s == nullptr ? 0 : s->epoch;
 }
@@ -193,8 +204,8 @@ void Network::set_node_up(NodeId id, bool up) {
   s->up = up;
   if (was_up && !up) {
     ++s->epoch;
-    s->last_crash = engine_->now();
-    if (s->node != nullptr) s->node->on_crash();
+    crash_times_.put(id, engine_->now());
+    s->node->on_crash();
   }
 }
 
@@ -222,45 +233,12 @@ bool Network::is_partitioned(NodeId a, NodeId b) const {
 }
 
 void Network::set_node_extra_delay(NodeId node, sim::Time extra) {
-  if (extra < 0) extra = 0;
-  if (!is_local(node)) {
-    // A slow node on another shard: mirror its spike here so this shard's
-    // senders price it without reading the foreign network.
-    const std::uint32_t idx = remote_extra_.find(node);
-    if (idx != sim::IdMap::kNotFound) {
-      remote_extra_values_[idx] = extra;
-    } else if (extra > 0) {
-      remote_extra_.insert(
-          node, static_cast<std::uint32_t>(remote_extra_values_.size()));
-      remote_extra_values_.push_back(extra);
-    }
-    return;
-  }
-  // Stored even for ids that are no longer (or not yet) attached, matching
-  // the old side-table semantics; clamped at zero.
-  if (node < id_base_) return;
-  const NodeId idx = node - id_base_;
-  if (idx >= nodes_.size()) {
-    if (extra <= 0) return;
-    nodes_.resize(idx + 1);
-  }
-  nodes_[idx].extra_delay = extra;
+  if (node == kInvalidNode) return;
+  extra_delays_.put(node, extra < 0 ? 0 : extra);
 }
 
 sim::Time Network::node_extra_delay(NodeId node) const {
-  if (!is_local(node)) {
-    const std::uint32_t idx = remote_extra_.find(node);
-    return idx == sim::IdMap::kNotFound ? 0 : remote_extra_values_[idx];
-  }
-  if (node < id_base_) return 0;
-  const NodeId idx = node - id_base_;
-  return idx < nodes_.size() ? nodes_[idx].extra_delay : 0;
-}
-
-const std::string& Network::name(NodeId id) const {
-  static const std::string kUnknown = "<unknown>";
-  const Slot* s = slot(id);
-  return s == nullptr ? kUnknown : s->name;
+  return extra_delays_.get(node, 0);
 }
 
 }  // namespace grid::net

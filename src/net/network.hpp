@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "simkit/annotate.hpp"
@@ -177,8 +176,9 @@ class GRID_HOT Network {
 
   sim::Engine& engine() { return *engine_; }
 
-  /// Attaches a node and returns its address.  `name` is for diagnostics.
-  NodeId attach(Node* node, std::string name);
+  /// Attaches a node and returns its address.  Addresses are never reused:
+  /// each one ever issued keeps a 16-byte slot (see Slot).
+  NodeId attach(Node* node);
 
   /// Detaches a node; in-flight messages to it are dropped on arrival.
   void detach(NodeId id);
@@ -228,14 +228,14 @@ class GRID_HOT Network {
 
   /// Adds `extra` one-way latency to every message to or from `node` (a
   /// "slow node" latency spike); 0 clears it.  Applied at send time, so
-  /// messages already in flight keep their original delivery time.
+  /// messages already in flight keep their original delivery time.  Kept
+  /// for any address, attached or not, on this shard or another.
   void set_node_extra_delay(NodeId node, sim::Time extra);
   sim::Time node_extra_delay(NodeId node) const;
 
   const NetworkStats& stats() const { return stats_; }
   /// Mutable counters, for the RPC layer's retry accounting.
   NetworkStats& mutable_stats() { return stats_; }
-  const std::string& name(NodeId id) const;
   std::size_t node_count() const { return attached_; }
 
   /// The latency model's lower bound (see LatencyModel::min_latency).
@@ -266,30 +266,33 @@ class GRID_HOT Network {
                       std::vector<std::uint8_t> bytes, sim::Time sent_at);
 
  private:
-  /// Per-node state, indexed directly by NodeId (ids are dense, assigned
-  /// sequentially from 1).  Slots are never erased — `attached` flips off
-  /// on detach — so address lookups are a bounds check plus an index, and
-  /// nothing about node bookkeeping involves hashing or rehash-order.
+  /// Per-address state, indexed directly by NodeId (ids are dense, assigned
+  /// sequentially from id_base_).  Slots are never erased — detach clears
+  /// `node` — so address lookups are a bounds check plus an index, and
+  /// nothing about node bookkeeping involves hashing or rehash-order.  Every
+  /// address ever issued keeps its slot, so a slot holds only what delivery
+  /// reads; names live in the Endpoint, fault-injection state in the side
+  /// tables below.
   struct Slot {
-    Node* node = nullptr;
-    std::string name;
-    bool up = true;
-    bool attached = false;
+    Node* node = nullptr;  // nullptr = detached
     /// Bumped on every crash: messages in flight across a crash of either
     /// endpoint are dropped even if the node is restored before their
     /// delivery time (the crash cut the wire).
-    std::uint64_t epoch = 0;
-    /// Injected one-way latency spike ("slow node"); 0 = none.  Survives
-    /// detach, matching the old side-table semantics.
-    sim::Time extra_delay = 0;
-    /// Virtual time of the last up->down transition; -1 = never crashed.
-    /// deliver_remote's in-flight rule compares it against the send time
-    /// (the epoch counter serves the same purpose for local deliveries).
-    sim::Time last_crash = -1;
+    std::uint32_t epoch = 0;
+    bool up = true;
   };
 
-  void deliver(Message msg, std::uint64_t src_epoch, std::uint64_t dst_epoch);
-  std::uint64_t epoch_of(NodeId id) const;
+  /// A fault-injection side table: one time per address.  Only fault
+  /// injection writes it, so a run without any keeps it empty.
+  struct TimeTable {
+    sim::IdMap index;
+    std::vector<sim::Time> values;
+    sim::Time get(NodeId id, sim::Time absent) const;
+    void put(NodeId id, sim::Time value);
+  };
+
+  void deliver(Message msg, std::uint32_t src_epoch, std::uint32_t dst_epoch);
+  std::uint32_t epoch_of(NodeId id) const;
   Slot* slot(NodeId id);
   const Slot* slot(NodeId id) const;
 
@@ -303,11 +306,12 @@ class GRID_HOT Network {
   std::uint32_t shard_index_ = 0;
   std::size_t attached_ = 0;
   std::vector<Slot> nodes_;  // index = NodeId - id_base_ (dense per shard)
-  // Slow-node delays for nodes on *other* shards, mirrored here so the
-  // send path can price the destination's spike without touching a foreign
-  // network (writes only happen through this shard's own engine events).
-  sim::IdMap remote_extra_;
-  std::vector<sim::Time> remote_extra_values_;
+  // Slow-node delays, for addresses on other shards too, so the send path
+  // can price the destination's spike without touching a foreign network.
+  TimeTable extra_delays_;
+  // Virtual time of each node's last up->down transition, read by
+  // deliver_remote's in-flight rule (the epoch serves local deliveries).
+  TimeTable crash_times_;
   // Blocked (a,b) pair keys.  An IdMap used as a set: deterministic across
   // platforms and allocation-free at steady state.
   sim::IdMap partitions_;

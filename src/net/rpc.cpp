@@ -21,7 +21,7 @@ const Endpoint::TeardownReport& Endpoint::last_teardown_report() {
 
 Endpoint::Endpoint(Network& network, std::string name)
     : network_(&network), name_(std::move(name)) {
-  id_ = network_->attach(this, name_);
+  id_ = network_->attach(this);
 }
 
 Endpoint::~Endpoint() {

@@ -48,28 +48,40 @@ class Logger {
   Sink sink_;
 };
 
-/// Streaming log statement: GRID_LOG(logger, kInfo) << "x=" << x;
+/// One enabled log statement: collects the streamed operands and writes the
+/// line when the statement ends.  Use it through GRID_LOG.
 class LogLine {
  public:
   LogLine(const Logger& logger, LogLevel level)
-      : logger_(logger), level_(level), live_(logger.enabled(level)) {}
-  ~LogLine() {
-    if (live_) logger_.log(level_, os_.str());
-  }
+      : logger_(logger), level_(level) {}
+  ~LogLine() { logger_.log(level_, os_.str()); }
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (live_) os_ << v;
+    os_ << v;
     return *this;
   }
 
  private:
   const Logger& logger_;
   LogLevel level_;
-  bool live_;
   std::ostringstream os_;
 };
 
-#define GRID_LOG(logger, level) \
-  ::grid::util::LogLine((logger), ::grid::util::LogLevel::level)
+/// Turns a streamed LogLine into void, so both arms of GRID_LOG's
+/// conditional have the same type.  `&` binds more loosely than `<<` and
+/// more tightly than `?:`, so every operand streams into the line first.
+struct LogVoidify {
+  void operator&(const LogLine&) {}
+};
+
+/// Streaming log statement: GRID_LOG(logger, kInfo) << "x=" << x;
+/// A disabled level costs one comparison: no stream is built and no operand
+/// is evaluated.  The statement is a single expression, so it is safe as
+/// the body of an unbraced if/else.
+#define GRID_LOG(logger, level)                                   \
+  !(logger).enabled(::grid::util::LogLevel::level)                \
+      ? (void)0                                                   \
+      : ::grid::util::LogVoidify() &                              \
+            ::grid::util::LogLine((logger), ::grid::util::LogLevel::level)
 
 }  // namespace grid::util

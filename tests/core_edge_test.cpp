@@ -56,6 +56,29 @@ TEST(CoallocationEdge, SubstituteWhileSubmissionInFlightReapsOrphan) {
   EXPECT_EQ(g.stats.releases, 4);
 }
 
+TEST(CoallocationEdge, AbortedRequestLeavesNoGramClientState) {
+  // host2's executable is missing, so the request aborts and cancels the
+  // host1 job.  That job's FAILED change reaches the client after the
+  // request forgot it; nothing may stay buffered for it.
+  SmallGrid g(2);
+  Outcome outcome;
+  auto* req = g.coallocator->create_request(outcome.callbacks());
+  ASSERT_TRUE(
+      req->add_subjob(make_job("host1", 4, SubjobStartType::kRequired))
+          .is_ok());
+  ASSERT_TRUE(req->add_subjob(make_job("host2", 4, SubjobStartType::kRequired,
+                                       "no-such-binary"))
+                  .is_ok());
+  req->start();
+  req->commit();
+  g.grid->run();
+  ASSERT_TRUE(outcome.terminal);
+  EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
+  g.coallocator->destroy_request(req->id());
+  EXPECT_EQ(g.coallocator->gram().watcher_count(), 0u);
+  EXPECT_EQ(g.coallocator->gram().buffered_change_count(), 0u);
+}
+
 TEST(CoallocationEdge, StaleIncarnationCheckinIsRejected) {
   // A process from a substituted-away incarnation checks in; the request
   // must ignore it (and tell it to abort), not double-count.
@@ -121,7 +144,7 @@ TEST(CoallocationEdge, CheckinForDeadRequestGetsAbortReply) {
     }
     std::uint32_t kind = 0;
   } listener;
-  const net::NodeId addr = g.grid->network().attach(&listener, "orphan");
+  const net::NodeId addr = g.grid->network().attach(&listener);
   core::CheckinMessage msg;
   msg.request = 999;
   msg.subjob = 1;

@@ -168,6 +168,101 @@ TEST_F(GramFixture, StatusQueryReflectsState) {
   EXPECT_EQ(state.value(), gram::JobState::kDone);
 }
 
+TEST_F(GramFixture, ReapedJobsAnswerAsBefore) {
+  // One job finishes, one fails at exec.  A later request lets the
+  // gatekeeper reap both managers; every query answers from the final
+  // states exactly as it did while the managers lived.
+  gram::JobId done = 0;
+  gram::JobId failed = 0;
+  client_->submit(rm1(), rsl(2), 10 * sim::kSecond,
+                  [&](util::Result<gram::JobId> r) {
+                    if (r.is_ok()) done = r.value();
+                  });
+  client_->submit(rm1(), rsl(2, "no-such-binary"), 10 * sim::kSecond,
+                  [&](util::Result<gram::JobId> r) {
+                    if (r.is_ok()) failed = r.value();
+                  });
+  grid_.run();
+  ASSERT_NE(done, 0u);
+  ASSERT_NE(failed, 0u);
+  gram::Gatekeeper& gk = grid_.host("rm1")->gatekeeper();
+  EXPECT_EQ(gk.job_count(), 2u);  // no request since they finished
+
+  const gram::JobId never_issued = done + 1000;
+  std::vector<util::Result<gram::JobState>> states;
+  for (const gram::JobId id : {done, failed, never_issued}) {
+    client_->status(rm1(), id, 10 * sim::kSecond,
+                    [&](util::Result<gram::JobState> s) {
+                      states.push_back(std::move(s));
+                    });
+  }
+  std::vector<util::Status> cancels;
+  for (const gram::JobId id : {done, never_issued}) {
+    client_->cancel(rm1(), id, 10 * sim::kSecond,
+                    [&](util::Status s) { cancels.push_back(std::move(s)); });
+  }
+  grid_.run();
+  EXPECT_EQ(gk.job_count(), 0u);
+  ASSERT_EQ(states.size(), 3u);
+  EXPECT_EQ(states[0].value(), gram::JobState::kDone);
+  EXPECT_EQ(states[1].value(), gram::JobState::kFailed);
+  EXPECT_EQ(states[2].status().code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(states[2].status().message(), "unknown job");
+  ASSERT_EQ(cancels.size(), 2u);
+  EXPECT_TRUE(cancels[0].is_ok());  // cancelling a finished job succeeds
+  EXPECT_EQ(cancels[1].code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(cancels[1].message(), "unknown job");
+
+  EXPECT_EQ(gk.job_state(done).value(), gram::JobState::kDone);
+  EXPECT_EQ(gk.job_state(failed).value(), gram::JobState::kFailed);
+  EXPECT_EQ(gk.job_state(never_issued).status().code(),
+            util::ErrorCode::kNotFound);
+  // The same sequence number under another gatekeeper's address.
+  EXPECT_EQ(gk.job_state(done & 0xffffffff).status().code(),
+            util::ErrorCode::kNotFound);
+  // A crash fails every job the host ever accepted, reaped ones included.
+  grid_.host("rm1")->crash();
+  EXPECT_EQ(gk.job_state(done).value(), gram::JobState::kFailed);
+}
+
+TEST_F(GramFixture, JobIsReapedOnlyAfterItsTerminalInstant) {
+  // A cancel and a status request reach the gatekeeper at the same
+  // instant.  The cancel ends the job, and its processes' teardown runs
+  // later in that instant, so the status request must not reap it yet.
+  app::StartupProfile forever;
+  forever.run_time = sim::kHour;
+  app::install_app(grid_.executables(), "longapp", forever, &stats_);
+  gram::JobId id = 0;
+  client_->submit(rm1(), rsl(4, "longapp"), 10 * sim::kSecond,
+                  [&](util::Result<gram::JobId> r) {
+                    if (r.is_ok()) id = r.value();
+                  });
+  grid_.run_until(5 * sim::kSecond);
+  ASSERT_NE(id, 0u);
+  gram::Gatekeeper& gk = grid_.host("rm1")->gatekeeper();
+  ASSERT_EQ(gk.job_state(id).value(), gram::JobState::kActive);
+  util::Status cancelled(util::ErrorCode::kInternal, "unset");
+  std::vector<gram::JobState> states;
+  auto query = [&] {
+    client_->status(rm1(), id, 10 * sim::kSecond,
+                    [&](util::Result<gram::JobState> s) {
+                      ASSERT_TRUE(s.is_ok());
+                      states.push_back(s.value());
+                    });
+  };
+  client_->cancel(rm1(), id, 10 * sim::kSecond,
+                  [&](util::Status s) { cancelled = s; });
+  query();
+  grid_.run();
+  EXPECT_TRUE(cancelled.is_ok());
+  EXPECT_EQ(gk.job_count(), 1u);
+  query();  // a later request reaps it
+  grid_.run();
+  EXPECT_EQ(gk.job_count(), 0u);
+  EXPECT_EQ(states, (std::vector<gram::JobState>{gram::JobState::kFailed,
+                                                 gram::JobState::kFailed}));
+}
+
 TEST_F(GramFixture, PingProbesLiveness) {
   util::Status up_status(util::ErrorCode::kInternal, "unset");
   client_->ping(rm1(), sim::kSecond, [&](util::Status s) { up_status = s; });

@@ -2,6 +2,9 @@
 // and the mutual authentication handshake with its calibrated costs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gsi/credential.hpp"
 #include "gsi/protocol.hpp"
 #include "net/network.hpp"
@@ -253,6 +256,56 @@ TEST_F(GsiFixture, SessionsExpireAfterAnHour) {
   auto validated = server.validate(token);
   EXPECT_FALSE(validated.is_ok());
   EXPECT_EQ(validated.status().code(), util::ErrorCode::kPermissionDenied);
+}
+
+TEST_F(GsiFixture, DroppedSessionStillAnswersExpired) {
+  ServerContext server = make_server();
+  ClientContext client(client_ep, ca,
+                       ca.issue("/CN=alice", sim::kTimeNever / 2));
+  std::vector<std::uint64_t> tokens;
+  auto handshake = [&] {
+    client.authenticate(server_ep.id(), 10 * sim::kSecond,
+                        [&](util::Result<Session> s) {
+                          ASSERT_TRUE(s.is_ok());
+                          tokens.push_back(s.value().token);
+                        });
+  };
+  handshake();
+  // A handshake past the first session's expiry drops that session.
+  engine.schedule_at(2 * sim::kHour, handshake);
+  engine.run();
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(server.session_count(), 1u);
+  auto dropped = server.validate(tokens[0]);
+  EXPECT_EQ(dropped.status().code(), util::ErrorCode::kPermissionDenied);
+  EXPECT_EQ(dropped.status().message(), "session expired");
+  EXPECT_TRUE(server.validate(tokens[1]).is_ok());
+  for (const std::uint64_t never : {std::uint64_t{0}, tokens[1] + 1}) {
+    auto unknown = server.validate(never);
+    EXPECT_EQ(unknown.status().code(), util::ErrorCode::kPermissionDenied);
+    EXPECT_EQ(unknown.status().message(), "unknown session token");
+  }
+}
+
+TEST_F(GsiFixture, SessionCountStaysBoundedPastExpiry) {
+  // One handshake every 10 minutes for 5 hours: the server keeps only the
+  // sessions issued within the last hour (7: t-60 .. t minutes).
+  ServerContext server = make_server();
+  ClientContext client(client_ep, ca,
+                       ca.issue("/CN=alice", sim::kTimeNever / 2));
+  std::size_t peak = 0;
+  for (int i = 0; i <= 30; ++i) {
+    engine.schedule_at(i * 10 * sim::kMinute, [&] {
+      client.authenticate(server_ep.id(), 10 * sim::kSecond,
+                          [&](util::Result<Session> s) {
+                            ASSERT_TRUE(s.is_ok());
+                            peak = std::max(peak, server.session_count());
+                          });
+    });
+  }
+  engine.run();
+  EXPECT_EQ(peak, 7u);
+  EXPECT_EQ(server.session_count(), 7u);
 }
 
 TEST_F(GsiFixture, ReplayedChallengeResponseRejected) {

@@ -6,13 +6,15 @@
 //  * the §4.3 scale experiment: 13 machines, 1386 processes, failures
 //    configured around;
 //  * forecast-guided resource selection (§2.2);
-//  * co-reservation across contended batch machines (§2.2 / §5).
+//  * co-reservation across contended batch machines (§2.2 / §5);
+//  * the quiescence audit: a drained grid holds no per-transaction state.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "app/failure.hpp"
 #include "core/strategies.hpp"
+#include "gram/client.hpp"
 #include "sched/infoservice.hpp"
 #include "sched/predict.hpp"
 #include "test_util.hpp"
@@ -348,6 +350,116 @@ TEST(Integration, MessageLossDelaysButDoesNotBreakAllocation) {
   EXPECT_FALSE(outcome.released);
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
   EXPECT_LT(g.grid->engine().now(), sim::kHour);
+}
+
+TEST(Integration, QuiescentGridHoldsNoTransactionState) {
+  // Atomic and interactive requests with application failures, and host3
+  // crashing and coming back mid-run.  Once the workload drains and one
+  // later request reaches every gatekeeper, nothing a transaction created
+  // may remain.
+  testbed::Grid grid(testbed::CostModel::fast());
+  for (int i = 1; i <= 6; ++i) {
+    grid.add_host("host" + std::to_string(i), 32,
+                  i % 2 == 1 ? testbed::SchedulerKind::kFork
+                             : testbed::SchedulerKind::kBackfill);
+  }
+  app::StartupProfile profile;
+  profile.init_delay = 20 * sim::kSecond;
+  profile.init_jitter = 10 * sim::kSecond;
+  profile.failure_probability = 0.2;
+  profile.mode_on_chance = app::FailureMode::kCrashBeforeBarrier;
+  profile.failure_per_job = true;
+  app::BarrierStats stats;
+  app::install_app(grid.executables(), "app", profile, &stats, 0x9a17);
+  core::RequestConfig config;
+  config.rpc_timeout = 15 * sim::kSecond;
+  config.startup_timeout = 2 * sim::kMinute;
+  std::vector<std::unique_ptr<core::Coallocator>> agents;
+  for (int a = 0; a < 2; ++a) {
+    agents.push_back(grid.make_coallocator(
+        "agent" + std::to_string(a),
+        "/O=Grid/CN=agent" + std::to_string(a), config));
+  }
+  const std::size_t long_lived = grid.network().node_count();
+
+  constexpr int kTransactions = 40;
+  int terminals = 0;
+  int released = 0;
+  int aborted = 0;
+  for (int t = 0; t < kTransactions; ++t) {
+    grid.engine().schedule_at(t * 15 * sim::kSecond, [&, t] {
+      core::Coallocator* agent = agents[static_cast<std::size_t>(t % 2)].get();
+      auto id = std::make_shared<core::RequestId>(0);
+      core::RequestCallbacks callbacks;
+      callbacks.on_released = [&](const core::RuntimeConfig&) { ++released; };
+      callbacks.on_terminal = [&, agent, id](const util::Status& st) {
+        ++terminals;
+        if (!st.is_ok()) ++aborted;
+        grid.engine().schedule_after(
+            0, [agent, id] { agent->destroy_request(*id); });
+      };
+      core::CoallocationRequest* req =
+          agent->create_request(std::move(callbacks));
+      *id = req->id();
+      const bool atomic = t % 2 == 0;
+      for (int s = 0; s < 2 + t % 2; ++s) {
+        rsl::JobRequest job;
+        job.resource_manager_contact = "host" + std::to_string(1 + (t + s) % 6);
+        job.executable = "app";
+        job.count = 4;
+        job.start_type = atomic || s == 0 ? SubjobStartType::kRequired
+                                          : SubjobStartType::kInteractive;
+        ASSERT_TRUE(req->add_subjob(std::move(job)).is_ok());
+      }
+      req->start();
+      ASSERT_TRUE(req->commit().is_ok());
+    });
+  }
+  grid.engine().schedule_at(200 * sim::kSecond,
+                            [&] { grid.host("host3")->crash(); });
+  grid.engine().schedule_at(320 * sim::kSecond,
+                            [&] { grid.host("host3")->restore(); });
+  grid.run();
+  ASSERT_EQ(terminals, kTransactions);
+  EXPECT_GT(released, 0);
+  EXPECT_GT(aborted, 0);
+
+  // The later request: past every session's expiry, a handshake and a job
+  // request with bad RSL (it creates no job) to every gatekeeper.
+  net::Endpoint probe_endpoint(grid.network(), "probe");
+  gram::Client probe(probe_endpoint, grid.ca(),
+                     grid.make_user("/CN=probe", "probe"), grid.costs().gsi);
+  int answered = 0;
+  grid.engine().schedule_at(
+      grid.engine().now() + sim::kHour + sim::kMinute, [&] {
+        for (int i = 1; i <= 6; ++i) {
+          probe.submit(grid.host("host" + std::to_string(i))->contact(),
+                       "&(count=", 10 * sim::kSecond,
+                       [&](util::Result<gram::JobId> r) {
+                         EXPECT_EQ(r.status().code(),
+                                   util::ErrorCode::kInvalidArgument);
+                         ++answered;
+                       });
+        }
+      });
+  grid.run();
+  ASSERT_EQ(answered, 6);
+
+  for (int i = 1; i <= 6; ++i) {
+    gram::Gatekeeper& gk = grid.host("host" + std::to_string(i))->gatekeeper();
+    EXPECT_EQ(gk.job_count(), 0u) << "host" << i;  // terminal entries only
+    EXPECT_EQ(gk.gsi().session_count(), 1u) << "host" << i;  // the probe's
+  }
+  // The crash orphaned jobs in host3's scheduler, which still runs them;
+  // their managers were reaped all the same.
+  EXPECT_GT(grid.host("host3")->scheduler().busy_processors(), 0);
+  for (const auto& agent : agents) {
+    EXPECT_EQ(agent->request_count(), 0u);
+    EXPECT_EQ(agent->gram().watcher_count(), 0u);
+    EXPECT_EQ(agent->gram().buffered_change_count(), 0u);
+  }
+  EXPECT_EQ(grid.network().node_count(), long_lived + 1);  // + the probe
+  EXPECT_EQ(grid.engine().pending(), 0u);
 }
 
 }  // namespace

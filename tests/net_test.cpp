@@ -39,8 +39,8 @@ struct NetFixture : ::testing::Test {
   sim::Engine engine;
   net::Network network{engine};
   Recorder a, b;
-  net::NodeId na = network.attach(&a, "a");
-  net::NodeId nb = network.attach(&b, "b");
+  net::NodeId na = network.attach(&a);
+  net::NodeId nb = network.attach(&b);
 };
 
 TEST_F(NetFixture, DeliversWithLatency) {
@@ -161,8 +161,8 @@ TEST(NetworkDeterminism, DroppedSendDoesNotAdvanceLatencyRng) {
   sim::Engine e1;
   net::Network n1{e1};
   Recorder r1a, r1b;
-  const net::NodeId a1 = n1.attach(&r1a, "a");
-  const net::NodeId b1 = n1.attach(&r1b, "b");
+  const net::NodeId a1 = n1.attach(&r1a);
+  const net::NodeId b1 = n1.attach(&r1b);
   n1.set_latency_model(
       std::make_unique<net::JitterLatency>(kBase, kJitter, sim::Rng(42)));
   n1.send(a1, b1, 1, {});
@@ -175,8 +175,8 @@ TEST(NetworkDeterminism, DroppedSendDoesNotAdvanceLatencyRng) {
   sim::Engine e2;
   net::Network n2{e2};
   Recorder r2a, r2b;
-  const net::NodeId a2 = n2.attach(&r2a, "a");
-  const net::NodeId b2 = n2.attach(&r2b, "b");
+  const net::NodeId a2 = n2.attach(&r2a);
+  const net::NodeId b2 = n2.attach(&r2b);
   n2.set_latency_model(
       std::make_unique<net::JitterLatency>(kBase, kJitter, sim::Rng(42)));
   n2.set_drop_probability(1.0);
@@ -192,8 +192,8 @@ TEST(NetworkDeterminism, DroppedSendDoesNotAdvanceLatencyRng) {
   sim::Engine e3;
   net::Network n3{e3};
   Recorder r3a, r3b;
-  const net::NodeId a3 = n3.attach(&r3a, "a");
-  const net::NodeId b3 = n3.attach(&r3b, "b");
+  const net::NodeId a3 = n3.attach(&r3a);
+  const net::NodeId b3 = n3.attach(&r3b);
   n3.set_latency_model(
       std::make_unique<net::JitterLatency>(kBase, kJitter, sim::Rng(42)));
   n3.set_node_up(a3, false);
@@ -228,8 +228,8 @@ TEST(NetworkDeterminism, PartitionDropConsumesLatencyDraw) {
   TimeStamper src, dst;
   src.eng = &e;
   dst.eng = &e;
-  const net::NodeId a = n.attach(&src, "a");
-  const net::NodeId b = n.attach(&dst, "b");
+  const net::NodeId a = n.attach(&src);
+  const net::NodeId b = n.attach(&dst);
   n.set_latency_model(
       std::make_unique<net::JitterLatency>(kBase, kJitter, sim::Rng(42)));
   n.set_partitioned(a, b, true);
@@ -243,9 +243,22 @@ TEST(NetworkDeterminism, PartitionDropConsumesLatencyDraw) {
   EXPECT_EQ(dst.at, (std::vector<sim::Time>{t_send2 + draw2}));
 }
 
-TEST_F(NetFixture, NamesAreRetrievable) {
-  EXPECT_EQ(network.name(na), "a");
-  EXPECT_EQ(network.name(12345), "<unknown>");
+TEST_F(NetFixture, DetachedAddressIsNeverReissued) {
+  Recorder c, d;
+  const net::NodeId nc = network.attach(&c);
+  network.set_node_extra_delay(nc, 7 * sim::kMillisecond);
+  network.detach(nc);
+  EXPECT_EQ(network.node_count(), 2u);
+  const net::NodeId nd = network.attach(&d);
+  EXPECT_NE(nd, nc);
+  network.send(na, nc, 1, {});
+  engine.run();
+  EXPECT_TRUE(c.messages.empty());
+  EXPECT_TRUE(d.messages.empty());
+  EXPECT_EQ(network.stats().dropped_down, 1u);
+  // Fault-injection state is kept per address, attached or not.
+  EXPECT_EQ(network.node_extra_delay(nc), 7 * sim::kMillisecond);
+  EXPECT_EQ(network.node_extra_delay(nd), 0);
 }
 
 TEST_F(NetFixture, SlowNodeDelaysBothDirections) {
@@ -421,8 +434,8 @@ TEST(LatencyModels, MinLatencyHoldsUnderSlowNodeSpikesAndFlaps) {
   sender.engine = &engine;
   ArrivalClock receiver;
   receiver.engine = &engine;
-  const net::NodeId na = network.attach(&sender, "a");
-  const net::NodeId nb = network.attach(&receiver, "b");
+  const net::NodeId na = network.attach(&sender);
+  const net::NodeId nb = network.attach(&receiver);
   std::vector<sim::Time>& arrived_at = receiver.at;
   std::vector<sim::Time> sent_at;
 

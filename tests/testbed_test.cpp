@@ -71,6 +71,27 @@ TEST(Logger, LevelFiltersBelowThreshold) {
   EXPECT_EQ(lines, 2);
 }
 
+TEST(Logger, DisabledStatementEvaluatesNoOperand) {
+  sim::Engine engine;
+  util::Logger logger(engine, "x");
+  logger.set_level(util::LogLevel::kWarn);
+  std::vector<std::string> lines;
+  logger.set_sink([&](std::string_view line) { lines.emplace_back(line); });
+  int evaluated = 0;
+  auto operand = [&evaluated] { return ++evaluated; };
+  GRID_LOG(logger, kDebug) << "hidden " << operand();
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_TRUE(lines.empty());
+  // A single expression, so it binds as the body of an unbraced if/else.
+  if (evaluated == 0)
+    GRID_LOG(logger, kWarn) << "then " << operand();
+  else
+    GRID_LOG(logger, kWarn) << "else " << operand();
+  EXPECT_EQ(evaluated, 1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("then 1"), std::string::npos);
+}
+
 TEST(Logger, ChildExtendsComponent) {
   sim::Engine engine;
   util::Logger parent(engine, "gram");
@@ -187,8 +208,8 @@ TEST(AppBehavior, FailureInjectorSchedulesWindows) {
     void handle_message(const net::Message&) override { ++received; }
     int received = 0;
   } sink;
-  const net::NodeId a = network.attach(&sink, "a");
-  const net::NodeId b = network.attach(&sink, "b");
+  const net::NodeId a = network.attach(&sink);
+  const net::NodeId b = network.attach(&sink);
   app::FailureInjector injector(network);
   injector.partition_between(a, b, sim::kSecond, 2 * sim::kSecond);
   injector.crash_at(a, 3 * sim::kSecond);
