@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -133,16 +132,9 @@ GisProbe probe_gis(std::size_t depth, int queries) {
 int main(int argc, char** argv) {
   const char* out_path = "BENCH_scale.json";
   bool quick = false;
-  int shards = 1;
-  unsigned shard_threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      if (shards < 1) shards = 1;
-      // Ask for one thread per shard; the engine clamps to what helps.
-      shard_threads = static_cast<unsigned>(shards);
     } else {
       out_path = argv[i];
     }
@@ -173,10 +165,8 @@ int main(int argc, char** argv) {
   testbed::print_table(gis_table);
 
   // ---- 2. the scale scenario ----------------------------------------------
-  testbed::ScaleSpec spec =
+  const testbed::ScaleSpec spec =
       quick ? testbed::ScaleSpec::quick() : testbed::ScaleSpec{};
-  spec.shards = shards;
-  spec.shard_threads = shard_threads;
   testbed::ScaleScenario scenario(spec);
   const auto t0 = std::chrono::steady_clock::now();
   const testbed::ScaleMetrics m = scenario.run();
@@ -191,7 +181,6 @@ int main(int argc, char** argv) {
 
   testbed::Table table({"metric", "value"});
   table.add_row({"resources", std::to_string(spec.resources)});
-  table.add_row({"shards", std::to_string(spec.shards)});
   table.add_row({"simulated_days", testbed::Table::num(sim_days, 3)});
   table.add_row({"jobs_total", std::to_string(m.jobs_total())});
   table.add_row({"background_submitted",
@@ -238,7 +227,6 @@ int main(int argc, char** argv) {
         f,
         "  \"scale\": {\n"
         "    \"resources\": %d,\n"
-        "    \"shards\": %d,\n"
         "    \"simulated_days\": %.3f,\n"
         "    \"jobs_total\": %llu,\n"
         "    \"background_submitted\": %llu,\n"
@@ -262,7 +250,7 @@ int main(int argc, char** argv) {
         "    \"peak_rss_mb\": %.1f\n"
         "  }\n"
         "}\n",
-        spec.resources, spec.shards, sim_days,
+        spec.resources, sim_days,
         static_cast<unsigned long long>(m.jobs_total()),
         static_cast<unsigned long long>(m.background_submitted),
         static_cast<unsigned long long>(m.background_completed),

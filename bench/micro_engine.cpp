@@ -28,13 +28,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include <array>
-
 #include "app/behaviors.hpp"
 #include "core/duroc.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/rng.hpp"
-#include "simkit/sharded.hpp"
 #include "simkit/trialpool.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
@@ -304,87 +301,6 @@ EnsembleResult bench_ensemble(int trials) {
   return r;
 }
 
-// ---- sharded-engine comparison -------------------------------------------
-
-/// Two-shard synthetic model: per-shard self-sustaining event chains with
-/// mostly-local traffic and a cross-shard hop every 16th step, posted at
-/// exactly the lookahead bound.  Per-shard RNG streams and order-sensitive
-/// digests, so the run is substrate-invariant by the sharded-engine
-/// contract and the digests double as the identity check.
-struct ShardedWorld {
-  static constexpr sim::Time kWindow = 50;  // lookahead, in sim ns
-  static constexpr int kChains = 64;
-  static constexpr int kSteps = 1500;
-
-  sim::ShardedEngine engines{2};
-  std::array<std::uint64_t, 2> digest{0xcbf29ce484222325ULL,
-                                      0xcbf29ce484222325ULL};
-  std::array<sim::Rng, 2> rng{sim::Rng(11), sim::Rng(23)};
-
-  explicit ShardedWorld(unsigned threads) {
-    engines.set_lookahead(kWindow);
-    engines.set_threads(threads);
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      for (int c = 0; c < kChains; ++c) {
-        engines.shard(s).schedule_at(1 + c, [this, s, c] {
-          step(s, c, kSteps);
-        });
-      }
-    }
-  }
-
-  void step(std::uint32_t s, int chain, int remaining) {
-    digest[s] = (digest[s] ^ (static_cast<std::uint64_t>(
-                                  engines.shard(s).now()) *
-                                  31 +
-                              static_cast<std::uint64_t>(chain))) *
-                0x100000001b3ULL;
-    if (remaining == 0) return;
-    if ((remaining & 15) == 0) {
-      const std::uint32_t to = 1 - s;
-      engines.post(s, to, engines.shard(s).now() + kWindow,
-                   [this, to, chain, remaining] {
-                     step(to, chain, remaining - 1);
-                   });
-    } else {
-      engines.shard(s).schedule_after(
-          sim::kNanosecond * rng[s].uniform_int(1, 40),
-          [this, s, chain, remaining] { step(s, chain, remaining - 1); });
-    }
-  }
-};
-
-struct ShardedResult {
-  double serial_s = 0;
-  double threaded_s = 0;
-  std::uint64_t events = 0;
-  unsigned workers = 0;
-  unsigned hw_threads = 0;
-  bool identical = false;
-};
-
-ShardedResult bench_sharded() {
-  ShardedResult r;
-  r.hw_threads = std::thread::hardware_concurrency();
-
-  ShardedWorld serial(/*threads=*/0);
-  auto t0 = std::chrono::steady_clock::now();
-  serial.engines.run();
-  r.serial_s = seconds_since(t0);
-  for (std::size_t s = 0; s < 2; ++s) {
-    r.events += serial.engines.shard(s).executed();
-  }
-
-  ShardedWorld threaded(/*threads=*/2);
-  r.workers = threaded.engines.effective_workers();
-  t0 = std::chrono::steady_clock::now();
-  threaded.engines.run();
-  r.threaded_s = seconds_since(t0);
-
-  r.identical = serial.digest == threaded.digest;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -434,25 +350,6 @@ int main(int argc, char** argv) {
        ens.identical ? "yes" : "NO"});
   testbed::print_table(etable);
 
-  testbed::print_heading(
-      "Sharded engine: 2 shards, serial coordinator vs worker threads");
-  const ShardedResult sh = bench_sharded();
-  const double sh_serial_mops =
-      static_cast<double>(sh.events) / sh.serial_s / 1e6;
-  const double sh_threaded_mops =
-      static_cast<double>(sh.events) / sh.threaded_s / 1e6;
-  const double sh_speedup = sh.serial_s / sh.threaded_s;
-  testbed::Table stable({"hw_threads", "workers", "serial_Mops",
-                         "threaded_Mops", "speedup", "byte_identical"});
-  stable.add_row(
-      {testbed::Table::num(static_cast<std::int64_t>(sh.hw_threads)),
-       testbed::Table::num(static_cast<std::int64_t>(sh.workers)),
-       testbed::Table::num(sh_serial_mops, 2),
-       testbed::Table::num(sh_threaded_mops, 2),
-       testbed::Table::num(sh_speedup, 2) + "x",
-       sh.identical ? "yes" : "NO"});
-  testbed::print_table(stable);
-
   std::FILE* f = std::fopen(out_path, "w");
   if (f != nullptr) {
     std::fprintf(f,
@@ -476,25 +373,12 @@ int main(int argc, char** argv) {
                  "    \"parallel_s\": %.3f,\n"
                  "    \"speedup\": %.2f,\n"
                  "    \"byte_identical\": %s\n"
-                 "  },\n"
-                 "  \"sharded_engine\": {\n"
-                 "    \"shards\": 2,\n"
-                 "    \"window_ns\": %lld,\n"
-                 "    \"hw_threads\": %u,\n"
-                 "    \"workers\": %u,\n"
-                 "    \"serial_Mops\": %.2f,\n"
-                 "    \"threaded_Mops\": %.2f,\n"
-                 "    \"speedup\": %.2f,\n"
-                 "    \"byte_identical\": %s\n"
                  "  }\n"
                  "}\n",
                  new_fire / 1e6, new_cancel / 1e6, new_churn / 1e6, s_fire,
                  s_cancel, s_churn, s_geomean, ens.hw_threads, ens.workers,
                  ens.serial_s, ens.parallel_s, ens_speedup,
-                 ens.identical ? "true" : "false",
-                 static_cast<long long>(ShardedWorld::kWindow), sh.hw_threads,
-                 sh.workers, sh_serial_mops, sh_threaded_mops, sh_speedup,
-                 sh.identical ? "true" : "false");
+                 ens.identical ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path);
   }
@@ -506,23 +390,12 @@ int main(int argc, char** argv) {
   // case the parallel results must be byte-identical to the serial loop.
   const double ens_want = ens.workers >= 4 ? 2.0 : 0.85;
   const bool ens_ok = ens.identical && ens_speedup >= ens_want;
-  // Sharded gate: identity is unconditional; the >=1.5x two-shard
-  // throughput gate arms only when two workers actually ran on real
-  // parallel hardware (a 1-CPU box cannot speed up, only stay correct).
-  const bool sharded_gate_armed = sh.workers >= 2 && sh.hw_threads >= 2;
-  const bool sharded_ok =
-      sh.identical && (!sharded_gate_armed || sh_speedup >= 1.5);
-  const bool ok = s_geomean >= 3.0 && ens_ok && sharded_ok;
+  const bool ok = s_geomean >= 3.0 && ens_ok;
   std::printf(
       "\nshape check: engine core >=3x over the seed engine (geomean %.2fx),\n"
       "ensemble speedup %.2fx >= %.2fx at %u worker(s) on %u hardware "
       "thread(s),\nand parallel ensemble byte-identical to serial: %s\n",
       s_geomean, ens_speedup, ens_want, ens.workers, ens.hw_threads,
       ens_ok && s_geomean >= 3.0 ? "HOLDS" : "VIOLATED");
-  std::printf(
-      "sharded check: serial-vs-threaded byte-identical, >=1.5x %s "
-      "(%.2fx): %s\n",
-      sharded_gate_armed ? "armed" : "disarmed (needs 2 workers + 2 CPUs)",
-      sh_speedup, sharded_ok ? "HOLDS" : "VIOLATED");
   return ok ? 0 : 1;
 }

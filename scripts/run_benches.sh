@@ -85,12 +85,9 @@ for name, bv, fv in rows:
         # Memory: larger is worse, and it repeats within about 1% between
         # runs, so a tighter band than throughput's still never flakes.
         regressed = delta > 0.05
-    elif name.endswith(("_s", "workers", "_us", "_mb", "threads",
-                        "shards", "window_ns")):
-        # Skip wall-clock seconds, per-query microseconds, machine shape,
-        # and run configuration (shard count, lookahead window), where
-        # smaller is better, the value is machine-relative, or it is not a
-        # measurement.
+    elif name.endswith(("_s", "workers", "_us", "_mb", "threads")):
+        # Skip wall-clock seconds, per-query microseconds and machine
+        # shape, where smaller is better or the value is machine-relative.
         continue
     else:
         # Throughput-style fields: smaller is worse.

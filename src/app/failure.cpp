@@ -2,74 +2,42 @@
 
 namespace grid::app {
 
-FailureInjector::FailureInjector(std::vector<net::Network*> networks)
-    : networks_(std::move(networks)) {
-  lossy_active_.reserve(networks_.size());
-  for (std::size_t i = 0; i < networks_.size(); ++i) {
-    lossy_active_.push_back(std::make_shared<std::multiset<double>>());
-  }
-}
-
-net::Network* FailureInjector::home(net::NodeId id) const {
-  const std::uint32_t shard = net::shard_of_node(id);
-  for (net::Network* net : networks_) {
-    if (net->shard_index() == shard) return net;
-  }
-  return networks_.front();
-}
-
 void FailureInjector::crash_at(net::NodeId node, sim::Time at) {
   ++injected_;
-  net::Network* net = home(node);
-  net->engine().schedule_at(
-      at, [net, node] { net->set_node_up(node, false); });
+  network_->engine().schedule_at(
+      at, [net = network_, node] { net->set_node_up(node, false); });
 }
 
 void FailureInjector::restore_at(net::NodeId node, sim::Time at) {
   ++injected_;
-  net::Network* net = home(node);
-  net->engine().schedule_at(
-      at, [net, node] { net->set_node_up(node, true); });
+  network_->engine().schedule_at(
+      at, [net = network_, node] { net->set_node_up(node, true); });
 }
 
 void FailureInjector::partition_between(net::NodeId a, net::NodeId b,
                                         sim::Time from, sim::Time until) {
   ++injected_;
-  // Delivery-side checks read the receiver's partition set, so the block
-  // must exist on both endpoints' home networks (one event when they
-  // share a shard — identical to the unsharded schedule).
-  net::Network* ha = home(a);
-  net::Network* hb = home(b);
-  for (net::Network* net : {ha, ha == hb ? nullptr : hb}) {
-    if (net == nullptr) continue;
-    net->engine().schedule_at(
-        from, [net, a, b] { net->set_partitioned(a, b, true); });
-    net->engine().schedule_at(
-        until, [net, a, b] { net->set_partitioned(a, b, false); });
-  }
+  network_->engine().schedule_at(
+      from, [net = network_, a, b] { net->set_partitioned(a, b, true); });
+  network_->engine().schedule_at(
+      until, [net = network_, a, b] { net->set_partitioned(a, b, false); });
 }
 
 void FailureInjector::lossy_window(double p, sim::Time from, sim::Time until) {
   ++injected_;
-  // Loss is send-side: every shard's senders draw from their own loss
-  // stream, so the window opens on every network, each change riding that
-  // network's own engine.
-  for (std::size_t i = 0; i < networks_.size(); ++i) {
-    net::Network* net = networks_[i];
-    net->engine().schedule_at(
-        from, [net, windows = lossy_active_[i], p] {
-          windows->insert(p);
-          net->set_drop_probability(*windows->rbegin());
-        });
-    net->engine().schedule_at(
-        until, [net, windows = lossy_active_[i], p] {
-          if (auto it = windows->find(p); it != windows->end()) {
-            windows->erase(it);
-          }
-          net->set_drop_probability(windows->empty() ? 0.0
-                                                     : *windows->rbegin());
-        });
-  }
+  network_->engine().schedule_at(
+      from, [net = network_, windows = lossy_active_, p] {
+        windows->insert(p);
+        net->set_drop_probability(*windows->rbegin());
+      });
+  network_->engine().schedule_at(
+      until, [net = network_, windows = lossy_active_, p] {
+        if (auto it = windows->find(p); it != windows->end()) {
+          windows->erase(it);
+        }
+        net->set_drop_probability(windows->empty() ? 0.0
+                                                   : *windows->rbegin());
+      });
 }
 
 void FailureInjector::flap_link(net::NodeId a, net::NodeId b, sim::Time from,
@@ -79,34 +47,25 @@ void FailureInjector::flap_link(net::NodeId a, net::NodeId b, sim::Time from,
     return;
   }
   ++injected_;
-  net::Network* ha = home(a);
-  net::Network* hb = home(b);
-  for (net::Network* net : {ha, ha == hb ? nullptr : hb}) {
-    if (net == nullptr) continue;
-    bool down = true;
-    for (sim::Time t = from; t < until; t += period) {
-      net->engine().schedule_at(
-          t, [net, a, b, down] { net->set_partitioned(a, b, down); });
-      down = !down;
-    }
-    net->engine().schedule_at(
-        until, [net, a, b] { net->set_partitioned(a, b, false); });
+  bool down = true;
+  for (sim::Time t = from; t < until; t += period) {
+    network_->engine().schedule_at(t, [net = network_, a, b, down] {
+      net->set_partitioned(a, b, down);
+    });
+    down = !down;
   }
+  network_->engine().schedule_at(
+      until, [net = network_, a, b] { net->set_partitioned(a, b, false); });
 }
 
 void FailureInjector::slow_node(net::NodeId node, sim::Time extra,
                                 sim::Time from, sim::Time until) {
   ++injected_;
-  // The home network prices its own node's traffic; every other network
-  // mirrors the spike into its remote-delay table for its senders.
-  for (net::Network* net : networks_) {
-    net->engine().schedule_at(from, [net, node, extra] {
-      net->set_node_extra_delay(node, extra);
-    });
-    net->engine().schedule_at(until, [net, node] {
-      net->set_node_extra_delay(node, 0);
-    });
-  }
+  network_->engine().schedule_at(from, [net = network_, node, extra] {
+    net->set_node_extra_delay(node, extra);
+  });
+  network_->engine().schedule_at(
+      until, [net = network_, node] { net->set_node_extra_delay(node, 0); });
 }
 
 }  // namespace grid::app

@@ -8,8 +8,6 @@
 
 #include <memory>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "net/network.hpp"
 #include "simkit/engine.hpp"
@@ -18,22 +16,7 @@ namespace grid::app {
 
 class FailureInjector {
  public:
-  explicit FailureInjector(net::Network& network)
-      : FailureInjector(std::vector<net::Network*>{&network}) {}
-
-  /// Sharded grids pass every shard's network (in shard order).  Each
-  /// injection is applied on the network(s) that can observe it, always
-  /// through that network's own engine, so under the threaded substrate
-  /// the state change lands on the owning shard's thread at the injected
-  /// virtual time:
-  ///   - crash/restore: the node's home network only (senders elsewhere
-  ///     check liveness at delivery, which is home-side);
-  ///   - partition/flap: both endpoints' home networks (delivery-side
-  ///     checks read the receiver's partition set);
-  ///   - lossy windows: every network (loss is send-side);
-  ///   - slow node: every network (the home network prices its own
-  ///     traffic; the others mirror the spike for their senders).
-  explicit FailureInjector(std::vector<net::Network*> networks);
+  explicit FailureInjector(net::Network& network) : network_(&network) {}
 
   /// Crashes a node at `at`; it stays down until restored.
   void crash_at(net::NodeId node, sim::Time at);
@@ -68,17 +51,12 @@ class FailureInjector {
   std::size_t injected_events() const { return injected_; }
 
  private:
-  /// The network that owns `id`'s shard (the only network where the node
-  /// is attached); falls back to the first network for unknown shards.
-  net::Network* home(net::NodeId id) const;
-
-  std::vector<net::Network*> networks_;
+  net::Network* network_;
   std::size_t injected_ = 0;
-  /// Loss probabilities of currently-open windows, one multiset per
-  /// network so each is only ever touched from its own shard's engine;
-  /// shared with the scheduled open/close lambdas so they outlive the
-  /// injector.
-  std::vector<std::shared_ptr<std::multiset<double>>> lossy_active_;
+  /// Loss probabilities of currently-open windows, shared with the
+  /// scheduled open/close lambdas so they outlive the injector.
+  std::shared_ptr<std::multiset<double>> lossy_active_ =
+      std::make_shared<std::multiset<double>>();
 };
 
 }  // namespace grid::app

@@ -1,48 +1,8 @@
 #include "info/broker.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace grid::info {
-
-namespace {
-
-/// Shared tail of every summary-based selection: filter too-small and
-/// unreachable candidates, rank by predicted wait (stable, so the caller's
-/// candidate order breaks ties), keep the best k.
-void rank_summaries(const std::vector<std::string>& names,
-                    std::vector<util::Result<sched::QueueSummary>> summaries,
-                    std::size_t k, std::int32_t count,
-                    const sched::WaitPredictor& predictor,
-                    const ResourceBroker::SelectFn& on_done) {
-  std::vector<ResourceBroker::Placement> usable;
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    if (!summaries[i].is_ok()) continue;  // unreachable or unknown
-    const sched::QueueSummary& s = summaries[i].value();
-    if (s.total_processors < count) continue;  // machine too small
-    ResourceBroker::Placement p;
-    p.contact = names[i];
-    p.predicted_wait = predictor.predict(s, count);
-    p.free_processors = s.free_processors();
-    usable.push_back(std::move(p));
-  }
-  if (usable.size() < k) {
-    on_done(util::Status(
-        util::ErrorCode::kResourceExhausted,
-        "only " + std::to_string(usable.size()) + " of " +
-            std::to_string(k) + " required candidates are usable"));
-    return;
-  }
-  std::stable_sort(usable.begin(), usable.end(),
-                   [](const ResourceBroker::Placement& a,
-                      const ResourceBroker::Placement& b) {
-                     return a.predicted_wait < b.predicted_wait;
-                   });
-  usable.resize(k);
-  on_done(std::move(usable));
-}
-
-}  // namespace
 
 void ResourceBroker::select(std::vector<std::string> candidates,
                             std::size_t k, std::int32_t count,
@@ -99,66 +59,31 @@ void ResourceBroker::select_by_summary(std::vector<std::string> candidates,
       [this, names = std::move(names), k, count,
        on_done = std::move(on_done)](
           std::vector<util::Result<sched::QueueSummary>> summaries) {
-        rank_summaries(names, std::move(summaries), k, count, *predictor_,
-                       on_done);
+        std::vector<Placement> usable;
+        for (std::size_t i = 0; i < summaries.size(); ++i) {
+          if (!summaries[i].is_ok()) continue;  // unreachable or unknown
+          const sched::QueueSummary& s = summaries[i].value();
+          if (s.total_processors < count) continue;  // machine too small
+          Placement p;
+          p.contact = names[i];
+          p.predicted_wait = predictor_->predict(s, count);
+          p.free_processors = s.free_processors();
+          usable.push_back(std::move(p));
+        }
+        if (usable.size() < k) {
+          on_done(util::Status(
+              util::ErrorCode::kResourceExhausted,
+              "only " + std::to_string(usable.size()) + " of " +
+                  std::to_string(k) + " required candidates are usable"));
+          return;
+        }
+        std::stable_sort(usable.begin(), usable.end(),
+                         [](const Placement& a, const Placement& b) {
+                           return a.predicted_wait < b.predicted_wait;
+                         });
+        usable.resize(k);
+        on_done(std::move(usable));
       });
-}
-
-void ResourceBroker::select_federated(std::vector<FederatedGroup> groups,
-                                      std::size_t k, std::int32_t count,
-                                      sim::Time timeout,
-                                      const sched::WaitPredictor& predictor,
-                                      SelectFn on_done) {
-  std::size_t total = 0;
-  for (const FederatedGroup& g : groups) total += g.candidates.size();
-  if (k == 0 || total == 0) {
-    on_done(util::Status(util::ErrorCode::kInvalidArgument,
-                         "no candidates or zero selection size"));
-    return;
-  }
-  // One outstanding fan-out per non-empty group; the last reply to land
-  // joins everything in group order and runs the shared ranking, so the
-  // result is the same as one directory answering for the whole set.
-  struct Gather {
-    std::vector<std::vector<std::string>> names;
-    std::vector<std::vector<util::Result<sched::QueueSummary>>> replies;
-    std::size_t outstanding = 0;
-    std::size_t k = 0;
-    std::int32_t count = 0;
-    const sched::WaitPredictor* predictor = nullptr;
-    SelectFn on_done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->names.resize(groups.size());
-  gather->replies.resize(groups.size());
-  gather->k = k;
-  gather->count = count;
-  gather->predictor = &predictor;
-  gather->on_done = std::move(on_done);
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].candidates.empty()) continue;
-    gather->names[i] = groups[i].candidates;
-    ++gather->outstanding;
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].candidates.empty()) continue;
-    groups[i].client->query_many_summaries(
-        std::move(groups[i].candidates), timeout,
-        [gather, i](std::vector<util::Result<sched::QueueSummary>> replies) {
-          gather->replies[i] = std::move(replies);
-          if (--gather->outstanding > 0) return;
-          std::vector<std::string> names;
-          std::vector<util::Result<sched::QueueSummary>> summaries;
-          for (std::size_t g = 0; g < gather->names.size(); ++g) {
-            for (std::size_t j = 0; j < gather->names[g].size(); ++j) {
-              names.push_back(std::move(gather->names[g][j]));
-              summaries.push_back(std::move(gather->replies[g][j]));
-            }
-          }
-          rank_summaries(names, std::move(summaries), gather->k,
-                         gather->count, *gather->predictor, gather->on_done);
-        });
-  }
 }
 
 std::vector<rsl::JobRequest> ResourceBroker::build_requests(

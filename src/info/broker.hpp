@@ -50,24 +50,6 @@ class ResourceBroker {
                          std::int32_t count, sim::Time timeout,
                          SelectFn on_done);
 
-  /// One directory's slice of a federated query.
-  struct FederatedGroup {
-    GisClient* client = nullptr;
-    std::vector<std::string> candidates;
-  };
-
-  /// Federated selection across several directories — a sharded grid runs
-  /// one GIS per shard, and a transaction's candidate set spans shards.
-  /// Queries every group's directory for its own candidates (all fan-outs
-  /// in flight concurrently), joins the replies in group order, and ranks
-  /// exactly like select_by_summary; group boundaries never affect the
-  /// ranking, only which server answers for which contact.
-  static void select_federated(std::vector<FederatedGroup> groups,
-                               std::size_t k, std::int32_t count,
-                               sim::Time timeout,
-                               const sched::WaitPredictor& predictor,
-                               SelectFn on_done);
-
   /// Builds one subjob request per placement.
   static std::vector<rsl::JobRequest> build_requests(
       const std::vector<Placement>& placements, std::int32_t count,

@@ -2,12 +2,9 @@
 
 #include <utility>
 
-#include "net/fabric.hpp"
-
 namespace grid::net {
 
 void MatrixLatency::set_pair(NodeId a, NodeId b, sim::Time one_way) {
-  if (one_way < floor_) floor_ = one_way;
   const std::uint64_t k = key(a, b);
   const std::uint32_t idx = pair_index_.find(k);
   if (idx != sim::IdMap::kNotFound) {
@@ -51,38 +48,30 @@ void Network::TimeTable::put(NodeId id, sim::Time value) {
   values.push_back(value);
 }
 
-Network::Network(sim::Engine& engine, NodeId id_base)
+Network::Network(sim::Engine& engine)
     : engine_(&engine),
       latency_(std::make_unique<FixedLatency>(2 * sim::kMillisecond)),
-      drop_rng_(0xda7a5eedULL),
-      id_base_(id_base == kInvalidNode ? 1 : id_base),
-      next_id_(id_base_) {}
-
-void Network::set_fabric(ShardFabric* fabric, std::uint32_t shard_index) {
-  fabric_ = fabric;
-  shard_index_ = shard_index;
-}
+      drop_rng_(0xda7a5eedULL) {}
 
 Network::Slot* Network::slot(NodeId id) {
-  if (id < id_base_) return nullptr;
-  const NodeId idx = id - id_base_;
+  if (id == kInvalidNode) return nullptr;
+  const NodeId idx = id - 1;
   if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
   return &nodes_[idx];
 }
 
 const Network::Slot* Network::slot(NodeId id) const {
-  if (id < id_base_) return nullptr;
-  const NodeId idx = id - id_base_;
+  if (id == kInvalidNode) return nullptr;
+  const NodeId idx = id - 1;
   if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
   return &nodes_[idx];
 }
 
 NodeId Network::attach(Node* node) {
   GRID_CHECK(node != nullptr, "Network::attach of a null node");
-  const NodeId id = next_id_++;
   nodes_.push_back(Slot{node});
   ++attached_;
-  return id;
+  return static_cast<NodeId>(nodes_.size());
 }
 
 void Network::detach(NodeId id) {
@@ -124,48 +113,11 @@ util::Status Network::send(NodeId src, NodeId dst, std::uint32_t kind,
   }
   const sim::Time dt = latency_->latency(src, dst, payload.size()) +
                        node_extra_delay(src) + node_extra_delay(dst);
-  if (fabric_ != nullptr && !is_local(dst)) {
-    // The destination lives on another shard: hand the frame to the
-    // fabric, which copies the bytes out of the (thread-local) pooled
-    // buffer and carries them through the ShardedEngine mailbox.  All
-    // send-side checks and the latency consult already happened above, so
-    // the determinism contract's step order is identical for local and
-    // cross-shard traffic.
-    ++stats_.remote_sent;
-    fabric_->post_remote(shard_index_, src, dst, kind, payload,
-                         engine_->now(), engine_->now() + dt);
-    return util::Status::ok();
-  }
   Message msg{src, dst, kind, std::move(payload)};
   engine_->schedule_after(
       dt, [this, m = std::move(msg), se = epoch_of(src),
            de = epoch_of(dst)]() mutable { deliver(std::move(m), se, de); });
   return util::Status::ok();
-}
-
-void Network::deliver_remote(NodeId src, NodeId dst, std::uint32_t kind,
-                             std::vector<std::uint8_t> bytes,
-                             sim::Time sent_at) {
-  if (is_partitioned(src, dst)) {
-    ++stats_.dropped_partition;
-    return;
-  }
-  const Slot* d = slot(dst);
-  if (d == nullptr || !d->up) {
-    ++stats_.dropped_down;
-    return;
-  }
-  // In flight across a destination crash: dropped even though the node is
-  // back up, same rule the epoch counter enforces for local traffic.
-  if (crash_times_.get(dst, -1) >= sent_at) {
-    ++stats_.dropped_down;
-    return;
-  }
-  Message msg{src, dst, kind, sim::Payload(std::move(bytes))};
-  ++stats_.delivered;
-  ++stats_.remote_delivered;
-  stats_.bytes_delivered += msg.payload.size();
-  d->node->handle_message(msg);
 }
 
 void Network::deliver(Message msg, std::uint32_t src_epoch,
@@ -204,7 +156,6 @@ void Network::set_node_up(NodeId id, bool up) {
   s->up = up;
   if (was_up && !up) {
     ++s->epoch;
-    crash_times_.put(id, engine_->now());
     s->node->on_crash();
   }
 }

@@ -24,18 +24,6 @@ namespace grid::net {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = 0;
 
-/// Sharded grids partition the address space by shard: the shard index
-/// lives in the high bits, per-shard networks assign the low bits densely
-/// from their own base.  Single-network worlds use shard 0 throughout, so
-/// every pre-sharding NodeId is unchanged.
-inline constexpr unsigned kShardBits = 24;
-inline constexpr std::uint32_t shard_of_node(NodeId id) {
-  return id >> kShardBits;
-}
-inline constexpr NodeId shard_node_base(std::uint32_t shard) {
-  return (static_cast<NodeId>(shard) << kShardBits) + 1;
-}
-
 /// A framed message in flight.  `kind` is a frame type owned by the layer
 /// above (see rpc.hpp); `payload` is a pooled buffer of codec-encoded
 /// bytes.  Move-only: the payload buffer travels sender -> network ->
@@ -64,15 +52,6 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   virtual sim::Time latency(NodeId src, NodeId dst, std::size_t bytes) = 0;
-
-  /// Lower bound: no latency() call may ever return less than this.  The
-  /// conservative sharded engine derives its safe-window lookahead from
-  /// the bound (sim::ShardedEngine), so an over-estimate breaks causality
-  /// while an under-estimate only costs barriers.  The default 0 is always
-  /// sound but unusable as lookahead; every stock model reports its true
-  /// floor.  The bound may decrease as a model is reconfigured, never
-  /// ratchet up past a value latency() could still return.
-  virtual sim::Time min_latency() const { return 0; }
 };
 
 /// Constant one-way latency regardless of endpoints and size.
@@ -80,7 +59,6 @@ class FixedLatency final : public LatencyModel {
  public:
   explicit FixedLatency(sim::Time one_way) : one_way_(one_way) {}
   sim::Time latency(NodeId, NodeId, std::size_t) override { return one_way_; }
-  sim::Time min_latency() const override { return one_way_; }
 
  private:
   sim::Time one_way_;
@@ -94,7 +72,6 @@ class JitterLatency final : public LatencyModel {
   sim::Time latency(NodeId, NodeId, std::size_t) override {
     return base_ + (jitter_ > 0 ? rng_.uniform_time(0, jitter_) : 0);
   }
-  sim::Time min_latency() const override { return base_; }
 
  private:
   sim::Time base_;
@@ -109,17 +86,10 @@ class MatrixLatency final : public LatencyModel {
       : default_(default_one_way) {}
   void set_pair(NodeId a, NodeId b, sim::Time one_way);
   sim::Time latency(NodeId src, NodeId dst, std::size_t) override;
-  /// min(default, every pair value ever installed).  Overwriting a pair
-  /// with a larger value keeps the old floor: still a valid lower bound,
-  /// merely conservative (tighter windows, never causality violations).
-  sim::Time min_latency() const override {
-    return floor_ < default_ ? floor_ : default_;
-  }
 
  private:
   static std::uint64_t key(NodeId a, NodeId b);
   sim::Time default_;
-  sim::Time floor_ = sim::kTimeNever;  // min over installed pair values
   // pair key -> index into values_.  IdMap instead of unordered_map: the
   // lookup sits on the per-message send path (gridlint: hot-container).
   sim::IdMap pair_index_;
@@ -132,7 +102,6 @@ class BandwidthLatency final : public LatencyModel {
   BandwidthLatency(sim::Time base, double bytes_per_second)
       : base_(base), bps_(bytes_per_second) {}
   sim::Time latency(NodeId, NodeId, std::size_t bytes) override;
-  sim::Time min_latency() const override { return base_; }
 
  private:
   sim::Time base_;
@@ -158,21 +127,12 @@ struct NetworkStats {
   std::uint64_t rpc_retries = 0;          // re-issued attempts
   std::uint64_t rpc_retry_successes = 0;  // calls that recovered via retry
   std::uint64_t rpc_retry_exhausted = 0;  // calls that ran out of attempts
-  // Sharded-fabric traffic (subsets of sent / delivered): messages that
-  // left this shard, and cross-shard messages delivered into it.
-  std::uint64_t remote_sent = 0;
-  std::uint64_t remote_delivered = 0;
 };
-
-class ShardFabric;
 
 /// The network itself.  Owns addressing, delivery, and failure injection.
 class GRID_HOT Network {
  public:
-  /// `id_base` is the first address this network assigns (a sharded grid
-  /// passes shard_node_base(shard); standalone networks keep the default,
-  /// which reproduces the historical dense-from-1 addressing exactly).
-  explicit Network(sim::Engine& engine, NodeId id_base = 1);
+  explicit Network(sim::Engine& engine);
 
   sim::Engine& engine() { return *engine_; }
 
@@ -229,7 +189,7 @@ class GRID_HOT Network {
   /// Adds `extra` one-way latency to every message to or from `node` (a
   /// "slow node" latency spike); 0 clears it.  Applied at send time, so
   /// messages already in flight keep their original delivery time.  Kept
-  /// for any address, attached or not, on this shard or another.
+  /// for any address, attached or not.
   void set_node_extra_delay(NodeId node, sim::Time extra);
   sim::Time node_extra_delay(NodeId node) const;
 
@@ -238,36 +198,9 @@ class GRID_HOT Network {
   NetworkStats& mutable_stats() { return stats_; }
   std::size_t node_count() const { return attached_; }
 
-  /// The latency model's lower bound (see LatencyModel::min_latency).
-  sim::Time min_latency() const { return latency_->min_latency(); }
-
-  /// Joins this network to a sharded fabric as shard `shard_index`
-  /// (normally called by ShardFabric::add_network).  Afterwards sends to
-  /// addresses outside this shard are handed to the fabric, which carries
-  /// them across the shard boundary through the ShardedEngine mailbox.
-  void set_fabric(ShardFabric* fabric, std::uint32_t shard_index);
-  std::uint32_t shard_index() const { return shard_index_; }
-
-  /// True when `id` belongs to this network's shard (always true off the
-  /// fabric: a standalone network is the whole world).
-  bool is_local(NodeId id) const {
-    return fabric_ == nullptr || shard_of_node(id) == shard_index_;
-  }
-
-  /// Delivery of a message that crossed the shard boundary; runs on this
-  /// network's engine at the delivery time the *sender's* network computed
-  /// (its latency model + both extra delays).  Local checks mirror
-  /// deliver(): partition and destination liveness are evaluated here, and
-  /// a destination crash at any point since `sent_at` drops the message
-  /// (the in-flight-across-a-crash rule; the sender side was checked at
-  /// send time).  Cross-shard payloads arrive as plain byte vectors — the
-  /// pooled buffers are thread-local and must not cross shard threads.
-  void deliver_remote(NodeId src, NodeId dst, std::uint32_t kind,
-                      std::vector<std::uint8_t> bytes, sim::Time sent_at);
-
  private:
   /// Per-address state, indexed directly by NodeId (ids are dense, assigned
-  /// sequentially from id_base_).  Slots are never erased — detach clears
+  /// sequentially from 1).  Slots are never erased — detach clears
   /// `node` — so address lookups are a bounds check plus an index, and
   /// nothing about node bookkeeping involves hashing or rehash-order.  Every
   /// address ever issued keeps its slot, so a slot holds only what delivery
@@ -300,18 +233,10 @@ class GRID_HOT Network {
   std::unique_ptr<LatencyModel> latency_;
   sim::Rng drop_rng_;
   double drop_prob_ = 0.0;
-  NodeId id_base_;
-  NodeId next_id_;
-  ShardFabric* fabric_ = nullptr;
-  std::uint32_t shard_index_ = 0;
   std::size_t attached_ = 0;
-  std::vector<Slot> nodes_;  // index = NodeId - id_base_ (dense per shard)
-  // Slow-node delays, for addresses on other shards too, so the send path
-  // can price the destination's spike without touching a foreign network.
+  std::vector<Slot> nodes_;  // index = NodeId - 1
+  // Slow-node delays, keyed by address.
   TimeTable extra_delays_;
-  // Virtual time of each node's last up->down transition, read by
-  // deliver_remote's in-flight rule (the epoch serves local deliveries).
-  TimeTable crash_times_;
   // Blocked (a,b) pair keys.  An IdMap used as a set: deterministic across
   // platforms and allocation-free at steady state.
   sim::IdMap partitions_;

@@ -15,11 +15,12 @@
 //
 //   GRID_SHARD_LOCAL  Marks mutable static-storage state (globals,
 //                     thread_locals, function-local statics) as
-//                     deliberately per-thread / per-shard.  gridlint's
-//                     shard-safety rule flags every other mutable static
-//                     in src/ — state reachable from two shards breaks
-//                     the ShardedEngine byte-identity contract — so the
-//                     annotation is a reviewed claim, not a formality.
+//                     deliberately per-thread.  gridlint's shard-safety
+//                     rule flags every other mutable static in src/ —
+//                     sim::TrialPool runs seeded trials concurrently, and
+//                     state two trials can reach breaks the byte-identity
+//                     of their results — so the annotation is a reviewed
+//                     claim, not a formality.
 //
 // Under clang the macros expand to [[clang::annotate]] so the libclang
 // AST engine resolves them exactly (entity, scope, file); other compilers
@@ -41,5 +42,5 @@
 /// Steady-state message/event path: allocation-free, hash-order-free.
 #define GRID_HOT GRID_ANNOTATION("grid::hot")
 
-/// Mutable static-storage state that is intentionally per-thread/per-shard.
+/// Mutable static-storage state that is intentionally per-thread.
 #define GRID_SHARD_LOCAL GRID_ANNOTATION("grid::shard_local")

@@ -71,8 +71,8 @@ std::size_t BufferPool::free_count() const {
 }
 
 BufferPool& BufferPool::local() {
-  // Per-thread by design: each shard thread recycles its own buffers, so
-  // the pool never needs a lock and never crosses shards.
+  // Per-thread by design: each TrialPool worker recycles its own buffers,
+  // so the pool never needs a lock and never crosses trials.
   GRID_SHARD_LOCAL thread_local BufferPool pool;
   return pool;
 }

@@ -5,10 +5,6 @@
 
 namespace grid::sim {
 
-namespace detail {
-GRID_SHARD_LOCAL thread_local std::uint32_t tl_active_shard_token = 0;
-}  // namespace detail
-
 namespace {
 
 constexpr std::uint64_t kSlotMask = 0xffffffffULL;
@@ -94,12 +90,6 @@ void Engine::heap_erase(std::uint32_t pos) {
 }
 
 EventId Engine::schedule_at(Time t, Callback fn) {
-  GRID_CHECK(shard_token_ == 0 || detail::tl_active_shard_token == 0 ||
-                 detail::tl_active_shard_token == shard_token_,
-             "Engine::schedule_at across a shard boundary: events bound for "
-             "a foreign shard must go through the ShardedEngine mailbox "
-             "(ShardedEngine::post / net::ShardFabric), never directly into "
-             "the other shard's engine");
   if (t < now_) t = now_;
   const std::uint32_t slot = acquire_slot();
   Entry& e = slots_[slot];

@@ -30,13 +30,6 @@
 
 namespace grid::sim {
 
-namespace detail {
-/// Shard token of the window currently executing on this thread; 0 between
-/// windows and outside sharded runs.  Maintained by ShardedEngine, read by
-/// the GRID_CHECKED cross-shard scheduling tripwire in Engine::schedule_at.
-GRID_SHARD_LOCAL extern thread_local std::uint32_t tl_active_shard_token;
-}  // namespace detail
-
 /// Opaque handle to a scheduled event; valid until the event fires or is
 /// cancelled.  A default-constructed handle refers to no event.  Handles are
 /// generation-checked: once the event fires or is cancelled, the handle goes
@@ -71,22 +64,6 @@ class GRID_HOT Engine {
 
   /// Current virtual time.
   Time now() const { return now_; }
-
-  /// Earliest pending event time, or kTimeNever when the queue is empty or
-  /// holds only parked events.  The sharded engine's coordinator reads this
-  /// between windows to anchor the next conservative window (sharded.hpp).
-  Time next_event_time() const {
-    return heap_.empty() ? kTimeNever : heap_[0].at;
-  }
-
-  /// Sharded-run ownership tag (see sharded.hpp).  0 = not part of a
-  /// sharded run.  Under GRID_CHECKED, scheduling into an engine tagged
-  /// with a different token than the shard window currently executing on
-  /// this thread trips: the event crossed a shard boundary without going
-  /// through the mailbox (ShardedEngine::post), which would race under the
-  /// threaded substrate and break determinism under both.
-  void set_shard_token(std::uint32_t token) { shard_token_ = token; }
-  std::uint32_t shard_token() const { return shard_token_; }
 
   /// Schedules `fn` to run at absolute virtual time `t` (>= now()).
   /// Scheduling in the past is clamped to now().  Scheduling at exactly
@@ -160,7 +137,6 @@ class GRID_HOT Engine {
   void release_slot(std::uint32_t slot);
 
   Time now_ = 0;
-  std::uint32_t shard_token_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   // Slab of event entries; freed slots are recycled through free_ instead

@@ -1,5 +1,7 @@
 #include "testbed/grid.hpp"
 
+#include "simkit/check.hpp"
+
 namespace grid::testbed {
 
 CostModel CostModel::fast() {
@@ -40,12 +42,7 @@ Host::Host(Grid& grid, const HostSpec& spec) : grid_(&grid), spec_(spec) {
     gk_costs.exec_startup = scale_time(gk_costs.exec_startup, s);
     fork_cost = scale_time(fork_cost, s);
   }
-  if (spec_.shard < 0 || spec_.shard >= grid.shards()) spec_.shard = 0;
-  // Everything the host owns lives on its shard: scheduler on the shard's
-  // engine, gatekeeper on the shard's network, executables from the
-  // shard's registry.  Cross-shard callers (co-allocators, NIS, brokers)
-  // reach it through the fabric like any other remote address.
-  sim::Engine& engine = grid_->shard_engine(spec_.shard);
+  sim::Engine& engine = grid_->engine();
   switch (spec_.scheduler) {
     case SchedulerKind::kFork:
       scheduler_ = std::make_unique<sched::ForkScheduler>(
@@ -65,8 +62,8 @@ Host::Host(Grid& grid, const HostSpec& spec) : grid_(&grid), spec_(spec) {
       break;
   }
   gatekeeper_ = std::make_unique<gram::Gatekeeper>(
-      grid_->network(spec_.shard), spec_.name, *scheduler_,
-      grid_->executables(spec_.shard), grid_->ca(), grid_->gridmap(),
+      grid_->network(), spec_.name, *scheduler_, grid_->executables(),
+      grid_->ca(), grid_->gridmap(),
       grid_->ca().issue("/O=Grid/CN=host/" + spec_.name,
                         sim::kTimeNever / 2),
       grid_->nis().id(), gsi_costs, gk_costs);
@@ -81,40 +78,30 @@ sched::ReservationScheduler* Host::reservation_scheduler() {
 }
 
 void Host::crash() {
-  grid_->network(spec_.shard).set_node_up(gatekeeper_->contact(), false);
+  grid_->network().set_node_up(gatekeeper_->contact(), false);
 }
 
 void Host::restore() {
-  grid_->network(spec_.shard).set_node_up(gatekeeper_->contact(), true);
+  grid_->network().set_node_up(gatekeeper_->contact(), true);
   gatekeeper_->endpoint().restart();
 }
 
 bool Host::is_up() const {
-  return grid_->network(spec_.shard).is_up(gatekeeper_->contact());
+  return grid_->network().is_up(gatekeeper_->contact());
 }
 
 Grid::Grid(CostModel costs, std::uint64_t seed, int shards)
     : costs_(costs),
-      engines_(shards < 1 ? 1 : static_cast<std::size_t>(shards)),
+      network_(engine_),
       ca_("/O=Grid/CN=TestbedCA", seed ^ 0xca5eedULL) {
-  const std::size_t k = engines_.shards();
-  if (k > 1) fabric_ = std::make_unique<net::ShardFabric>(engines_);
-  for (std::size_t s = 0; s < k; ++s) {
-    auto network = std::make_unique<net::Network>(
-        engines_.shard(s),
-        net::shard_node_base(static_cast<std::uint32_t>(s)));
-    // Per-shard loss streams; shard 0 keeps the historical seed so an
-    // unsharded grid draws exactly the same loss pattern as ever.
-    network->set_drop_seed(seed ^ 0xd70b5eedULL ^
-                           (0x9e3779b97f4a7c15ULL * s));
-    network->set_latency_model(
-        std::make_unique<net::FixedLatency>(costs_.network_latency));
-    if (fabric_) fabric_->add_network(*network);
-    networks_.push_back(std::move(network));
-    executables_.push_back(std::make_unique<gram::ExecutableRegistry>());
+  if (shards != 1) {
+    sim::check_fail(__FILE__, __LINE__,
+                    "testbed::Grid supports exactly one engine and network");
   }
-  if (fabric_) fabric_->refresh_lookahead();
-  nis_ = std::make_unique<gram::NisServer>(*networks_[0], costs_.nis_service);
+  network_.set_drop_seed(seed ^ 0xd70b5eedULL);
+  network_.set_latency_model(
+      std::make_unique<net::FixedLatency>(costs_.network_latency));
+  nis_ = std::make_unique<gram::NisServer>(network_, costs_.nis_service);
 }
 
 Grid::~Grid() = default;
@@ -162,7 +149,7 @@ std::unique_ptr<core::Coallocator> Grid::make_coallocator(
     const std::string& name, const std::string& subject,
     core::RequestConfig defaults) {
   auto coallocator = std::make_unique<core::Coallocator>(
-      *networks_[0], name, ca_, make_user(subject, "user-" + name),
+      network_, name, ca_, make_user(subject, "user-" + name),
       costs_.gsi, defaults);
   coallocator->set_contact_resolver(resolver());
   return coallocator;

@@ -16,13 +16,11 @@
 #include "gram/gatekeeper.hpp"
 #include "gram/nis.hpp"
 #include "gsi/credential.hpp"
-#include "net/fabric.hpp"
 #include "net/network.hpp"
 #include "sched/batch.hpp"
 #include "sched/fork.hpp"
 #include "sched/reservation.hpp"
 #include "simkit/engine.hpp"
-#include "simkit/sharded.hpp"
 #include "testbed/costmodel.hpp"
 
 namespace grid::testbed {
@@ -43,10 +41,6 @@ struct HostSpec {
   /// to the grid cost model — heterogeneous testbeds give each resource a
   /// different speed.  1.0 uses the grid model untouched.
   double cost_scale = 1.0;
-  /// Which shard (resource-manager group) the host lives on.  Only
-  /// meaningful for grids built with shards > 1; everything on shard 0
-  /// behaves exactly as an unsharded grid.
-  int shard = 0;
 };
 
 /// One resource: a local scheduler plus its GRAM gatekeeper.
@@ -79,11 +73,9 @@ class Host {
 
 class Grid {
  public:
-  /// `shards` > 1 builds a sharded grid: one engine + network per shard
-  /// joined by a net::ShardFabric, advanced conservatively by the
-  /// sim::ShardedEngine (serial by default; set_shard_threads picks the
-  /// threaded substrate).  shards == 1 is byte-identical to the historical
-  /// single-engine grid.
+  /// `shards` exists only for gridbench/harness.cpp, which passes 1 and
+  /// changes only together with the benchmark; the next benchmark change
+  /// removes the parameter.  Any value other than 1 aborts in every build.
   explicit Grid(CostModel costs = CostModel::paper(),
                 std::uint64_t seed = 0x9e3779b9, int shards = 1);
   ~Grid();
@@ -91,26 +83,12 @@ class Grid {
   Grid(const Grid&) = delete;
   Grid& operator=(const Grid&) = delete;
 
-  sim::Engine& engine() { return engines_.shard(0); }
-  sim::Engine& shard_engine(int shard) {
-    return engines_.shard(static_cast<std::size_t>(shard));
-  }
-  sim::ShardedEngine& engines() { return engines_; }
-  int shards() const { return static_cast<int>(engines_.shards()); }
-  /// Worker threads for the sharded run (0/1 = serial substrate).
-  void set_shard_threads(unsigned n) { engines_.set_threads(n); }
-  net::Network& network() { return *networks_[0]; }
-  net::Network& network(int shard) {
-    return *networks_[static_cast<std::size_t>(shard)];
-  }
-  net::ShardFabric* fabric() { return fabric_.get(); }
+  sim::Engine& engine() { return engine_; }
+  net::Network& network() { return network_; }
   const CostModel& costs() const { return costs_; }
   gsi::CertificateAuthority& ca() { return ca_; }
   gsi::GridMap& gridmap() { return gridmap_; }
-  gram::ExecutableRegistry& executables() { return *executables_[0]; }
-  gram::ExecutableRegistry& executables(int shard) {
-    return *executables_[static_cast<std::size_t>(shard)];
-  }
+  gram::ExecutableRegistry& executables() { return executables_; }
   gram::NisServer& nis() { return *nis_; }
 
   /// Adds a host; names must be unique (they are the RSL contact strings).
@@ -134,22 +112,21 @@ class Grid {
       core::RequestConfig defaults = {});
 
   /// Runs the event loop to completion / until a deadline.
-  void run() { engines_.run(); }
-  void run_until(sim::Time deadline) { engines_.run_until(deadline); }
+  void run() { engine_.run(); }
+  void run_until(sim::Time deadline) { engine_.run_until(deadline); }
   void run_for(sim::Time duration) {
-    engines_.run_until(engine().now() + duration);
+    engine_.run_until(engine_.now() + duration);
   }
 
  private:
   friend class Host;
 
   CostModel costs_;
-  sim::ShardedEngine engines_;
-  std::vector<std::unique_ptr<net::Network>> networks_;
-  std::unique_ptr<net::ShardFabric> fabric_;
+  sim::Engine engine_;
+  net::Network network_;
   gsi::CertificateAuthority ca_;
   gsi::GridMap gridmap_;
-  std::vector<std::unique_ptr<gram::ExecutableRegistry>> executables_;
+  gram::ExecutableRegistry executables_;
   std::unique_ptr<gram::NisServer> nis_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unordered_map<std::string, Host*> by_name_;

@@ -67,15 +67,6 @@ struct ScaleSpec {
   sim::Time publish_interval = 30 * sim::kSecond;
   bool gis_payload_cache = true;
 
-  // Conservative parallel substrate.  shards > 1 partitions the resource
-  // pool round-robin across per-shard engines (one network, information
-  // service, and GIS directory each); shard_threads picks how many worker
-  // threads drive them (0 or 1 = serial coordinator, byte-identical to
-  // the threaded run by the sharded-engine contract).  shards == 1 is the
-  // historical scenario, bit-for-bit.
-  int shards = 1;
-  unsigned shard_threads = 0;
-
   /// CI-sized preset: same shape, ~2 orders of magnitude fewer jobs.
   static ScaleSpec quick();
 };
@@ -119,8 +110,8 @@ class ScaleScenario {
   ScaleScenario& operator=(const ScaleScenario&) = delete;
 
   Grid& grid() { return grid_; }
-  sched::LoadInformationService& info_service() { return *shards_[0].service; }
-  info::GisServer& gis_server() { return *shards_[0].gis_server; }
+  sched::LoadInformationService& info_service() { return *service_; }
+  info::GisServer& gis_server() { return *gis_server_; }
 
   /// Runs the scenario for spec.duration and reports.  Call once.
   ScaleMetrics run();
@@ -128,45 +119,31 @@ class ScaleScenario {
  private:
   struct Agent {
     std::unique_ptr<core::Coallocator> coallocator;
-    /// One directory client per shard (all on the agent's endpoint, which
-    /// lives on shard 0); an unsharded run has exactly one.
-    std::vector<std::unique_ptr<info::GisClient>> gis;
+    std::unique_ptr<info::GisClient> gis;
     std::unique_ptr<info::ResourceBroker> broker;
   };
 
-  /// Everything a shard's worker thread touches while the engines run:
-  /// its slice of the resource pool, its information plane, its arrival
-  /// drivers' RNG streams, and its own metrics accumulator (merged after
-  /// the run, in shard order).  Shard 0 additionally owns the whole
-  /// transaction path — agents live there, so the txn counters and the
-  /// fingerprint mixes land in shard 0's accumulator.
-  struct ShardState {
-    std::vector<Host*> hosts;
-    std::unique_ptr<sched::LoadInformationService> service;
-    std::unique_ptr<info::GisServer> gis_server;
-    app::BarrierStats barrier_stats;
-    sim::Rng arrivals_rng;
-    sim::Rng background_rng;
-    std::uint64_t next_background_id = 0;
-    ScaleMetrics metrics;
-  };
-
-  void schedule_background_arrival(std::size_t shard);
+  void schedule_background_arrival();
   void schedule_transaction_arrival();
-  void submit_background_job(std::size_t shard);
+  void submit_background_job();
   void launch_transaction();
   /// Thinning acceptance for the non-homogeneous Poisson processes.
-  bool accept_arrival(sim::Rng& rng, sim::Time now) const;
-  static void mix(ScaleMetrics& m, std::uint64_t value);
+  bool accept_arrival(sim::Time now);
+  void mix(std::uint64_t value);
 
   ScaleSpec spec_;
   Grid grid_;
-  std::vector<Host*> hosts_;  // creation order, across all shards
-  std::vector<ShardState> shards_;
+  std::vector<Host*> hosts_;  // creation order
+  std::unique_ptr<sched::LoadInformationService> service_;
+  std::unique_ptr<info::GisServer> gis_server_;
+  app::BarrierStats barrier_stats_;
   sched::AggregateWorkPredictor predictor_;
   std::vector<Agent> agents_;
 
+  sim::Rng arrivals_rng_;
+  sim::Rng background_rng_;
   sim::Rng txn_rng_;
+  std::uint64_t next_background_id_;
 
   ScaleMetrics metrics_;
   std::uint64_t txn_seq_ = 0;

@@ -19,7 +19,6 @@
 #include "simkit/codec.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/idmap.hpp"
-#include "simkit/sharded.hpp"
 
 namespace grid {
 namespace {
@@ -79,32 +78,10 @@ TEST(CheckedDeathTest, ProfileAbortsOnOverRelease) {
   EXPECT_DEATH(p.release(0, 100, 3), "release exceeds capacity");
 }
 
-TEST(CheckedDeathTest, CrossShardScheduleTrips) {
-  // Scheduling into a foreign shard's engine from inside another shard's
-  // window bypasses the mailbox ordering contract; the tokened engines
-  // must abort the instant it happens.
-  sim::ShardedEngine engines(2);
-  engines.shard(0).schedule_at(5, [&engines] {
-    engines.shard(1).schedule_at(100, [] {});
-  });
-  EXPECT_DEATH(engines.run(), "across a shard boundary");
-}
-
 // The GRID_SHARD_LOCAL annotations (simkit/annotate.hpp) are analyzer
-// metadata on the per-shard state — they must not change codegen or
-// weaken the runtime tripwires that guard that same state.  These two
-// tests drive the annotated thread-locals (the active-shard token, the
-// thread-local buffer pool) through their abort paths.
-
-TEST(CheckedDeathTest, AnnotatedShardTokenStillTrips) {
-  // schedule_after entry point, foreign shard: the tokened check reads
-  // the annotated tl_active_shard_token and must still abort.
-  sim::ShardedEngine engines(2);
-  engines.shard(1).schedule_at(5, [&engines] {
-    engines.shard(0).schedule_after(sim::kMicrosecond, [] {});
-  });
-  EXPECT_DEATH(engines.run(), "across a shard boundary");
-}
+// metadata on per-thread state — they must not change codegen or weaken
+// the runtime tripwires that guard that same state.  This test drives the
+// annotated thread-local buffer pool through its abort path.
 
 TEST(CheckedDeathTest, RecycledPayloadFromAnnotatedPoolStaysFrozen) {
   {
@@ -117,28 +94,6 @@ TEST(CheckedDeathTest, RecycledPayloadFromAnnotatedPoolStaysFrozen) {
   sim::Payload p = w.take();  // rides the recycled buffer
   sim::Payload other = p.share();
   EXPECT_DEATH(p.mutable_bytes(), "shared buffer");
-}
-
-TEST(CheckedDeathTest, CrossShardPostInsideLookaheadTrips) {
-  // A cross-shard event posted inside the current safe window would land
-  // in simulated past of a shard that may already have run past it.
-  sim::ShardedEngine engines(2);
-  engines.set_lookahead(10);
-  engines.shard(0).schedule_at(5, [&engines] {
-    engines.post(0, 1, engines.shard(0).now() + 1, [] {});
-  });
-  EXPECT_DEATH(engines.run(), "lookahead violation");
-}
-
-TEST(CheckedClean, MailboxPostAtLookaheadBoundIsLegal) {
-  sim::ShardedEngine engines(2);
-  engines.set_lookahead(10);
-  int fired = 0;
-  engines.shard(0).schedule_at(5, [&engines, &fired] {
-    engines.post(0, 1, engines.shard(0).now() + 10, [&fired] { ++fired; });
-  });
-  engines.run();
-  EXPECT_EQ(fired, 1);
 }
 
 // Positive coverage: a full simulation under GRID_CHECKED runs every

@@ -79,8 +79,6 @@ TEST(DeterminismAudit, BackToBackRunsAreIdentical) {
   EXPECT_EQ(na.rpc_retries, nb.rpc_retries);
   EXPECT_EQ(na.rpc_retry_successes, nb.rpc_retry_successes);
   EXPECT_EQ(na.rpc_retry_exhausted, nb.rpc_retry_exhausted);
-  EXPECT_EQ(na.remote_sent, nb.remote_sent);
-  EXPECT_EQ(na.remote_delivered, nb.remote_delivered);
   // Pool-warmth exception, sum pinned (see file comment).
   EXPECT_EQ(na.payloads_fresh + na.payloads_recycled,
             nb.payloads_fresh + nb.payloads_recycled);
@@ -90,6 +88,16 @@ TEST(DeterminismAudit, BackToBackRunsAreIdentical) {
   EXPECT_GT(ma.background_submitted, 100u);
   EXPECT_GT(ma.txn_placed, 0u);
   EXPECT_GT(na.delivered, 0u);
+
+  // Back-to-back equality cannot see a refactor that moves the trajectory
+  // deterministically, so the run is also pinned to committed values.  A
+  // change that moves any of them changes the simulation and must re-pin
+  // them on purpose.
+  EXPECT_EQ(ma.fingerprint, 0xc4655a276b7a144bULL);
+  EXPECT_EQ(ma.events_executed, 10'501u);
+  EXPECT_EQ(na.sent, 3'407u);
+  EXPECT_EQ(na.delivered, 3'357u);
+  EXPECT_EQ(na.bytes_sent, 232'491u);
 }
 
 }  // namespace

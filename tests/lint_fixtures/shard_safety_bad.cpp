@@ -2,8 +2,8 @@
 // gridlint-fixture-ast: shard-safety
 // Mutable static-storage state is invisible to the regex engine (any
 // token pattern would drown in false positives) but exactly resolvable
-// from storage classes: two shards touching any of these breaks the
-// byte-identity contract.  The GRID_SHARD_LOCAL-annotated variable is the
+// from storage classes: two concurrent TrialPool trials touching any of
+// these break the byte-identity of their results.  The GRID_SHARD_LOCAL-annotated variable is the
 // sanctioned shape and must NOT fire.
 #include <cstdint>
 

@@ -360,114 +360,6 @@ TEST(LatencyModels, JitterStaysInBand) {
   }
 }
 
-// min_latency() is the sharded engine's lookahead source: it must be a
-// true lower bound on every draw the model can ever produce, under any
-// sequence of randomized sizes, pair rewrites, and node events — a single
-// violation is a causality bug (a message landing inside a window already
-// executed).
-
-TEST(LatencyModels, MinLatencyBoundsFixed) {
-  net::FixedLatency fixed(7 * sim::kMillisecond);
-  EXPECT_EQ(fixed.min_latency(), 7 * sim::kMillisecond);
-  EXPECT_LE(fixed.min_latency(), fixed.latency(1, 2, 0));
-}
-
-TEST(LatencyModels, MinLatencyBoundsJitterUnderRandomDraws) {
-  net::JitterLatency j(3 * sim::kMillisecond, 9 * sim::kMillisecond,
-                       sim::Rng(77));
-  sim::Rng sizes(7);
-  for (int i = 0; i < 1000; ++i) {
-    const auto bytes = static_cast<std::size_t>(sizes.uniform_int(0, 4096));
-    EXPECT_LE(j.min_latency(), j.latency(1, 2, bytes)) << "draw " << i;
-  }
-}
-
-TEST(LatencyModels, MinLatencyBoundsMatrixUnderPairRewrites) {
-  net::MatrixLatency m(10 * sim::kMillisecond);
-  EXPECT_EQ(m.min_latency(), 10 * sim::kMillisecond);
-  m.set_pair(1, 2, 4 * sim::kMillisecond);
-  EXPECT_EQ(m.min_latency(), 4 * sim::kMillisecond);
-  // Overwriting upward keeps the old floor: conservative, never unsafe.
-  m.set_pair(1, 2, 20 * sim::kMillisecond);
-  EXPECT_EQ(m.min_latency(), 4 * sim::kMillisecond);
-  sim::Rng pairs(13);
-  for (int i = 0; i < 200; ++i) {
-    const auto a = static_cast<net::NodeId>(pairs.uniform_int(1, 8));
-    const auto b = static_cast<net::NodeId>(pairs.uniform_int(1, 8));
-    m.set_pair(a, b, pairs.uniform_time(sim::kMillisecond, sim::kSecond));
-    for (net::NodeId s = 1; s <= 8; ++s) {
-      for (net::NodeId d = 1; d <= 8; ++d) {
-        EXPECT_LE(m.min_latency(), m.latency(s, d, 0));
-      }
-    }
-  }
-}
-
-TEST(LatencyModels, MinLatencyBoundsBandwidth) {
-  net::BandwidthLatency bw(2 * sim::kMillisecond, 1000.0);
-  EXPECT_EQ(bw.min_latency(), 2 * sim::kMillisecond);
-  sim::Rng sizes(21);
-  for (int i = 0; i < 1000; ++i) {
-    const auto bytes = static_cast<std::size_t>(sizes.uniform_int(0, 65536));
-    EXPECT_LE(bw.min_latency(), bw.latency(1, 2, bytes));
-  }
-}
-
-TEST(LatencyModels, MinLatencyHoldsUnderSlowNodeSpikesAndFlaps) {
-  // Node-level spikes and link flaps live in the Network, above the
-  // latency model: delivery deltas may only grow, so the model's bound
-  // must keep holding for everything that actually arrives.
-  struct ArrivalClock : net::Node {
-    sim::Engine* engine = nullptr;
-    std::vector<sim::Time> at;
-    void handle_message(const net::Message&) override {
-      at.push_back(engine->now());
-    }
-  };
-  sim::Engine engine;
-  net::Network network(engine);
-  auto model = std::make_unique<net::JitterLatency>(
-      2 * sim::kMillisecond, 3 * sim::kMillisecond, sim::Rng(5));
-  const sim::Time floor = model->min_latency();
-  network.set_latency_model(std::move(model));
-  ArrivalClock sender;
-  sender.engine = &engine;
-  ArrivalClock receiver;
-  receiver.engine = &engine;
-  const net::NodeId na = network.attach(&sender);
-  const net::NodeId nb = network.attach(&receiver);
-  std::vector<sim::Time>& arrived_at = receiver.at;
-  std::vector<sim::Time> sent_at;
-
-  // A slow-node spike mid-run and a brief flap of the pair.
-  engine.schedule_at(10 * sim::kMillisecond, [&] {
-    network.set_node_extra_delay(nb, 4 * sim::kMillisecond);
-  });
-  engine.schedule_at(40 * sim::kMillisecond,
-                     [&] { network.set_node_extra_delay(nb, 0); });
-  engine.schedule_at(20 * sim::kMillisecond,
-                     [&] { network.set_partitioned(na, nb, true); });
-  engine.schedule_at(30 * sim::kMillisecond,
-                     [&] { network.set_partitioned(na, nb, false); });
-  for (int i = 0; i < 60; ++i) {
-    engine.schedule_at(i * sim::kMillisecond, [&] {
-      sent_at.push_back(engine.now());
-      (void)network.send(na, nb, 1, {});
-    });
-  }
-  engine.run();
-
-  ASSERT_LE(arrived_at.size(), sent_at.size());  // the flap dropped some
-  ASSERT_FALSE(arrived_at.empty());
-  // Deliveries are FIFO per pair here, so pair deltas are well-defined
-  // even though some sends were dropped: every delivered message took at
-  // least the model's floor.
-  for (std::size_t i = 0, j = 0; i < arrived_at.size(); ++i, ++j) {
-    while (j < sent_at.size() && sent_at[j] + floor > arrived_at[i]) ++j;
-    ASSERT_LT(j, sent_at.size());
-  }
-}
-
 // ---- rpc ------------------------------------------------------------------------
 
 struct RpcFixture : ::testing::Test {

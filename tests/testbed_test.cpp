@@ -142,6 +142,15 @@ TEST(Testbed, CrashAndRestoreAreObservable) {
   EXPECT_TRUE(host.is_up());
 }
 
+TEST(TestbedDeathTest, GridRejectsAnyEngineCountButOne) {
+  // The third constructor argument survives only for the benchmark
+  // harness, which passes 1; every other value aborts in every build.
+  EXPECT_DEATH(testbed::Grid(testbed::CostModel::fast(), 1, 2),
+               "exactly one engine");
+  EXPECT_DEATH(testbed::Grid(testbed::CostModel::fast(), 1, 0),
+               "exactly one engine");
+}
+
 TEST(Testbed, RslHelpersEmitParseableRequests) {
   const std::string text = testbed::rsl_multi(
       {testbed::rsl_subjob("h1", 4, "exe", "interactive", "workers"),

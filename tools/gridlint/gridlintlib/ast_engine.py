@@ -25,7 +25,7 @@ Six rules ride on the AST (ids shared with the registry):
                     whose declared type spells sim::Time.
   rng-discipline    std <random> engines / random_device / srand, and
                     static-storage sim::Rng objects (an RNG shared
-                    across shards serializes their draws).
+                    across trials serializes their draws).
   addr-order        std::map / std::set keyed on pointers with the
                     default comparator, and std::sort over pointers
                     (default comparator or a comparator that compares
@@ -424,7 +424,7 @@ class AstEngine:
                 or "thread_local" in self._decl_tokens(cursor)):
             self._emit(findings, cursor, "rng-discipline",
                        f"static-storage RNG '{cursor.spelling}' would be "
-                       "shared across shards/trials")
+                       "shared across trials")
 
     # ---- addr-order ------------------------------------------------------
 

@@ -38,8 +38,6 @@ _PATTERNS = {
     "hot-function": re.compile(r"std::function\b"),
     "naked-new": re.compile(
         r"(?<![\w:.<])new\b(?!\s*[(>])|(?<![\w:.])malloc\s*\("),
-    "cross-shard-schedule": re.compile(
-        r"\bshard\s*\(\s*[^()]*\)\s*\.\s*schedule(?:_at|_after)?\s*\("),
     "rng-discipline": re.compile(
         r"std::random_device\b|std::mt19937(?:_64)?\b"
         r"|std::default_random_engine\b|std::minstd_rand0?\b"

@@ -76,17 +76,11 @@ RULES = {
         "naked-new",
         "raw allocation in a GRID_HOT file; use the buffer pool / slabs",
         "both"),
-    "cross-shard-schedule": Rule(
-        "cross-shard-schedule",
-        "direct schedule on a shard's engine; cross-shard events must go "
-        "through ShardedEngine::post / net::ShardFabric (GRID_CHECKED "
-        "builds abort on the foreign-shard case)",
-        "both"),
     "shard-safety": Rule(
         "shard-safety",
-        "mutable static-storage state; two shards reaching it breaks the "
-        "byte-identity contract — make it per-shard and annotate "
-        "GRID_SHARD_LOCAL, or justify an allow",
+        "mutable static-storage state; concurrent TrialPool trials "
+        "reaching it break the byte-identity of their results — make it "
+        "per-thread and annotate GRID_SHARD_LOCAL, or justify an allow",
         "ast"),
     "dangling-capture": Rule(
         "dangling-capture",
@@ -123,7 +117,6 @@ SCOPES = {
     "addr-order": _in_sim_sources,
     "time-unit": _in_sim_sources,
     "dangling-capture": _in_sim_sources,
-    "cross-shard-schedule": lambda p: not p.startswith("src/simkit/"),
 }
 
 
@@ -147,20 +140,9 @@ ALLOW = {
     ("src/simkit/log.cpp", "shard-safety"):
         "process-wide logging config: set by harnesses before runs, atomic "
         "so a mid-run set cannot tear; log output never feeds results",
-    ("src/simkit/sharded.cpp", "shard-safety"):
-        "intentionally process-global: shard tokens must stay unique across "
-        "every concurrently-live sharded engine (atomic fetch_add, identity "
-        "only — the values never reach simulation state)",
     ("src/simkit/allocguard.cpp", "shard-safety"):
         "the allocation counter is the measurement instrument itself, "
         "thread-local by construction and read only by benches/tests",
-    ("bench/micro_engine.cpp", "cross-shard-schedule"):
-        "the sharded bench's chains schedule only pre-run (coordinator "
-        "thread, no window active) or on their own shard; cross-shard hops "
-        "use post()",
-    ("examples/distributed_simulation.cpp", "cross-shard-schedule"):
-        "showcase seeds its initial events pre-run from the main thread; "
-        "all cross-shard traffic rides the ShardFabric",
 }
 
 SUPPRESS_RE_TEXT = r"gridlint:\s*allow\(([a-z-]+)\)"
