@@ -8,10 +8,10 @@
 //
 // Experiment: a broker must place a 16-processor subjob on one of 8 batch
 // machines with churning background load.  It picks the machine with the
-// smallest predicted wait, computed from snapshots published by the grid
-// information service every `interval`.  As the publish interval grows
-// past the timescale on which load changes, forecast-guided selection
-// degrades toward random selection.
+// smallest predicted wait, computed from queue summaries published by the
+// grid information service every `interval`.  As the publish interval
+// grows past the timescale on which load changes, forecast-guided
+// selection degrades toward random selection.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -99,9 +99,9 @@ double run(sim::Time interval, std::uint64_t seed, int probes) {
       } else {
         sim::Time best_wait = sim::kTimeNever;
         for (int i = 0; i < kMachines; ++i) {
-          auto snap = gis.query("m" + std::to_string(i));
-          if (!snap.is_ok()) continue;
-          const sim::Time w = predictor.predict(snap.value(), kJobSize);
+          auto summary = gis.summary(gis.resolve("m" + std::to_string(i)));
+          if (!summary.is_ok()) continue;
+          const sim::Time w = predictor.predict(summary.value(), kJobSize);
           if (w < best_wait) {
             best_wait = w;
             best = i;

@@ -2,8 +2,10 @@
 # The full correctness gauntlet, locally: gridlint (tree scan + fixture
 # selftest), then build + ctest under every correctness preset — default,
 # asan (ASan+UBSan), ubsan, tsan, and checked (GRID_CHECKED invariant
-# tripwires).  clang-tidy runs if the binary is installed, and is skipped
-# with a note otherwise.
+# tripwires) — and, with the default preset, the benchmark harness smoke
+# check (gridbench/smoke.py builds the harness against the current API).
+# clang-tidy runs if the binary is installed, and is skipped with a note
+# otherwise.
 #
 # Usage: scripts/run_checks.sh [preset...]   (default: all presets)
 # Exit code: non-zero on the first failing stage.
@@ -28,6 +30,10 @@ for preset in "${presets[@]}"; do
   cmake --preset "$preset" >/dev/null || exit 1
   cmake --build --preset "$preset" -j "$(nproc)" >/dev/null || exit 1
   ctest --preset "$preset" -j "$(nproc)" --output-on-failure || exit 1
+  if [ "$preset" = default ]; then
+    echo "== default: benchmark harness smoke =="
+    python3 gridbench/smoke.py || exit 1
+  fi
 done
 
 if command -v clang-tidy >/dev/null 2>&1; then

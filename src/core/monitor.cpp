@@ -137,11 +137,13 @@ void HeartbeatDetector::tick() {
     auto brief = req->subjob_brief(h);
     if (!brief.is_ok()) continue;
     const CoallocationRequest::SubjobBrief& v = brief.value();
+    // Released subjobs stay watched: a post-release death would otherwise
+    // surface only when the application notices.
     const bool watchable =
         v.gram_job != 0 && v.gatekeeper != net::kInvalidNode &&
         (v.state == SubjobState::kPending || v.state == SubjobState::kActive ||
          v.state == SubjobState::kCheckedIn ||
-         (config_.monitor_released && v.state == SubjobState::kReleased));
+         v.state == SubjobState::kReleased);
     if (!watchable) continue;
     Watch& w = watches_[h];
     if (w.job != v.gram_job) w = Watch{v.gram_job};  // substituted: fresh slate

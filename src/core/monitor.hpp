@@ -116,9 +116,6 @@ struct HeartbeatConfig {
   sim::Time beat_timeout = 2 * sim::kSecond;
   int misses_to_suspect = 1;
   int misses_to_dead = 3;
-  /// Keep beating after barrier release (detects post-release deaths that
-  /// would otherwise only surface when the application notices).
-  bool monitor_released = true;
 };
 
 class GRID_HOT HeartbeatDetector {

@@ -39,7 +39,6 @@ CoallocationRequest::~CoallocationRequest() {
   *alive_ = false;
   slots_.for_each([this](SubjobHandle, Subjob& sj) {
     owner_->engine().cancel(sj.timeout_event);
-    owner_->engine().cancel(sj.probe_event);
     // Unregister the state watcher so late notifies from the job manager
     // don't fire into a destroyed request.
     if (sj.gram_job != 0) owner_->gram().forget(sj.gram_job);
@@ -96,7 +95,6 @@ util::Status CoallocationRequest::remove_subjob(SubjobHandle handle) {
     return {util::ErrorCode::kNotFound, "unknown subjob"};
   }
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob removed from request");
   set_state(*sj, SubjobState::kDeleted);
@@ -115,7 +113,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
     return {util::ErrorCode::kNotFound, "unknown subjob"};
   }
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob substituted");
   agg_remove(*sj);
@@ -128,7 +125,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
   sj->process_nodes.clear();
   sj->checked.clear();
   sj->checked_count = 0;
-  sj->probe_misses = 0;
   sj->early_checkins.clear();
   sj->failure = util::Status::ok();
   sj->submitted_at = sj->accepted_at = sj->active_at = sj->checked_in_at = -1;
@@ -248,7 +244,6 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   sj->accepted_at = owner_->engine().now();
   set_state(*sj, SubjobState::kPending);
   if (config_.serialize_until_checkin) hold_handle_ = handle;
-  arm_liveness_probe(*sj);
   notify_subjob(*sj);
   // Replay check-ins that raced ahead of this accept reply.
   if (!sj->early_checkins.empty()) {
@@ -281,16 +276,12 @@ void CoallocationRequest::on_gram_state(SubjobHandle handle,
       }
       const util::Status why(change.error, "GRAM: " + change.message);
       if (sj->state == SubjobState::kReleased) {
-        // Post-release failure: a monitoring event, not (by default) fatal
-        // to the ensemble (§3.4).
+        // Post-release failure: a monitoring event, not fatal to the
+        // ensemble (§3.4).
         set_state(*sj, SubjobState::kFailed);
         sj->failure = why;
         notify_subjob(*sj);
-        if (config_.abort_on_post_release_failure) {
-          abort("post-release failure: " + change.message);
-        } else {
-          maybe_done();
-        }
+        maybe_done();
         return;
       }
       fail_subjob(handle, why);
@@ -365,7 +356,6 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     set_state(*sj, SubjobState::kCheckedIn);
     sj->checked_in_at = owner_->engine().now();
     owner_->engine().cancel(sj->timeout_event);
-    owner_->engine().cancel(sj->probe_event);
     notify_subjob(*sj);
     if (hold_handle_ == sj->handle) {
       hold_handle_ = 0;
@@ -503,55 +493,6 @@ void CoallocationRequest::arm_timeout(Subjob& sj) {
       });
 }
 
-void CoallocationRequest::arm_liveness_probe(Subjob& sj) {
-  if (config_.liveness_probe_interval <= 0) return;
-  owner_->engine().cancel(sj.probe_event);
-  sj.probe_event = owner_->engine().schedule_after(
-      config_.liveness_probe_interval,
-      [this, handle = sj.handle, inc = sj.incarnation] {
-        probe_liveness(handle, inc);
-      });
-}
-
-void CoallocationRequest::probe_liveness(SubjobHandle handle,
-                                         std::uint32_t incarnation) {
-  Subjob* sj = find(handle);
-  if (sj == nullptr || sj->incarnation != incarnation ||
-      is_request_terminal(state_)) {
-    return;
-  }
-  if (sj->state != SubjobState::kPending &&
-      sj->state != SubjobState::kActive) {
-    return;  // barrier reached or slot edited: probing is over
-  }
-  owner_->gram().ping(
-      sj->gatekeeper, config_.rpc_timeout,
-      [this, handle, incarnation, alive = alive_](util::Status status) {
-        if (!*alive) return;
-        Subjob* s = find(handle);
-        if (s == nullptr || s->incarnation != incarnation ||
-            is_request_terminal(state_) ||
-            (s->state != SubjobState::kPending &&
-             s->state != SubjobState::kActive)) {
-          return;
-        }
-        if (status.is_ok()) {
-          s->probe_misses = 0;
-          arm_liveness_probe(*s);
-          return;
-        }
-        if (++s->probe_misses >= config_.liveness_failures_allowed) {
-          fail_subjob(handle,
-                      util::Status(util::ErrorCode::kUnavailable,
-                                   "resource manager unresponsive to " +
-                                       std::to_string(s->probe_misses) +
-                                       " consecutive liveness probes"));
-          return;
-        }
-        arm_liveness_probe(*s);
-      });
-}
-
 void CoallocationRequest::cancel_gram_job(Subjob& sj) {
   if (sj.gram_job == 0 || sj.gatekeeper == net::kInvalidNode) return;
   owner_->gram().forget(sj.gram_job);
@@ -580,7 +521,6 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
   Subjob* sj = find(handle);
   if (sj == nullptr || is_subjob_terminal(sj->state)) return;
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob failed: " + why.message());
   set_state(*sj, SubjobState::kFailed);
@@ -628,7 +568,6 @@ void CoallocationRequest::abort(const std::string& reason) {
     Subjob* sj = find(h);
     if (sj == nullptr) continue;
     owner_->engine().cancel(sj->timeout_event);
-    owner_->engine().cancel(sj->probe_event);
     if (sj->state == SubjobState::kDeleted) continue;
     cancel_gram_job(*sj);
     abort_subjob_processes(*sj, reason);
@@ -768,24 +707,6 @@ SubjobHandle CoallocationRequest::find_labeled(std::string_view label) const {
     }
   }
   return 0;
-}
-
-std::size_t CoallocationRequest::live_subjob_count() const {
-  std::size_t n = 0;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj != nullptr && is_live(*sj)) ++n;
-  }
-  return n;
-}
-
-std::int32_t CoallocationRequest::total_live_processes() const {
-  std::int32_t n = 0;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj != nullptr && is_live(*sj)) n += sj->request.count;
-  }
-  return n;
 }
 
 }  // namespace grid::core

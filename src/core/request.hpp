@@ -56,23 +56,15 @@ struct RequestConfig {
   /// Timeout of each protocol phase of a GRAM interaction.
   sim::Time rpc_timeout = 30 * sim::kSecond;
   /// Deadline from subjob submission to full barrier check-in; expiry is a
-  /// failure handled per the subjob's category.  0 disables.
+  /// failure handled per the subjob's category.  0 disables.  Earlier
+  /// detection of a silent resource manager is core::HeartbeatDetector's
+  /// job (DurocAllocator::watch, GrabAllocator::set_heartbeats).
   sim::Time startup_timeout = 10 * sim::kMinute;
-  /// Post-release GRAM failure policy: true kills the whole computation,
-  /// false reports the event and lets the application continue (§3.4).
-  bool abort_on_post_release_failure = false;
   /// Ablation knob (bench/ablate_pipelining): when true the pipeline holds
   /// the next subjob until the previous one has fully checked in — the
   /// "zero concurrency" behaviour Figure 4 compares against.  The default
   /// (false) overlaps remote processing with later submissions.
   bool serialize_until_checkin = false;
-  /// When > 0, the co-allocator pings each waiting subjob's gatekeeper on
-  /// this interval; `liveness_failures_allowed` consecutive unanswered
-  /// probes fail the subjob immediately instead of waiting for the full
-  /// startup deadline (§3.4: failure modes "ranging from an error report
-  /// to lack of progress").  0 disables probing.
-  sim::Time liveness_probe_interval = 0;
-  int liveness_failures_allowed = 2;
 };
 
 /// A subjob slot as visible to co-allocation agents.
@@ -205,8 +197,8 @@ class GRID_HOT CoallocationRequest {
   /// how Figure 1-style requests name their logical pieces.
   SubjobHandle find_labeled(std::string_view label) const;
   /// Live subjobs: edited in and not failed/deleted.
-  std::size_t live_subjob_count() const;
-  std::int32_t total_live_processes() const;
+  std::size_t live_subjob_count() const { return agg_.live_subjobs; }
+  std::int32_t total_live_processes() const { return agg_.live_processes; }
   sim::Time released_at() const { return released_at_; }
 
   /// The configuration sent at release (valid once state >= kReleased).
@@ -229,8 +221,6 @@ class GRID_HOT CoallocationRequest {
     bool released = false;
     util::Status failure;
     sim::EventId timeout_event;
-    sim::EventId probe_event;
-    int probe_misses = 0;
     /// Check-ins that overtook the GRAM accept reply on a jittery network;
     /// replayed once the job id is known.
     std::vector<std::pair<net::NodeId, CheckinMessage>> early_checkins;
@@ -260,8 +250,6 @@ class GRID_HOT CoallocationRequest {
   void abort_subjob_processes(Subjob& sj, const std::string& reason);
   void cancel_gram_job(Subjob& sj);
   void arm_timeout(Subjob& sj);
-  void arm_liveness_probe(Subjob& sj);
-  void probe_liveness(SubjobHandle handle, std::uint32_t incarnation);
   void maybe_done();
   void finish(util::Status status);
 
@@ -295,8 +283,8 @@ class GRID_HOT CoallocationRequest {
   RuntimeConfig config_table_;
   sim::Time released_at_ = -1;
   /// Cleared by the destructor; captured by callbacks handed to the gram
-  /// client (submit accept, state notify, liveness ping), which can outlive
-  /// the request when it is destroyed mid-flight.
+  /// client (submit accept, state notify), which can outlive the request
+  /// when it is destroyed mid-flight.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -4,7 +4,7 @@
 // configuration mechanisms: the number of subjobs, the size of each, rank
 // bases, a leader address per subjob (inter-subjob communication), and the
 // member addresses of the process's own subjob (intra-subjob
-// communication).  No extra rendezvous round is needed (DESIGN.md §5.6).
+// communication).  No extra rendezvous round is needed (DESIGN.md §5 item 6).
 #pragma once
 
 #include <cstdint>

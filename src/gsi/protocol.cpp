@@ -57,10 +57,15 @@ void ServerContext::handle_init(net::NodeId caller, std::uint64_t call_id,
                                    lu.status().message());
           return;
         }
+        while (!pending_.empty() &&
+               pending_.begin()->second.issued + sim::kHour < now) {
+          pending_.erase(pending_.begin());  // abandoned after INIT
+        }
         const std::uint64_t handshake_id = next_handshake_++;
         const std::uint64_t challenge =
             0x9e3779b97f4a7c15ULL * handshake_id ^ 0x5bf03635ULL;
-        pending_[handshake_id] = PendingHandshake{cred.subject, challenge};
+        pending_.emplace_hint(pending_.end(), handshake_id,
+                              PendingHandshake{cred.subject, challenge, now});
         util::Writer w;
         w.reserve(18);
         identity_.encode(w);

@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gsi/credential.hpp"
@@ -71,6 +71,10 @@ class ServerContext {
   /// handshake will drop.
   std::size_t session_count() const { return sessions_.size() - dropped_; }
 
+  /// Handshakes past INIT still waiting for their FINAL: every one younger
+  /// than a session lifetime, plus older ones the next INIT will drop.
+  std::size_t pending_handshake_count() const { return pending_.size(); }
+
   const CostModel& costs() const { return costs_; }
 
  private:
@@ -85,12 +89,16 @@ class ServerContext {
   Credential identity_;
   CostModel costs_;
   std::uint64_t next_token_ = 1;
-  // Challenges outstanding per caller nonce.
+  // Challenges outstanding, keyed by handshake id.  Ids are issued in INIT
+  // order, so the oldest handshakes sit at the front: an INIT drops those
+  // whose FINAL has not come within a session lifetime (a FINAL for them
+  // then meets "unknown handshake", as for an id never issued).
   struct PendingHandshake {
     std::string subject;
     std::uint64_t challenge = 0;
+    sim::Time issued = 0;
   };
-  std::unordered_map<std::uint64_t, PendingHandshake> pending_;
+  std::map<std::uint64_t, PendingHandshake> pending_;
   std::uint64_t next_handshake_ = 1;
   /// Sessions in token order, which is also expiry order (every session
   /// lives one hour from issue), so expired ones leave from the front:

@@ -18,30 +18,16 @@ void ResourceBroker::select(std::vector<std::string> candidates,
       [this, names = std::move(names), k, count,
        on_done = std::move(on_done)](
           std::vector<util::Result<sched::QueueSnapshot>> snaps) {
-        std::vector<Placement> usable;
-        for (std::size_t i = 0; i < snaps.size(); ++i) {
-          if (!snaps[i].is_ok()) continue;  // unreachable or unknown
-          const sched::QueueSnapshot& snap = snaps[i].value();
-          if (snap.total_processors < count) continue;  // machine too small
-          Placement p;
-          p.contact = names[i];
-          p.predicted_wait = predictor_->predict(snap, count);
-          p.free_processors = snap.total_processors - snap.busy_processors;
-          usable.push_back(std::move(p));
+        std::vector<util::Result<sched::QueueSummary>> summaries;
+        summaries.reserve(snaps.size());
+        for (const auto& snap : snaps) {
+          if (snap.is_ok()) {
+            summaries.emplace_back(sched::summarize(snap.value()));
+          } else {
+            summaries.emplace_back(snap.status());
+          }
         }
-        if (usable.size() < k) {
-          on_done(util::Status(
-              util::ErrorCode::kResourceExhausted,
-              "only " + std::to_string(usable.size()) + " of " +
-                  std::to_string(k) + " required candidates are usable"));
-          return;
-        }
-        std::stable_sort(usable.begin(), usable.end(),
-                         [](const Placement& a, const Placement& b) {
-                           return a.predicted_wait < b.predicted_wait;
-                         });
-        usable.resize(k);
-        on_done(std::move(usable));
+        on_done(rank(names, summaries, k, count));
       });
 }
 
@@ -59,31 +45,37 @@ void ResourceBroker::select_by_summary(std::vector<std::string> candidates,
       [this, names = std::move(names), k, count,
        on_done = std::move(on_done)](
           std::vector<util::Result<sched::QueueSummary>> summaries) {
-        std::vector<Placement> usable;
-        for (std::size_t i = 0; i < summaries.size(); ++i) {
-          if (!summaries[i].is_ok()) continue;  // unreachable or unknown
-          const sched::QueueSummary& s = summaries[i].value();
-          if (s.total_processors < count) continue;  // machine too small
-          Placement p;
-          p.contact = names[i];
-          p.predicted_wait = predictor_->predict(s, count);
-          p.free_processors = s.free_processors();
-          usable.push_back(std::move(p));
-        }
-        if (usable.size() < k) {
-          on_done(util::Status(
-              util::ErrorCode::kResourceExhausted,
-              "only " + std::to_string(usable.size()) + " of " +
-                  std::to_string(k) + " required candidates are usable"));
-          return;
-        }
-        std::stable_sort(usable.begin(), usable.end(),
-                         [](const Placement& a, const Placement& b) {
-                           return a.predicted_wait < b.predicted_wait;
-                         });
-        usable.resize(k);
-        on_done(std::move(usable));
+        on_done(rank(names, summaries, k, count));
       });
+}
+
+util::Result<std::vector<ResourceBroker::Placement>> ResourceBroker::rank(
+    const std::vector<std::string>& names,
+    const std::vector<util::Result<sched::QueueSummary>>& summaries,
+    std::size_t k, std::int32_t count) const {
+  std::vector<Placement> usable;
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    if (!summaries[i].is_ok()) continue;  // unreachable or unknown
+    const sched::QueueSummary& s = summaries[i].value();
+    if (s.total_processors < count) continue;  // machine too small
+    Placement p;
+    p.contact = names[i];
+    p.predicted_wait = predictor_->predict(s, count);
+    p.free_processors = s.free_processors();
+    usable.push_back(std::move(p));
+  }
+  if (usable.size() < k) {
+    return util::Status(util::ErrorCode::kResourceExhausted,
+                        "only " + std::to_string(usable.size()) + " of " +
+                            std::to_string(k) +
+                            " required candidates are usable");
+  }
+  std::stable_sort(usable.begin(), usable.end(),
+                   [](const Placement& a, const Placement& b) {
+                     return a.predicted_wait < b.predicted_wait;
+                   });
+  usable.resize(k);
+  return usable;
 }
 
 std::vector<rsl::JobRequest> ResourceBroker::build_requests(

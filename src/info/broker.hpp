@@ -38,14 +38,14 @@ class ResourceBroker {
   /// Ranks `candidates` for a subjob of `count` processors and returns the
   /// best `k` (ascending predicted wait).  Candidates whose machine is too
   /// small, or whose snapshot cannot be fetched, are skipped; fewer than
-  /// `k` usable candidates is an error.
+  /// `k` usable candidates is an error.  Fetches full snapshots and ranks
+  /// their summarize()d aggregates.
   void select(std::vector<std::string> candidates, std::size_t k,
               std::int32_t count, sim::Time timeout, SelectFn on_done);
 
   /// Same ranking via aggregate-only summary queries: replies are O(1)
-  /// regardless of queue depth, and both stock predictors produce results
-  /// identical to select().  This is the path sustained co-allocation
-  /// traffic uses at scale.
+  /// regardless of queue depth, and the result is identical to select()'s.
+  /// This is the path sustained co-allocation traffic uses at scale.
   void select_by_summary(std::vector<std::string> candidates, std::size_t k,
                          std::int32_t count, sim::Time timeout,
                          SelectFn on_done);
@@ -57,6 +57,14 @@ class ResourceBroker {
       rsl::SubjobStartType start_type = rsl::SubjobStartType::kInteractive);
 
  private:
+  /// The ranking both entry points share: drops failed and too-small
+  /// candidates, predicts the rest, and keeps the `k` shortest waits in
+  /// candidate order on ties.
+  util::Result<std::vector<Placement>> rank(
+      const std::vector<std::string>& names,
+      const std::vector<util::Result<sched::QueueSummary>>& summaries,
+      std::size_t k, std::int32_t count) const;
+
   GisClient* client_;
   const sched::WaitPredictor* predictor_;
 };

@@ -3,6 +3,37 @@
 #include <memory>
 
 namespace grid::info {
+namespace {
+
+/// The ordered gather behind both fan-outs: issues `fetch(i, done)` for
+/// i = 0..n-1 (so requests leave in contact order and run concurrently)
+/// and fires `on_done` once with result i in slot i.
+template <typename T, typename Fetch>
+void gather(std::size_t n, Fetch fetch,
+            std::function<void(std::vector<util::Result<T>>)> on_done) {
+  if (n == 0) {
+    on_done({});
+    return;
+  }
+  struct Gather {
+    std::vector<util::Result<T>> results;
+    std::size_t pending = 0;
+    std::function<void(std::vector<util::Result<T>>)> on_done;
+  };
+  auto g = std::make_shared<Gather>();
+  g->results.assign(
+      n, util::Result<T>(util::Status(util::ErrorCode::kInternal, "pending")));
+  g->pending = n;
+  g->on_done = std::move(on_done);
+  for (std::size_t i = 0; i < n; ++i) {
+    fetch(i, [g, i](util::Result<T> result) {
+      g->results[i] = std::move(result);
+      if (--g->pending == 0) g->on_done(std::move(g->results));
+    });
+  }
+}
+
+}  // namespace
 
 void encode_snapshot(util::Writer& w, const sched::QueueSnapshot& snap) {
   w.i64(snap.taken_at);
@@ -227,66 +258,24 @@ void GisClient::query_many(
     std::vector<std::string> contacts, sim::Time timeout,
     std::function<void(std::vector<util::Result<sched::QueueSnapshot>>)>
         on_done) {
-  struct Gather {
-    std::vector<util::Result<sched::QueueSnapshot>> results;
-    std::size_t pending = 0;
-    std::function<void(std::vector<util::Result<sched::QueueSnapshot>>)>
-        on_done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->pending = contacts.size();
-  gather->on_done = std::move(on_done);
-  gather->results.reserve(contacts.size());
-  for (std::size_t i = 0; i < contacts.size(); ++i) {
-    gather->results.emplace_back(
-        util::Status(util::ErrorCode::kInternal, "pending"));
-  }
-  if (contacts.empty()) {
-    gather->on_done({});
-    return;
-  }
-  for (std::size_t i = 0; i < contacts.size(); ++i) {
-    query(contacts[i], timeout,
-          [gather, i](util::Result<sched::QueueSnapshot> result) {
-            gather->results[i] = std::move(result);
-            if (--gather->pending == 0) {
-              gather->on_done(std::move(gather->results));
-            }
-          });
-  }
+  gather<sched::QueueSnapshot>(
+      contacts.size(),
+      [&](std::size_t i, SnapshotFn done) {
+        query(contacts[i], timeout, std::move(done));
+      },
+      std::move(on_done));
 }
 
 void GisClient::query_many_summaries(
     std::vector<std::string> contacts, sim::Time timeout,
     std::function<void(std::vector<util::Result<sched::QueueSummary>>)>
         on_done) {
-  struct Gather {
-    std::vector<util::Result<sched::QueueSummary>> results;
-    std::size_t pending = 0;
-    std::function<void(std::vector<util::Result<sched::QueueSummary>>)>
-        on_done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->pending = contacts.size();
-  gather->on_done = std::move(on_done);
-  gather->results.reserve(contacts.size());
-  for (std::size_t i = 0; i < contacts.size(); ++i) {
-    gather->results.emplace_back(
-        util::Status(util::ErrorCode::kInternal, "pending"));
-  }
-  if (contacts.empty()) {
-    gather->on_done({});
-    return;
-  }
-  for (std::size_t i = 0; i < contacts.size(); ++i) {
-    query_summary(contacts[i], timeout,
-                  [gather, i](util::Result<sched::QueueSummary> result) {
-                    gather->results[i] = std::move(result);
-                    if (--gather->pending == 0) {
-                      gather->on_done(std::move(gather->results));
-                    }
-                  });
-  }
+  gather<sched::QueueSummary>(
+      contacts.size(),
+      [&](std::size_t i, SummaryFn done) {
+        query_summary(contacts[i], timeout, std::move(done));
+      },
+      std::move(on_done));
 }
 
 }  // namespace grid::info

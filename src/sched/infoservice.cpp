@@ -1,10 +1,18 @@
 #include "sched/infoservice.hpp"
 
+#include "simkit/check.hpp"
+
 namespace grid::sched {
 
 LoadInformationService::LoadInformationService(sim::Engine& engine,
                                                sim::Time publish_interval)
-    : engine_(&engine), interval_(publish_interval) {}
+    : engine_(&engine), interval_(publish_interval) {
+  if (interval_ <= 0) {
+    sim::check_fail(__FILE__, __LINE__,
+                    "LoadInformationService needs a positive publish "
+                    "interval");
+  }
+}
 
 LoadInformationService::~LoadInformationService() { stop(); }
 
@@ -17,7 +25,6 @@ void LoadInformationService::register_resource(std::string contact,
   } else {
     entries_.emplace_back();
     id = static_cast<ContactId>(entries_.size());
-    entries_.back().contact = contact;
     intern_.emplace(std::move(contact), id);
   }
   Entry& e = entries_[id - 1];
@@ -43,7 +50,7 @@ void LoadInformationService::unregister_resource(const std::string& contact) {
 }
 
 void LoadInformationService::start() {
-  if (running_ || interval_ <= 0) return;
+  if (running_) return;
   running_ = true;
   tick_event_ = engine_->schedule_after(interval_, [this] { tick(); });
 }
@@ -112,10 +119,6 @@ LoadInformationService::snapshot_ref(ContactId id) const {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
   }
-  if (interval_ <= 0 && e->sched != nullptr) {
-    // Perfect-information mode: a live snapshot built per query.
-    return std::make_shared<const QueueSnapshot>(e->sched->snapshot());
-  }
   if (!e->published) {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unpublished");
@@ -131,9 +134,6 @@ util::Result<QueueSummary> LoadInformationService::summary(
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
   }
-  if (interval_ <= 0 && e->sched != nullptr) {
-    return e->sched->summary();  // perfect information mode
-  }
   if (!e->published) {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unpublished");
@@ -142,7 +142,6 @@ util::Result<QueueSummary> LoadInformationService::summary(
 }
 
 std::uint64_t LoadInformationService::published_version(ContactId id) const {
-  if (interval_ <= 0) return 0;  // live views: never cacheable
   const Entry* e = entry(id);
   if (e == nullptr || !e->registered || !e->published) return 0;
   return e->published_version;
@@ -152,17 +151,6 @@ sim::Time LoadInformationService::staleness(ContactId id) const {
   const Entry* e = entry(id);
   if (e == nullptr || !e->registered || !e->published) return sim::kTimeNever;
   return engine_->now() - e->published_at;
-}
-
-util::Result<QueueSnapshot> LoadInformationService::query(
-    const std::string& contact) const {
-  auto ref = snapshot_ref(resolve(contact));
-  if (!ref.is_ok()) return ref.status();
-  return *ref.value();
-}
-
-sim::Time LoadInformationService::staleness(const std::string& contact) const {
-  return staleness(resolve(contact));
 }
 
 }  // namespace grid::sched

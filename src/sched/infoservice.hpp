@@ -8,8 +8,8 @@
 //
 // Scale architecture (O(1k) resources, 100k-deep queues):
 //   - contacts are interned to dense ContactIds once at registration, so
-//     the per-query path never hashes a string or allocates an error
-//     message;
+//     a query by id never hashes a string or allocates an error message
+//     (callers resolve() a contact string once);
 //   - published snapshots are shared immutable `shared_ptr<const
 //     QueueSnapshot>` values — a query hands out a reference, never a
 //     deep copy of the queued-job vector;
@@ -52,8 +52,8 @@ class LoadInformationService {
     std::uint64_t misses = 0;
   };
 
-  /// Snapshots are refreshed every `publish_interval`; 0 publishes on every
-  /// query (perfect information).
+  /// Snapshots are refreshed every `publish_interval`, which must be
+  /// positive: an interval <= 0 aborts in every build.
   LoadInformationService(sim::Engine& engine, sim::Time publish_interval);
   ~LoadInformationService();
 
@@ -89,28 +89,18 @@ class LoadInformationService {
   /// Version of the published content: moves exactly when a publish round
   /// actually refreshed this resource's snapshot, so consumers can cache
   /// derived artifacts (e.g. encoded reply payloads) keyed on it.
-  /// 0 means "don't cache" (unknown id, unregistered, or perfect-
-  /// information mode where every query sees live state).
+  /// 0 means "don't cache" (unknown id, unregistered, or unpublished).
   std::uint64_t published_version(ContactId id) const;
 
+  /// Age of the published snapshot (kTimeNever for invalid / unregistered
+  /// / never-published ids).
   sim::Time staleness(ContactId id) const;
 
-  // ---- string-keyed compatibility API --------------------------------------
-
-  /// Most recently published snapshot (deep copy); kNotFound for unknown
-  /// contacts.  Prefer resolve() + snapshot_ref() on hot paths.
-  util::Result<QueueSnapshot> query(const std::string& contact) const;
-
-  /// Age of the published snapshot for a contact (kTimeNever if unknown).
-  sim::Time staleness(const std::string& contact) const;
-
   std::size_t resource_count() const { return registered_count_; }
-  sim::Time publish_interval() const { return interval_; }
   const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
-    std::string contact;
     const LocalScheduler* sched = nullptr;
     SnapshotRef snap;
     QueueSummary summary;

@@ -8,11 +8,6 @@ namespace grid::sched {
 AggregateWorkPredictor::AggregateWorkPredictor(sim::Time mean_job_runtime)
     : mean_job_runtime_(mean_job_runtime) {}
 
-sim::Time AggregateWorkPredictor::predict(const QueueSnapshot& snapshot,
-                                          std::int32_t count) const {
-  return predict(summarize(snapshot), count);
-}
-
 sim::Time AggregateWorkPredictor::predict(const QueueSummary& summary,
                                           std::int32_t count) const {
   if (summary.total_processors <= 0) return 0;
@@ -47,11 +42,6 @@ void HistoryPredictor::train(
     observe(h.queue_length_at_submit, h.queued_work_at_submit, h.count,
             h.started_at - h.submitted_at);
   }
-}
-
-sim::Time HistoryPredictor::predict(const QueueSnapshot& snapshot,
-                                    std::int32_t count) const {
-  return predict(summarize(snapshot), count);
 }
 
 sim::Time HistoryPredictor::predict(const QueueSummary& summary,

@@ -5,7 +5,7 @@
 // resource availability."  Two predictors are provided:
 //
 //  * AggregateWorkPredictor — deterministic estimate from the published
-//    queue snapshot: queued processor-work divided by machine width
+//    queue summary: queued processor-work divided by machine width
 //    (a Downey-style aggregate bound [9]).
 //  * HistoryPredictor — Smith/Foster/Taylor-style [26]: remembers
 //    (queue state, observed wait) pairs and predicts the mean wait of the
@@ -25,13 +25,9 @@ class WaitPredictor {
   virtual ~WaitPredictor() = default;
 
   /// Predicted queue wait for a newly submitted job asking for `count`
-  /// processors, given a published snapshot of the target queue.
-  virtual sim::Time predict(const QueueSnapshot& snapshot,
-                            std::int32_t count) const = 0;
-
-  /// Same prediction from the aggregate-only summary.  Both provided
-  /// predictors read nothing but aggregates, so this is exact — and it is
-  /// the form the broker uses at scale (O(1) data per candidate).
+  /// processors, given the published aggregates of the target queue.
+  /// Predictors read nothing but aggregates; rank a full snapshot with
+  /// `predict(summarize(snapshot), count)`.
   virtual sim::Time predict(const QueueSummary& summary,
                             std::int32_t count) const = 0;
 };
@@ -41,11 +37,9 @@ class WaitPredictor {
 class AggregateWorkPredictor final : public WaitPredictor {
  public:
   /// `mean_job_runtime` calibrates the drain time of currently-busy
-  /// processors when the snapshot carries no estimates.
+  /// processors when the queue carries no estimates.
   explicit AggregateWorkPredictor(sim::Time mean_job_runtime = sim::kMinute);
 
-  sim::Time predict(const QueueSnapshot& snapshot,
-                    std::int32_t count) const override;
   sim::Time predict(const QueueSummary& summary,
                     std::int32_t count) const override;
 
@@ -67,8 +61,6 @@ class HistoryPredictor final : public WaitPredictor {
   /// Imports a batch scheduler's accumulated wait history.
   void train(const std::vector<BatchScheduler::WaitObservation>& history);
 
-  sim::Time predict(const QueueSnapshot& snapshot,
-                    std::int32_t count) const override;
   sim::Time predict(const QueueSummary& summary,
                     std::int32_t count) const override;
 

@@ -319,9 +319,7 @@ TEST(ChaosDetector, QuietNetworkProducesNoVerdicts) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ChaosTrial trial(3, seed);
     core::GrabAllocator grab(*trial.mech);
-    auto hb = chaos_heartbeats();
-    hb.monitor_released = true;
-    grab.set_heartbeats(hb);
+    grab.set_heartbeats(chaos_heartbeats());
     Outcome out;
     auto allocated = grab.allocate(
         trial.rsl({"required"}),
@@ -435,9 +433,7 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   ASSERT_TRUE(req->add_rsl(testbed::rsl_multi(subs)).is_ok());
   req->start();
   ASSERT_TRUE(req->commit().is_ok());
-  auto hb = chaos_heartbeats();
-  hb.monitor_released = true;
-  auto detector = duroc.watch(req->id(), hb);
+  auto detector = duroc.watch(req->id(), chaos_heartbeats());
   // The apps release within ~1 s and run for 30 s; cut the optional
   // manager off well inside the run window.
   trial.inject->partition_between(trial.mech->endpoint().id(),

@@ -249,17 +249,16 @@ TEST(CoallocationEdge, SerializeUntilCheckinOrdersSubjobsStrictly) {
   }
 }
 
-TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
-  // Without probing, a host that dies after accepting the job is only
-  // detected at the startup deadline (30 min here).  With probing every
-  // 10 s, the failure surfaces within ~half a minute.
+TEST(CoallocationEdge, HeartbeatDetectsDeadHostEarly) {
+  // Without a detector, a host that dies after accepting the job is only
+  // detected at the startup deadline (30 min here).  With a heartbeat
+  // every 10 s, the failure surfaces within ~half a minute.
   SmallGrid g(2, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 10 * sim::kMinute});
+  core::DurocAllocator duroc(*g.coallocator);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 5 * sim::kSecond;
-  config.liveness_probe_interval = 10 * sim::kSecond;
-  config.liveness_failures_allowed = 2;
   Outcome outcome;
   util::Status failure;
   auto cbs = outcome.callbacks();
@@ -268,9 +267,12 @@ TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
     // Record only the root-cause failure; the abort marks the rest.
     if (s == SubjobState::kFailed && failure.is_ok()) failure = why;
   };
-  auto* req = g.coallocator->create_request(cbs, config);
+  auto* req = duroc.create_request(cbs, config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
+  auto detector = duroc.watch(req->id(), {.interval = 10 * sim::kSecond,
+                                          .beat_timeout = 5 * sim::kSecond,
+                                          .misses_to_dead = 2});
   // host2 dies while its application initializes.
   g.grid->engine().schedule_at(5 * sim::kSecond,
                                [&] { g.grid->host("host2")->crash(); });
@@ -278,31 +280,37 @@ TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
   EXPECT_FALSE(outcome.released);
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
   EXPECT_EQ(failure.code(), util::ErrorCode::kUnavailable);
-  // Detected by probing in well under a minute, not at the 30 min deadline.
+  EXPECT_EQ(detector->verdicts(), 1u);
+  // Detected by heartbeats in well under a minute, not at the 30 min
+  // deadline.
   EXPECT_LT(g.grid->engine().now(), sim::kMinute);
 }
 
-TEST(CoallocationEdge, LivenessProbeToleratesTransientLoss) {
-  // A short network outage must not kill the subjob if probes recover
-  // within the allowed failure budget.
+TEST(CoallocationEdge, HeartbeatToleratesTransientLoss) {
+  // A short network outage must not kill the subjob if beats recover
+  // within the allowed miss budget.
   SmallGrid g(1, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 2 * sim::kMinute});
+  core::DurocAllocator duroc(*g.coallocator);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 2 * sim::kSecond;
-  config.liveness_probe_interval = 10 * sim::kSecond;
-  config.liveness_failures_allowed = 3;
   Outcome outcome;
-  auto* req = g.coallocator->create_request(outcome.callbacks(), config);
+  auto* req = duroc.create_request(outcome.callbacks(), config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
-  // One probe window of total loss (~12 s): at most 1-2 misses, then
+  auto detector = duroc.watch(req->id(), {.interval = 10 * sim::kSecond,
+                                          .beat_timeout = 2 * sim::kSecond,
+                                          .misses_to_dead = 3});
+  // One beat window of total loss (~12 s): at most 1-2 misses, then
   // recovery.
   app::FailureInjector chaos(g.grid->network());
   chaos.lossy_window(1.0, 20 * sim::kSecond, 32 * sim::kSecond);
   g.grid->run();
   EXPECT_TRUE(outcome.released);
   EXPECT_TRUE(outcome.status.is_ok());
+  EXPECT_GT(detector->beats_missed(), 0u);
+  EXPECT_EQ(detector->verdicts(), 0u);
 }
 
 TEST(CoallocationEdge, DestroyRequestMidFlightIsSafe) {

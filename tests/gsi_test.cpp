@@ -308,6 +308,58 @@ TEST_F(GsiFixture, SessionCountStaysBoundedPastExpiry) {
   EXPECT_EQ(server.session_count(), 7u);
 }
 
+TEST_F(GsiFixture, PendingHandshakeCountStaysBoundedWithoutFinal) {
+  // One INIT every 10 minutes for 5 hours and never a FINAL: the server
+  // keeps only the handshakes begun within the last hour (7: t-60 .. t
+  // minutes).  A FINAL for a dropped one is refused like an unknown id.
+  ServerContext server = make_server();
+  const Credential alice = ca.issue("/CN=alice", sim::kTimeNever / 2);
+  struct Issued {
+    std::uint64_t id = 0;
+    std::uint64_t challenge = 0;
+  };
+  std::vector<Issued> issued;
+  std::size_t peak = 0;
+  for (int i = 0; i <= 30; ++i) {
+    engine.schedule_at(i * 10 * sim::kMinute, [&] {
+      util::Writer w;
+      alice.encode(w);
+      client_ep.call(server_ep.id(), kMethodInit, w.take(), 10 * sim::kSecond,
+                     [&](const util::Status& s, util::Reader& reply) {
+                       ASSERT_TRUE(s.is_ok());
+                       Credential::decode(reply);
+                       Issued hs;
+                       hs.id = reply.varint();
+                       hs.challenge = reply.u64();
+                       ASSERT_TRUE(reply.ok());
+                       issued.push_back(hs);
+                       peak = std::max(peak,
+                                       server.pending_handshake_count());
+                     });
+    });
+  }
+  engine.run();
+  ASSERT_EQ(issued.size(), 31u);
+  EXPECT_EQ(peak, 7u);
+  EXPECT_EQ(server.pending_handshake_count(), 7u);
+  const auto send_final = [&](const Issued& hs) {
+    util::Writer w;
+    w.varint(hs.id);
+    w.u64(challenge_response(hs.challenge, "/CN=alice"));
+    util::Status status(util::ErrorCode::kInternal, "unset");
+    client_ep.call(server_ep.id(), kMethodFinal, w.take(), 10 * sim::kSecond,
+                   [&](const util::Status& s, util::Reader&) { status = s; });
+    engine.run();
+    return status;
+  };
+  const util::Status dropped = send_final(issued.front());
+  EXPECT_EQ(dropped.code(), util::ErrorCode::kPermissionDenied);
+  EXPECT_EQ(dropped.message(), "unknown handshake");
+  EXPECT_TRUE(send_final(issued.back()).is_ok());
+  EXPECT_EQ(server.pending_handshake_count(), 6u);
+  EXPECT_EQ(server.session_count(), 1u);
+}
+
 TEST_F(GsiFixture, ReplayedChallengeResponseRejected) {
   // A FINAL for an unknown/consumed handshake id must be denied: each
   // challenge is single-use.

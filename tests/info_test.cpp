@@ -156,6 +156,26 @@ TEST_F(GisFixture, QueryManyPreservesOrderAndPartialFailures) {
   EXPECT_EQ(results[2].value().busy_processors, 64);
 }
 
+TEST_F(GisFixture, QueryManySummariesPreservesOrderAndPartialFailures) {
+  std::vector<util::Result<sched::QueueSummary>> results;
+  bool done = false;
+  client->query_many_summaries(
+      {"idle", "mystery", "busy"}, sim::kSecond,
+      [&](std::vector<util::Result<sched::QueueSummary>> r) {
+        results = std::move(r);
+        done = true;
+      });
+  engine->run();
+  ASSERT_TRUE(done);
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].is_ok());
+  EXPECT_EQ(results[0].value().busy_processors, 0);
+  EXPECT_EQ(results[1].status().code(), util::ErrorCode::kNotFound);
+  ASSERT_TRUE(results[2].is_ok());
+  EXPECT_EQ(results[2].value().busy_processors, 64);
+  EXPECT_EQ(server->queries_served(), 3u);
+}
+
 TEST_F(GisFixture, QueryManyEmptyCompletesImmediately) {
   bool done = false;
   client->query_many({}, sim::kSecond,
@@ -163,6 +183,13 @@ TEST_F(GisFixture, QueryManyEmptyCompletesImmediately) {
                        EXPECT_TRUE(r.empty());
                        done = true;
                      });
+  EXPECT_TRUE(done);
+  done = false;
+  client->query_many_summaries(
+      {}, sim::kSecond, [&](std::vector<util::Result<sched::QueueSummary>> r) {
+        EXPECT_TRUE(r.empty());
+        done = true;
+      });
   EXPECT_TRUE(done);
 }
 
@@ -302,58 +329,6 @@ TEST_F(GisFixture, DirtyFlagRepublishSkipsUnchangedQueues) {
   EXPECT_EQ(service->published_version(id_idle), v_idle);
 }
 
-TEST(LoadInformationServicePerfect, LiveViewsAreNeverCacheable) {
-  sim::Engine engine;
-  sched::BatchScheduler s(engine, 8);
-  sched::LoadInformationService service(engine, 0);
-  service.register_resource("rm", &s);
-  const auto id = service.resolve("rm");
-  ASSERT_NE(id, 0u);
-  // Perfect-information mode: consumers must never cache derived replies.
-  EXPECT_EQ(service.published_version(id), 0u);
-  sched::JobDescriptor d;
-  d.id = 1;
-  d.count = 4;
-  d.runtime = sim::kMinute;
-  s.submit(d, nullptr, nullptr);
-  // Live view, no publish round needed.
-  EXPECT_EQ(service.summary(id).value().busy_processors, 4);
-  EXPECT_EQ(service.snapshot_ref(id).value()->busy_processors, 4);
-}
-
-TEST(GisServerPerfectInfo, CacheStaysColdOnLiveViews) {
-  sim::Engine engine;
-  net::Network network(engine);
-  sched::BatchScheduler s(engine, 8);
-  sched::LoadInformationService service(engine, 0);
-  service.register_resource("rm", &s);
-  info::GisServer server(network, service);
-  server.set_contacts({"rm"});
-  net::Endpoint ep(network, "client");
-  info::GisClient client(ep, server.contact());
-  std::int32_t seen = -1;
-  client.query("rm", sim::kSecond, [&](util::Result<sched::QueueSnapshot> r) {
-    ASSERT_TRUE(r.is_ok());
-    seen = r.value().busy_processors;
-  });
-  engine.run();
-  EXPECT_EQ(seen, 0);
-  // The load changes; a cached frame would wrongly replay the old reply.
-  sched::JobDescriptor d;
-  d.id = 1;
-  d.count = 4;
-  d.runtime = sim::kHour;
-  s.submit(d, nullptr, nullptr);
-  client.query("rm", sim::kSecond, [&](util::Result<sched::QueueSnapshot> r) {
-    ASSERT_TRUE(r.is_ok());
-    seen = r.value().busy_processors;
-  });
-  engine.run();
-  EXPECT_EQ(seen, 4);
-  EXPECT_EQ(server.cache_stats().hits, 0u);
-  EXPECT_EQ(server.cache_stats().misses, 2u);
-}
-
 // ---- broker ---------------------------------------------------------------------
 
 TEST_F(GisFixture, BrokerPicksLeastLoaded) {
@@ -452,7 +427,7 @@ TEST(BrokerIntegration, EndToEndSelectionAndCoallocation) {
   // Full stack: grid + GIS + broker + DUROC.  The broker avoids the loaded
   // machine; the co-allocation releases on the two idle ones.
   test::SmallGrid g(3);
-  sched::LoadInformationService service(g.grid->engine(), 0);
+  sched::LoadInformationService service(g.grid->engine(), 30 * sim::kSecond);
   for (int i = 1; i <= 3; ++i) {
     const std::string name = "host" + std::to_string(i);
     service.register_resource(name, &g.grid->host(name)->scheduler());

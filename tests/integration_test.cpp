@@ -238,9 +238,9 @@ TEST(Integration, ForecastGuidedSelectionAvoidsBusyMachine) {
   std::string best;
   sim::Time best_wait = sim::kTimeNever;
   for (const std::string& cand : {std::string("busy"), std::string("idle")}) {
-    auto snap = gis.query(cand);
-    ASSERT_TRUE(snap.is_ok());
-    const sim::Time w = predictor.predict(snap.value(), 16);
+    auto summary = gis.summary(gis.resolve(cand));
+    ASSERT_TRUE(summary.is_ok());
+    const sim::Time w = predictor.predict(summary.value(), 16);
     if (w < best_wait) {
       best_wait = w;
       best = cand;
@@ -449,6 +449,7 @@ TEST(Integration, QuiescentGridHoldsNoTransactionState) {
     gram::Gatekeeper& gk = grid.host("host" + std::to_string(i))->gatekeeper();
     EXPECT_EQ(gk.job_count(), 0u) << "host" << i;  // terminal entries only
     EXPECT_EQ(gk.gsi().session_count(), 1u) << "host" << i;  // the probe's
+    EXPECT_EQ(gk.gsi().pending_handshake_count(), 0u) << "host" << i;
   }
   // The crash orphaned jobs in host3's scheduler, which still runs them;
   // their managers were reaped all the same.

@@ -579,7 +579,7 @@ TEST(AggregateWorkPredictor, ZeroForIdleMachine) {
   QueueSnapshot snap;
   snap.total_processors = 16;
   snap.busy_processors = 0;
-  EXPECT_EQ(p.predict(snap, 8), 0);
+  EXPECT_EQ(p.predict(summarize(snap), 8), 0);
 }
 
 TEST(AggregateWorkPredictor, GrowsWithQueuedWork) {
@@ -590,13 +590,13 @@ TEST(AggregateWorkPredictor, GrowsWithQueuedWork) {
   light.queued.push_back({1, 8, 60 * sim::kSecond, 0});
   heavy.queued.push_back({1, 8, 60 * sim::kSecond, 0});
   heavy.queued.push_back({2, 16, 600 * sim::kSecond, 0});
-  EXPECT_GT(p.predict(heavy, 8), p.predict(light, 8));
+  EXPECT_GT(p.predict(summarize(heavy), 8), p.predict(summarize(light), 8));
 }
 
 TEST(HistoryPredictor, EmptyPredictsZero) {
   HistoryPredictor p;
   QueueSnapshot snap;
-  EXPECT_EQ(p.predict(snap, 4), 0);
+  EXPECT_EQ(p.predict(summarize(snap), 4), 0);
 }
 
 TEST(HistoryPredictor, LearnsFromObservations) {
@@ -614,8 +614,8 @@ TEST(HistoryPredictor, LearnsFromObservations) {
   for (int i = 0; i < 10; ++i) {
     busy.queued.push_back({static_cast<JobId>(i), 8, 100 * sim::kMinute, 0});
   }
-  EXPECT_LT(p.predict(idle, 8), 10 * sim::kSecond);
-  EXPECT_GT(p.predict(busy, 8), 50 * sim::kSecond);
+  EXPECT_LT(p.predict(summarize(idle), 8), 10 * sim::kSecond);
+  EXPECT_GT(p.predict(summarize(busy), 8), 50 * sim::kSecond);
 }
 
 TEST(HistoryPredictor, TrainsFromSchedulerHistory) {
@@ -643,32 +643,38 @@ TEST(LoadInformationService, PublishesOnInterval) {
   LoadInformationService gis(e, 10 * sim::kSecond);
   gis.register_resource("rm", &s);
   gis.start();
+  const auto rm = gis.resolve("rm");
   // Initial snapshot at registration: idle.
-  EXPECT_EQ(gis.query("rm").value().busy_processors, 0);
+  EXPECT_EQ(gis.snapshot_ref(rm).value()->busy_processors, 0);
   // Load appears at t=0 but is only visible after the next publish tick.
   s.submit(job(1, 8, 60 * sim::kSecond), nullptr, nullptr);
   e.run_until(5 * sim::kSecond);
-  EXPECT_EQ(gis.query("rm").value().busy_processors, 0);  // stale
-  EXPECT_EQ(gis.staleness("rm"), 5 * sim::kSecond);
+  EXPECT_EQ(gis.snapshot_ref(rm).value()->busy_processors, 0);  // stale
+  EXPECT_EQ(gis.summary(rm).value().busy_processors, 0);
+  EXPECT_EQ(gis.staleness(rm), 5 * sim::kSecond);
   e.run_until(11 * sim::kSecond);
-  EXPECT_EQ(gis.query("rm").value().busy_processors, 8);  // refreshed
+  EXPECT_EQ(gis.snapshot_ref(rm).value()->busy_processors, 8);  // refreshed
+  EXPECT_EQ(gis.summary(rm).value().busy_processors, 8);
   gis.stop();
-}
-
-TEST(LoadInformationService, ZeroIntervalIsPerfectInformation) {
-  sim::Engine e;
-  BatchScheduler s(e, 8);
-  LoadInformationService gis(e, 0);
-  gis.register_resource("rm", &s);
-  s.submit(job(1, 4, 60 * sim::kSecond), nullptr, nullptr);
-  EXPECT_EQ(gis.query("rm").value().busy_processors, 4);
 }
 
 TEST(LoadInformationService, UnknownContactFails) {
   sim::Engine e;
   LoadInformationService gis(e, sim::kSecond);
-  EXPECT_FALSE(gis.query("nope").is_ok());
-  EXPECT_EQ(gis.staleness("nope"), sim::kTimeNever);
+  const auto nope = gis.resolve("nope");
+  EXPECT_EQ(nope, 0u);
+  EXPECT_FALSE(gis.snapshot_ref(nope).is_ok());
+  EXPECT_FALSE(gis.summary(nope).is_ok());
+  EXPECT_EQ(gis.staleness(nope), sim::kTimeNever);
+}
+
+TEST(LoadInformationServiceDeathTest, RejectsNonPositiveInterval) {
+  // Every consumer reads published, possibly stale state, so snapshots
+  // must be published on a positive interval.
+  sim::Engine e;
+  EXPECT_DEATH(LoadInformationService(e, 0), "positive publish interval");
+  EXPECT_DEATH(LoadInformationService(e, -sim::kSecond),
+               "positive publish interval");
 }
 
 }  // namespace
