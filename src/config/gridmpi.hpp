@@ -97,8 +97,6 @@ class Communicator {
   enum class ReduceOp : std::uint8_t { kSum = 0, kMin = 1, kMax = 2 };
 
   void handle(net::NodeId src, util::Reader& payload);
-  void on_member_address(std::int32_t local_rank, net::NodeId node);
-  void maybe_leader_exchange();
   void on_leader_table(std::int32_t subjob,
                        const std::vector<net::NodeId>& nodes);
   void maybe_broadcast_table();

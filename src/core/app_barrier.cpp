@@ -73,7 +73,6 @@ void BarrierClient::enter(bool ok, const std::string& message,
 
 void BarrierClient::send_checkin() {
   if (settled_) return;
-  ++checkins_sent_;
   endpoint_.notify_frame(contact_, checkin_frame_.share());
   if (resend_period_ > 0) {
     resend_event_ = endpoint_.engine().schedule_after(

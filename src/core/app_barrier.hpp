@@ -55,9 +55,6 @@ class GRID_HOT BarrierClient {
   /// are harmless.  Re-sending stops at release or abort.
   void set_checkin_resend(sim::Time period) { resend_period_ = period; }
 
-  /// Check-in transmissions, first send included.
-  std::uint64_t checkins_sent() const { return checkins_sent_; }
-
   /// The process's network endpoint (usable for application communication
   /// after release, e.g. by the gridmpi runtime).
   net::Endpoint& endpoint() { return endpoint_; }
@@ -83,7 +80,6 @@ class GRID_HOT BarrierClient {
   /// pooled buffer instead of re-encoding or copying.
   sim::Payload checkin_frame_;
   sim::EventId resend_event_;
-  std::uint64_t checkins_sent_ = 0;
   bool settled_ = false;  // release or abort observed: stop re-sending
 };
 

@@ -2,90 +2,6 @@
 
 namespace grid::core {
 
-std::string to_string(GlobalEvent e) {
-  switch (e) {
-    case GlobalEvent::kAllPending:
-      return "ALL_PENDING";
-    case GlobalEvent::kAllActive:
-      return "ALL_ACTIVE";
-    case GlobalEvent::kReleased:
-      return "RELEASED";
-    case GlobalEvent::kDegraded:
-      return "DEGRADED";
-    case GlobalEvent::kDone:
-      return "DONE";
-    case GlobalEvent::kAborted:
-      return "ABORTED";
-  }
-  return "?";
-}
-
-RequestCallbacks EnsembleMonitor::wrap(RequestCallbacks user) {
-  user_ = std::move(user);
-  RequestCallbacks cbs;
-  cbs.on_subjob = [this](SubjobHandle h, SubjobState s,
-                         const util::Status& why) { observe(h, s, why); };
-  cbs.on_released = [this](const RuntimeConfig& config) {
-    emit(GlobalEvent::kReleased);
-    if (user_.on_released) user_.on_released(config);
-  };
-  cbs.on_terminal = [this](const util::Status& status) {
-    emit(status.is_ok() ? GlobalEvent::kDone : GlobalEvent::kAborted);
-    if (user_.on_terminal) user_.on_terminal(status);
-  };
-  return cbs;
-}
-
-void EnsembleMonitor::observe(SubjobHandle handle, SubjobState state,
-                              const util::Status& why) {
-  if (request_ != nullptr) {
-    const Summary s = summary();
-    // "All X" transitions fire once, when every live subjob has reached at
-    // least the given stage.
-    if (!saw_all_pending_ && s.live_subjobs > 0 &&
-        s.count(SubjobState::kUnsubmitted) == 0 &&
-        s.count(SubjobState::kSubmitting) == 0) {
-      saw_all_pending_ = true;
-      emit(GlobalEvent::kAllPending);
-    }
-    if (!saw_all_active_ && s.live_subjobs > 0 &&
-        s.count(SubjobState::kUnsubmitted) == 0 &&
-        s.count(SubjobState::kSubmitting) == 0 &&
-        s.count(SubjobState::kPending) == 0) {
-      saw_all_active_ = true;
-      emit(GlobalEvent::kAllActive);
-    }
-    if (state == SubjobState::kFailed &&
-        s.request_state == RequestState::kReleased) {
-      emit(GlobalEvent::kDegraded);
-    }
-  }
-  if (user_.on_subjob) user_.on_subjob(handle, state, why);
-}
-
-void EnsembleMonitor::emit(GlobalEvent event) {
-  history_.push_back(event);
-  if (on_event_) on_event_(event);
-}
-
-EnsembleMonitor::Summary EnsembleMonitor::summary() const {
-  Summary s;
-  if (request_ == nullptr) return s;
-  // The request maintains the aggregate incrementally, so building the
-  // collective view is O(1) — observe() calls this on every subjob event,
-  // which used to make ensemble monitoring O(n²) in subjob count.
-  s.request_state = request_->state();
-  const CoallocationRequest::SubjobAggregate& a = request_->aggregate();
-  s.by_state = a.by_state;
-  s.live_subjobs = a.live_subjobs;
-  s.live_processes = a.live_processes;
-  s.released_processes = a.released_processes;
-  s.failures = a.count(SubjobState::kFailed);
-  return s;
-}
-
-// ---- heartbeat failure detection -------------------------------------------
-
 std::string to_string(SubjobHealth h) {
   switch (h) {
     case SubjobHealth::kHealthy:
@@ -174,11 +90,8 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
         w.in_flight = false;
         if (w.health == SubjobHealth::kDead) return;
         if (status.is_ok()) {
-          ++beats_answered_;
           w.misses = 0;
-          if (w.health == SubjobHealth::kSuspect) {
-            transition(handle, w, SubjobHealth::kHealthy, util::Status::ok());
-          }
+          w.health = SubjobHealth::kHealthy;
           return;
         }
         ++beats_missed_;
@@ -188,25 +101,16 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
               util::ErrorCode::kUnavailable,
               "heartbeat detector: " + std::to_string(w.misses) +
                   " consecutive beats unanswered");
-          transition(handle, w, SubjobHealth::kDead, why);
+          w.health = SubjobHealth::kDead;
           ++verdicts_;
           CoallocationRequest* req = mech_->find_request(request_);
           if (req != nullptr && !is_request_terminal(req->state())) {
             req->report_subjob_failure(handle, why);
           }
-        } else if (w.misses >= config_.misses_to_suspect &&
-                   w.health == SubjobHealth::kHealthy) {
-          transition(handle, w, SubjobHealth::kSuspect,
-                     util::Status(util::ErrorCode::kUnavailable,
-                                  "heartbeat missed"));
+        } else if (w.misses >= config_.misses_to_suspect) {
+          w.health = SubjobHealth::kSuspect;
         }
       });
-}
-
-void HeartbeatDetector::transition(SubjobHandle handle, Watch& w,
-                                   SubjobHealth to, const util::Status& why) {
-  w.health = to;
-  if (on_health_) on_health_(handle, to, why);
 }
 
 }  // namespace grid::core

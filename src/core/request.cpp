@@ -621,26 +621,16 @@ std::vector<SubjobHandle> CoallocationRequest::subjobs() const {
 }
 
 void CoallocationRequest::agg_add(const Subjob& sj) {
-  ++agg_.by_state[static_cast<std::size_t>(sj.state)];
   if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDeleted) {
     ++agg_.live_subjobs;
     agg_.live_processes += sj.request.count;
-    if (sj.state == SubjobState::kReleased ||
-        sj.state == SubjobState::kDone) {
-      agg_.released_processes += sj.request.count;
-    }
   }
 }
 
 void CoallocationRequest::agg_remove(const Subjob& sj) {
-  --agg_.by_state[static_cast<std::size_t>(sj.state)];
   if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDeleted) {
     --agg_.live_subjobs;
     agg_.live_processes -= sj.request.count;
-    if (sj.state == SubjobState::kReleased ||
-        sj.state == SubjobState::kDone) {
-      agg_.released_processes -= sj.request.count;
-    }
   }
 }
 

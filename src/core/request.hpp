@@ -27,7 +27,6 @@
 // "all subjobs required, commit immediately, no edits" (core/grab.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -160,22 +159,15 @@ class GRID_HOT CoallocationRequest {
 
   // ---- monitoring (§3.4) --------------------------------------------------
 
-  /// Aggregate over all subjob slots, maintained incrementally at every
-  /// transition — reading it is O(1) no matter how many subjobs the
-  /// request carries, so per-event monitors stay off the O(n²) cliff.
+  /// Live-slot totals, maintained incrementally at every transition so
+  /// reading them is O(1) no matter how many subjobs the request carries.
   struct SubjobAggregate {
-    std::array<std::size_t, 9> by_state{};  // indexed by SubjobState
-    std::size_t live_subjobs = 0;           // not failed, not deleted
+    std::size_t live_subjobs = 0;  // not failed, not deleted
     std::int32_t live_processes = 0;
-    std::int32_t released_processes = 0;  // live and released or done
-
-    std::size_t count(SubjobState s) const {
-      return by_state[static_cast<std::size_t>(s)];
-    }
   };
 
   /// Cheap fixed-size view of one subjob slot: everything periodic
-  /// monitors (heartbeats, summaries) need, with no string copies.
+  /// monitors (heartbeats) need, with no string copies.
   struct SubjobBrief {
     SubjobState state = SubjobState::kUnsubmitted;
     rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired;
@@ -187,7 +179,6 @@ class GRID_HOT CoallocationRequest {
   std::vector<SubjobHandle> subjobs() const;
   /// Insertion-order slot handles without the copy subjobs() makes.
   const std::vector<SubjobHandle>& subjob_order() const { return order_; }
-  const SubjobAggregate& aggregate() const { return agg_; }
   util::Result<SubjobBrief> subjob_brief(SubjobHandle handle) const;
   util::Result<SubjobView> subjob(SubjobHandle handle) const;
   /// The full specification currently bound to a slot (agents use this to

@@ -1,5 +1,3 @@
-#include <memory>
-
 #include "core/strategies.hpp"
 
 namespace grid::core {
@@ -148,118 +146,6 @@ void MinimumCountAgent::evaluate() {
     }
   }
   request_->commit();
-}
-
-// ---- AlternativesAgent ------------------------------------------------------
-
-AlternativesAgent::AlternativesAgent(
-    Coallocator& mechanisms, std::vector<rsl::SubjobAlternatives> slots,
-    RequestCallbacks user_callbacks)
-    : mech_(&mechanisms), user_(std::move(user_callbacks)) {
-  RequestCallbacks cbs;
-  cbs.on_subjob = [this](SubjobHandle h, SubjobState s,
-                         const util::Status& why) { on_subjob(h, s, why); };
-  cbs.on_released = user_.on_released;
-  cbs.on_terminal = user_.on_terminal;
-  request_ = mech_->create_request(std::move(cbs));
-  for (rsl::SubjobAlternatives& slot : slots) {
-    if (slot.options.empty()) continue;
-    rsl::JobRequest first = std::move(slot.options.front());
-    slot.options.erase(slot.options.begin());
-    auto added = request_->add_subjob(std::move(first));
-    if (added.is_ok()) {
-      remaining_[added.value()] = std::move(slot.options);
-    }
-  }
-  request_->start();
-}
-
-util::Result<std::unique_ptr<AlternativesAgent>> AlternativesAgent::from_rsl(
-    Coallocator& mechanisms, const std::string& rsl_text,
-    RequestCallbacks user_callbacks) {
-  auto slots = rsl::parse_with_alternatives(rsl_text);
-  if (!slots.is_ok()) return slots.status();
-  return std::make_unique<AlternativesAgent>(mechanisms, slots.take(),
-                                             std::move(user_callbacks));
-}
-
-void AlternativesAgent::on_subjob(SubjobHandle handle, SubjobState state,
-                                  const util::Status& why) {
-  if (user_.on_subjob) user_.on_subjob(handle, state, why);
-  if (state == SubjobState::kFailed &&
-      request_->state() == RequestState::kEditing) {
-    std::vector<rsl::JobRequest>* options = remaining_.find(handle);
-    if (options != nullptr && !options->empty()) {
-      rsl::JobRequest next = std::move(options->front());
-      options->erase(options->begin());
-      ++fallbacks_;
-      request_->substitute_subjob(handle, std::move(next));
-      return;
-    }
-  }
-  if (state == SubjobState::kCheckedIn || state == SubjobState::kFailed) {
-    maybe_commit();
-  }
-}
-
-void AlternativesAgent::maybe_commit() {
-  if (committed_ || request_->state() != RequestState::kEditing) return;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
-    if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
-      continue;
-    }
-    if (v.start_type == rsl::SubjobStartType::kOptional) continue;
-    if (v.state != SubjobState::kCheckedIn) return;
-  }
-  committed_ = true;
-  request_->commit();
-}
-
-// ---- FirstAvailableAgent ----------------------------------------------------
-
-FirstAvailableAgent::FirstAvailableAgent(
-    Coallocator& mechanisms, std::vector<rsl::JobRequest> alternatives,
-    RequestCallbacks user_callbacks)
-    : mech_(&mechanisms), user_(std::move(user_callbacks)) {
-  RequestCallbacks cbs;
-  cbs.on_subjob = [this](SubjobHandle h, SubjobState s,
-                         const util::Status& why) { on_subjob(h, s, why); };
-  cbs.on_released = user_.on_released;
-  cbs.on_terminal = user_.on_terminal;
-  request_ = mech_->create_request(std::move(cbs));
-  for (rsl::JobRequest& alt : alternatives) {
-    alt.start_type = rsl::SubjobStartType::kInteractive;
-    request_->add_subjob(std::move(alt));
-  }
-  alternatives_live_ = alternatives.size();
-  request_->start();
-}
-
-void FirstAvailableAgent::on_subjob(SubjobHandle handle, SubjobState state,
-                                    const util::Status& why) {
-  if (user_.on_subjob) user_.on_subjob(handle, state, why);
-  if (is_request_terminal(request_->state())) return;
-  if (state == SubjobState::kCheckedIn && winner_ == 0) {
-    winner_ = handle;
-    // Commit to the first responder; release the losers.
-    for (SubjobHandle h : request_->subjobs()) {
-      if (h == winner_) continue;
-      auto view = request_->subjob(h);
-      if (view.is_ok() && view.value().state != SubjobState::kFailed &&
-          view.value().state != SubjobState::kDeleted) {
-        request_->remove_subjob(h);
-      }
-    }
-    request_->commit();
-    return;
-  }
-  if (state == SubjobState::kFailed && winner_ == 0 &&
-      request_->live_subjob_count() == 0) {
-    request_->abort("no alternative resource became available");
-  }
 }
 
 }  // namespace grid::core

@@ -13,20 +13,13 @@
 //    soon as enough worker processes have checked in, deleting interactive
 //    subjobs that have not yet responded; abort if the minimum cannot be
 //    reached by a deadline.
-//
-//  * FirstAvailableAgent — "decrease allocation time by requesting several
-//    alternative resources simultaneously and committing to the first that
-//    becomes available".
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/coallocator.hpp"
-#include "rsl/alternatives.hpp"
 #include "simkit/annotate.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::core {
 
@@ -93,61 +86,6 @@ class MinimumCountAgent {
   CoallocationRequest* request_ = nullptr;
   sim::EventId deadline_event_;
   bool committed_ = false;
-};
-
-/// Drives a request whose slots carry RSL '|' alternatives: each slot
-/// starts on its first option; when an option fails the slot is
-/// substituted with the next one, preserving the slot's position in the
-/// configuration.  Commits automatically once every live slot checks in.
-class AlternativesAgent {
- public:
-  AlternativesAgent(Coallocator& mechanisms,
-                    std::vector<rsl::SubjobAlternatives> slots,
-                    RequestCallbacks user_callbacks);
-
-  /// Convenience: parse RSL text with '|' alternatives and start.
-  static util::Result<std::unique_ptr<AlternativesAgent>> from_rsl(
-      Coallocator& mechanisms, const std::string& rsl_text,
-      RequestCallbacks user_callbacks);
-
-  CoallocationRequest& request() { return *request_; }
-  std::size_t fallbacks_used() const { return fallbacks_; }
-
- private:
-  void on_subjob(SubjobHandle handle, SubjobState state,
-                 const util::Status& why);
-  void maybe_commit();
-
-  Coallocator* mech_;
-  RequestCallbacks user_;
-  CoallocationRequest* request_ = nullptr;
-  sim::IdSlab<std::vector<rsl::JobRequest>> remaining_;
-  std::size_t fallbacks_ = 0;
-  bool committed_ = false;
-};
-
-/// Races alternative resources for one logical slot: all alternatives are
-/// submitted as interactive subjobs; the first to check in is kept and the
-/// rest removed, then the request commits.
-class FirstAvailableAgent {
- public:
-  FirstAvailableAgent(Coallocator& mechanisms,
-                      std::vector<rsl::JobRequest> alternatives,
-                      RequestCallbacks user_callbacks);
-
-  CoallocationRequest& request() { return *request_; }
-  /// The winning subjob (0 until one checks in).
-  SubjobHandle winner() const { return winner_; }
-
- private:
-  void on_subjob(SubjobHandle handle, SubjobState state,
-                 const util::Status& why);
-
-  Coallocator* mech_;
-  RequestCallbacks user_;
-  CoallocationRequest* request_ = nullptr;
-  SubjobHandle winner_ = 0;
-  std::size_t alternatives_live_ = 0;
 };
 
 }  // namespace grid::core

@@ -52,7 +52,6 @@ void Client::auth_attempt(std::shared_ptr<AuthRetryState> state, int n) {
           state->done(std::move(session));
           return;
         }
-        ++auth_retries_;
         endpoint_->engine().schedule_after(
             backoff, [this, state = std::move(state), n]() mutable {
               auth_attempt(std::move(state), n + 1);
@@ -191,14 +190,6 @@ void Client::status(net::NodeId gatekeeper, JobId job, sim::Time timeout,
                       return;
                     }
                     on_done(state);
-                  });
-}
-
-void Client::ping(net::NodeId gatekeeper, sim::Time timeout, DoneFn on_done) {
-  idempotent_call(gatekeeper, kMethodPing, {}, timeout,
-                  [on_done = std::move(on_done)](const util::Status& status,
-                                                 util::Reader&) {
-                    if (on_done) on_done(status);
                   });
 }
 

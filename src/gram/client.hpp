@@ -36,8 +36,8 @@ class Client {
   using StateFn = std::function<void(const JobStateChange&)>;
   using DoneFn = std::function<void(util::Status)>;
 
-  /// Opts this client into fault-tolerant RPC.  Idempotent verbs (ping,
-  /// status, cancel, reservation cancel) are re-issued on timeout per
+  /// Opts this client into fault-tolerant RPC.  Idempotent verbs (status,
+  /// cancel, reservation cancel) are re-issued on timeout per
   /// `policy`; submit() and reserve() retry only their pre-ack phase (the
   /// GSI handshake) — the job-request / reserve RPC itself is never
   /// re-sent, since a retry after a lost *accept reply* would allocate a
@@ -45,12 +45,6 @@ class Client {
   void set_retry_policy(std::optional<net::RetryPolicy> policy) {
     retry_ = policy;
   }
-  const std::optional<net::RetryPolicy>& retry_policy() const {
-    return retry_;
-  }
-
-  /// Pre-ack (GSI handshake) retries performed by submit()/reserve().
-  std::uint64_t auth_retries() const { return auth_retries_; }
 
   /// Submits `rsl` (a '&' conjunction fragment) to the gatekeeper.
   /// `on_accepted` fires once with the job id or an error; `on_state`
@@ -66,9 +60,6 @@ class Client {
   /// Queries a job's server-side state.
   void status(net::NodeId gatekeeper, JobId job, sim::Time timeout,
               std::function<void(util::Result<JobState>)> on_done);
-
-  /// Liveness probe of a gatekeeper.
-  void ping(net::NodeId gatekeeper, sim::Time timeout, DoneFn on_done);
 
   /// An acquired advance reservation as seen by the client.
   struct ReservationHandle {
@@ -121,7 +112,6 @@ class Client {
   net::Endpoint* endpoint_;
   gsi::ClientContext gsi_;
   std::optional<net::RetryPolicy> retry_;
-  std::uint64_t auth_retries_ = 0;
   std::uint64_t next_auth_stream_ = 1;
   std::unordered_map<JobId, StateFn> watchers_;
   /// Per gatekeeper: job requests awaiting their reply, and the unclaimed

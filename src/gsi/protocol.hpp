@@ -39,10 +39,6 @@ struct CostModel {
   sim::Time server_verify = 130 * sim::kMillisecond;
   sim::Time client_verify = 100 * sim::kMillisecond;
   sim::Time server_issue = 120 * sim::kMillisecond;
-
-  sim::Time cpu_total() const {
-    return client_sign + server_verify + client_verify + server_issue;
-  }
 };
 
 /// An established security context.

@@ -23,7 +23,8 @@ namespace grid::info {
 class ResourceBroker {
  public:
   /// `client` and `predictor` must outlive the broker.
-  ResourceBroker(GisClient& client, const sched::WaitPredictor& predictor)
+  ResourceBroker(GisClient& client,
+                 const sched::AggregateWorkPredictor& predictor)
       : client_(&client), predictor_(&predictor) {}
 
   struct Placement {
@@ -66,7 +67,7 @@ class ResourceBroker {
       std::size_t k, std::int32_t count) const;
 
   GisClient* client_;
-  const sched::WaitPredictor* predictor_;
+  const sched::AggregateWorkPredictor* predictor_;
 };
 
 }  // namespace grid::info

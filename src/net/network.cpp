@@ -4,34 +4,6 @@
 
 namespace grid::net {
 
-void MatrixLatency::set_pair(NodeId a, NodeId b, sim::Time one_way) {
-  const std::uint64_t k = key(a, b);
-  const std::uint32_t idx = pair_index_.find(k);
-  if (idx != sim::IdMap::kNotFound) {
-    values_[idx] = one_way;
-    return;
-  }
-  pair_index_.insert(k, static_cast<std::uint32_t>(values_.size()));
-  values_.push_back(one_way);
-}
-
-sim::Time MatrixLatency::latency(NodeId src, NodeId dst, std::size_t) {
-  const std::uint32_t idx = pair_index_.find(key(src, dst));
-  return idx == sim::IdMap::kNotFound ? default_ : values_[idx];
-}
-
-std::uint64_t MatrixLatency::key(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-sim::Time BandwidthLatency::latency(NodeId, NodeId, std::size_t bytes) {
-  if (bps_ <= 0.0) return base_;
-  const double serialize =
-      static_cast<double>(bytes) / bps_ * static_cast<double>(sim::kSecond);
-  return base_ + static_cast<sim::Time>(serialize);
-}
-
 sim::Time Network::TimeTable::get(NodeId id, sim::Time absent) const {
   if (id == kInvalidNode) return absent;  // IdMap key 0 is its empty marker
   const std::uint32_t i = index.find(id);

@@ -79,35 +79,6 @@ class JitterLatency final : public LatencyModel {
   sim::Rng rng_;
 };
 
-/// Per-pair latency table with a default; pairs are symmetric.
-class MatrixLatency final : public LatencyModel {
- public:
-  explicit MatrixLatency(sim::Time default_one_way)
-      : default_(default_one_way) {}
-  void set_pair(NodeId a, NodeId b, sim::Time one_way);
-  sim::Time latency(NodeId src, NodeId dst, std::size_t) override;
-
- private:
-  static std::uint64_t key(NodeId a, NodeId b);
-  sim::Time default_;
-  // pair key -> index into values_.  IdMap instead of unordered_map: the
-  // lookup sits on the per-message send path (gridlint: hot-container).
-  sim::IdMap pair_index_;
-  std::vector<sim::Time> values_;
-};
-
-/// Base latency plus a serialization term bytes / bandwidth.
-class BandwidthLatency final : public LatencyModel {
- public:
-  BandwidthLatency(sim::Time base, double bytes_per_second)
-      : base_(base), bps_(bytes_per_second) {}
-  sim::Time latency(NodeId, NodeId, std::size_t bytes) override;
-
- private:
-  sim::Time base_;
-  double bps_;
-};
-
 /// Counters for tests and reporting.
 struct NetworkStats {
   std::uint64_t sent = 0;

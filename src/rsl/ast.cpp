@@ -193,35 +193,7 @@ const Relation* Spec::find_relation(std::string_view attribute) const {
   return nullptr;
 }
 
-void Spec::set_relation(Relation r) {
-  if (kind_ != Kind::kConj) return;
-  for (Spec& child : children_) {
-    if (child.is_relation() && child.relation().attribute == r.attribute) {
-      child.relation() = std::move(r);
-      return;
-    }
-  }
-  children_.push_back(Spec::relation(std::move(r)));
-}
-
-bool Spec::remove_relation(std::string_view attribute) {
-  if (kind_ != Kind::kConj) return false;
-  const std::string canon = canonical_attribute(attribute);
-  for (auto it = children_.begin(); it != children_.end(); ++it) {
-    if (it->is_relation() && it->relation().attribute == canon) {
-      children_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-void Spec::print(std::string& out, int indent, bool pretty) const {
-  auto newline = [&](int level) {
-    if (!pretty) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(level) * 2, ' ');
-  };
+void Spec::print(std::string& out) const {
   switch (kind_) {
     case Kind::kRelation: {
       out += '(';
@@ -241,12 +213,11 @@ void Spec::print(std::string& out, int indent, bool pretty) const {
     case Kind::kDisj: {
       out += kind_ == Kind::kMulti ? '+' : (kind_ == Kind::kConj ? '&' : '|');
       for (const Spec& child : children_) {
-        newline(indent + 1);
         if (child.is_relation()) {
-          child.print(out, indent + 1, pretty);
+          child.print(out);
         } else {
           out += '(';
-          child.print(out, indent + 1, pretty);
+          child.print(out);
           out += ')';
         }
       }
@@ -257,109 +228,13 @@ void Spec::print(std::string& out, int indent, bool pretty) const {
 
 std::string Spec::to_string() const {
   std::string out;
-  print(out, 0, false);
-  return out;
-}
-
-std::string Spec::to_pretty_string() const {
-  std::string out;
-  print(out, 0, true);
+  print(out);
   return out;
 }
 
 bool Spec::operator==(const Spec& other) const {
   return kind_ == other.kind_ && children_ == other.children_ &&
          (kind_ != Kind::kRelation || relation_ == other.relation_);
-}
-
-namespace {
-
-util::Status substitute_value(
-    const Value& in,
-    const std::unordered_map<std::string, std::string>& bindings,
-    Value* out) {
-  switch (in.kind()) {
-    case Value::Kind::kLiteral:
-      *out = in;
-      return util::Status::ok();
-    case Value::Kind::kVariable: {
-      auto it = bindings.find(in.text());
-      if (it == bindings.end()) {
-        return {util::ErrorCode::kNotFound,
-                "unbound RSL variable $(" + in.text() + ")"};
-      }
-      *out = Value::literal(it->second);
-      return util::Status::ok();
-    }
-    case Value::Kind::kList: {
-      std::vector<Value> items;
-      items.reserve(in.items().size());
-      for (const Value& item : in.items()) {
-        Value v;
-        if (auto st = substitute_value(item, bindings, &v); !st.is_ok()) {
-          return st;
-        }
-        items.push_back(std::move(v));
-      }
-      *out = Value::list(std::move(items));
-      return util::Status::ok();
-    }
-  }
-  return {util::ErrorCode::kInternal, "corrupt value kind"};
-}
-
-util::Status substitute_spec(
-    const Spec& in,
-    const std::unordered_map<std::string, std::string>& bindings,
-    Spec* out) {
-  if (in.is_relation()) {
-    Relation r;
-    r.attribute = in.relation().attribute;
-    r.op = in.relation().op;
-    r.values.reserve(in.relation().values.size());
-    for (const Value& v : in.relation().values) {
-      Value sv;
-      if (auto st = substitute_value(v, bindings, &sv); !st.is_ok()) return st;
-      r.values.push_back(std::move(sv));
-    }
-    *out = Spec::relation(std::move(r));
-    return util::Status::ok();
-  }
-  std::vector<Spec> children;
-  children.reserve(in.children().size());
-  for (const Spec& child : in.children()) {
-    Spec sc;
-    if (auto st = substitute_spec(child, bindings, &sc); !st.is_ok()) {
-      return st;
-    }
-    children.push_back(std::move(sc));
-  }
-  switch (in.kind()) {
-    case Spec::Kind::kMulti:
-      *out = Spec::multi(std::move(children));
-      break;
-    case Spec::Kind::kConj:
-      *out = Spec::conj(std::move(children));
-      break;
-    case Spec::Kind::kDisj:
-      *out = Spec::disj(std::move(children));
-      break;
-    case Spec::Kind::kRelation:
-      break;  // handled above
-  }
-  return util::Status::ok();
-}
-
-}  // namespace
-
-util::Result<Spec> substitute_variables(
-    const Spec& spec,
-    const std::unordered_map<std::string, std::string>& bindings) {
-  Spec out;
-  if (auto st = substitute_spec(spec, bindings, &out); !st.is_ok()) {
-    return st;
-  }
-  return out;
 }
 
 }  // namespace grid::rsl

@@ -11,10 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
-
-#include "simkit/status.hpp"
 
 namespace grid::rsl {
 
@@ -41,7 +38,6 @@ class Value {
   Kind kind() const { return kind_; }
   bool is_literal() const { return kind_ == Kind::kLiteral; }
   bool is_list() const { return kind_ == Kind::kList; }
-  bool is_variable() const { return kind_ == Kind::kVariable; }
 
   /// Literal text (kLiteral) or variable name (kVariable).
   const std::string& text() const { return text_; }
@@ -103,34 +99,17 @@ class Spec {
   /// attribute (canonicalized); nullptr if absent or not a conjunction.
   const Relation* find_relation(std::string_view attribute) const;
 
-  /// Sets (replacing any existing direct-child relation with the same
-  /// attribute) a relation on a conjunction node.
-  void set_relation(Relation r);
-
-  /// Removes the direct-child relation with the given attribute.
-  /// Returns true if one was removed.
-  bool remove_relation(std::string_view attribute);
-
   /// Canonical single-line rendering; parseable back to an equal tree.
   std::string to_string() const;
-
-  /// Indented multi-line rendering for diagnostics and docs.
-  std::string to_pretty_string() const;
 
   bool operator==(const Spec& other) const;
 
  private:
-  void print(std::string& out, int indent, bool pretty) const;
+  void print(std::string& out) const;
 
   Kind kind_;
   std::vector<Spec> children_;
   Relation relation_;
 };
-
-/// Substitutes $(NAME) variable references using `bindings`.  Unbound
-/// variables yield an error status.  The input tree is not modified.
-util::Result<Spec> substitute_variables(
-    const Spec& spec,
-    const std::unordered_map<std::string, std::string>& bindings);
 
 }  // namespace grid::rsl

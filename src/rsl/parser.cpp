@@ -28,6 +28,17 @@ class Parser {
                 (t.kind == TokenKind::kError ? " (" + t.text + ")" : "")};
   }
 
+  // Enters the level opened by `open`.  An error abandons the whole
+  // parse, so only successful exits call leave().
+  util::Status enter(const Token& open) {
+    if (++depth_ > kMaxNestingDepth) {
+      return error(open, "nesting deeper than " +
+                             std::to_string(kMaxNestingDepth) + " levels");
+    }
+    return util::Status::ok();
+  }
+  void leave() { --depth_; }
+
   static bool is_combinator(TokenKind k) {
     return k == TokenKind::kPlus || k == TokenKind::kAmp ||
            k == TokenKind::kPipe;
@@ -107,6 +118,7 @@ class Parser {
   // group := '(' (spec | relation) ')'
   util::Status parse_group(Spec* out) {
     Token open = lexer_.next();  // '('
+    if (auto st = enter(open); !st.is_ok()) return st;
     const Token& t = lexer_.peek();
     if (is_combinator(t.kind) || t.kind == TokenKind::kLParen) {
       if (auto st = parse_spec(out); !st.is_ok()) return st;
@@ -122,6 +134,7 @@ class Parser {
       return error(close, "expected ')' to close group opened at offset " +
                               std::to_string(open.offset));
     }
+    leave();
     return util::Status::ok();
   }
 
@@ -163,6 +176,7 @@ class Parser {
         *out = Value::variable(std::move(t.text));
         return util::Status::ok();
       case TokenKind::kLParen: {
+        if (auto st = enter(t); !st.is_ok()) return st;
         std::vector<Value> items;
         for (;;) {
           const Token& p = lexer_.peek();
@@ -178,6 +192,7 @@ class Parser {
           items.push_back(std::move(item));
         }
         *out = Value::list(std::move(items));
+        leave();
         return util::Status::ok();
       }
       default:
@@ -186,6 +201,7 @@ class Parser {
   }
 
   Lexer lexer_;
+  int depth_ = 0;
 };
 
 }  // namespace

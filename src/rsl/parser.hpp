@@ -22,8 +22,14 @@
 
 namespace grid::rsl {
 
-/// Parses a complete RSL request.  Errors carry a byte offset and a
-/// description, e.g. "offset 17: expected ')'".
+/// Deepest nesting of '(' that parse() accepts, groups and value lists
+/// counted together.  The parser recurses once per level and gatekeepers
+/// parse every job request as it arrives from the network, so deeper input
+/// is rejected rather than allowed to overflow the stack.
+inline constexpr int kMaxNestingDepth = 64;
+
+/// Parses a complete RSL request.  Errors (kInvalidArgument) carry a byte
+/// offset and a description, e.g. "offset 17: expected ')'".
 util::Result<Spec> parse(std::string_view source);
 
 /// Parses and requires the result to be a multi-request ('+' at top level),

@@ -85,10 +85,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 Time Rng::uniform_time(Time lo, Time hi) { return uniform_int(lo, hi); }
 
 Time Rng::exponential_time(Time mean) {

@@ -44,9 +44,6 @@ class GRID_HOT Rng {
   /// regardless of call interleaving).
   double normal(double mean, double stddev);
 
-  /// Log-normal parameterized by the mean/stddev of the underlying normal.
-  double lognormal(double mu, double sigma);
-
   /// Uniform duration in [lo, hi] inclusive.
   Time uniform_time(Time lo, Time hi);
 

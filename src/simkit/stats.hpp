@@ -57,7 +57,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_[i]; }
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }

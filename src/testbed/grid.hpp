@@ -114,9 +114,6 @@ class Grid {
   /// Runs the event loop to completion / until a deadline.
   void run() { engine_.run(); }
   void run_until(sim::Time deadline) { engine_.run_until(deadline); }
-  void run_for(sim::Time duration) {
-    engine_.run_until(engine_.now() + duration);
-  }
 
  private:
   friend class Host;

@@ -110,8 +110,6 @@ class ScaleScenario {
   ScaleScenario& operator=(const ScaleScenario&) = delete;
 
   Grid& grid() { return grid_; }
-  sched::LoadInformationService& info_service() { return *service_; }
-  info::GisServer& gis_server() { return *gis_server_; }
 
   /// Runs the scenario for spec.duration and reports.  Call once.
   ScaleMetrics run();

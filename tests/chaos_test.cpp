@@ -410,12 +410,21 @@ TEST(ChaosDetector, PartitionedManagerAbortsFastInGrab) {
 
 TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   // Post-commit graceful degradation: an optional subjob's manager dies
-  // after release; the ensemble reports kDegraded and runs to completion.
+  // after release; the subjob reports kFailed while the request stays
+  // released, and the ensemble runs to completion.
   ChaosTrial trial(2, 21);
   core::DurocAllocator duroc(*trial.mech);
-  core::EnsembleMonitor monitor;
   Outcome out;
+  bool degraded = false;
+  core::CoallocationRequest* req = nullptr;
   core::RequestCallbacks user;
+  user.on_subjob = [&](core::SubjobHandle, core::SubjobState state,
+                       const util::Status&) {
+    if (state == core::SubjobState::kFailed &&
+        req->state() == core::RequestState::kReleased) {
+      degraded = true;
+    }
+  };
   user.on_released = [&](const core::RuntimeConfig&) {
     ++out.releases;
     out.released_at = trial.grid->engine().now();
@@ -424,9 +433,7 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
     ++out.terminals;
     out.ok = status.is_ok();
   };
-  core::CoallocationRequest* req =
-      duroc.create_request(monitor.wrap(std::move(user)));
-  monitor.bind(req);
+  req = duroc.create_request(std::move(user));
   std::vector<std::string> subs = {
       testbed::rsl_subjob("site1", 4, "sim", "required"),
       testbed::rsl_subjob("site2", 4, "sim", "optional")};
@@ -444,10 +451,6 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   EXPECT_EQ(out.terminals, 1);
   EXPECT_TRUE(out.ok);  // the ensemble survived the optional death
   EXPECT_GE(detector->verdicts(), 1u);
-  bool degraded = false;
-  for (core::GlobalEvent e : monitor.history()) {
-    if (e == core::GlobalEvent::kDegraded) degraded = true;
-  }
   EXPECT_TRUE(degraded);
 }
 

@@ -279,6 +279,41 @@ TEST(Coallocation, InteractiveFailureCanBeSubstituted) {
   EXPECT_EQ(outcome.config.subjobs[1].contact, "host3");
 }
 
+TEST(Coallocation, RequiredFailureRepairedInCallbackDoesNotAbort) {
+  // A required subjob's failure aborts the request unless the agent
+  // repairs the slot inside the failure callback: substituting it onto a
+  // live host keeps the request editing.
+  SmallGrid g(2);
+  g.grid->host("host1")->crash();
+  Outcome outcome;
+  bool substituted = false;
+  core::CoallocationRequest* req = nullptr;
+  auto cbs = outcome.callbacks();
+  cbs.on_subjob = [&](core::SubjobHandle h, SubjobState s,
+                      const util::Status&) {
+    if (s == SubjobState::kFailed && !substituted) {
+      substituted = true;
+      ASSERT_TRUE(
+          req->substitute_subjob(h, make_job("host2", 4,
+                                             SubjobStartType::kRequired))
+              .is_ok());
+    }
+  };
+  req = g.coallocator->create_request(cbs);
+  req->add_subjob(make_job("host1", 4, SubjobStartType::kRequired));
+  req->start();
+  g.grid->run();
+  ASSERT_TRUE(substituted);
+  EXPECT_EQ(req->state(), RequestState::kEditing);  // not aborted
+  EXPECT_FALSE(outcome.terminal);
+  ASSERT_TRUE(req->commit().is_ok());
+  g.grid->run();
+  EXPECT_TRUE(outcome.released);
+  ASSERT_EQ(outcome.config.subjobs.size(), 1u);
+  EXPECT_EQ(outcome.config.subjobs[0].contact, "host2");
+  EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
+}
+
 TEST(Coallocation, InteractiveFailureAfterCommitAborts) {
   SmallGrid g(2);
   app::install_app(g.grid->executables(), "hang",
@@ -599,43 +634,6 @@ TEST(Strategies, MinimumCountAgentAbortsAtDeadline) {
   agent.request().add_subjob(
       make_job("host2", 4, SubjobStartType::kInteractive, "slow"));
   agent.request().start();
-  g.grid->run();
-  EXPECT_FALSE(outcome.released);
-  EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
-}
-
-TEST(Strategies, FirstAvailableCommitsToFastestResource) {
-  SmallGrid g(3);
-  app::install_app(g.grid->executables(), "slow",
-                   app::StartupProfile{.init_delay = 5 * sim::kMinute},
-                   &g.stats);
-  Outcome outcome;
-  std::vector<rsl::JobRequest> alternatives = {
-      make_job("host1", 4, SubjobStartType::kInteractive, "slow"),
-      make_job("host2", 4, SubjobStartType::kInteractive),  // fast
-      make_job("host3", 4, SubjobStartType::kInteractive, "slow"),
-  };
-  core::FirstAvailableAgent agent(*g.coallocator, std::move(alternatives),
-                                  outcome.callbacks());
-  g.grid->run();
-  EXPECT_TRUE(outcome.released);
-  ASSERT_EQ(outcome.config.subjobs.size(), 1u);
-  EXPECT_EQ(outcome.config.subjobs[0].contact, "host2");
-  EXPECT_NE(agent.winner(), 0u);
-}
-
-TEST(Strategies, FirstAvailableAbortsWhenAllFail) {
-  SmallGrid g(2);
-  app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
-                   &g.stats);
-  Outcome outcome;
-  std::vector<rsl::JobRequest> alternatives = {
-      make_job("host1", 2, SubjobStartType::kInteractive, "crasher"),
-      make_job("host2", 2, SubjobStartType::kInteractive, "crasher"),
-  };
-  core::FirstAvailableAgent agent(*g.coallocator, std::move(alternatives),
-                                  outcome.callbacks());
   g.grid->run();
   EXPECT_FALSE(outcome.released);
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);

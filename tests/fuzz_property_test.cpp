@@ -1,6 +1,6 @@
 // Additional property sweeps: randomized edit-operation sequences on the
-// request editor and the live mechanism layer, randomized gridmpi traffic,
-// and co-allocation under jittered network latency.
+// live mechanism layer, randomized gridmpi traffic, and co-allocation
+// under jittered network latency.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,8 +8,6 @@
 
 #include "config/gridmpi.hpp"
 #include "core/app_barrier.hpp"
-#include "rsl/editor.hpp"
-#include "rsl/parser.hpp"
 #include "test_util.hpp"
 
 namespace grid {
@@ -17,63 +15,6 @@ namespace {
 
 using test::Outcome;
 using test::SmallGrid;
-
-// ---- RequestEditor randomized ops ------------------------------------------
-
-class EditorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EditorFuzz, InvariantsUnderRandomEditSequences) {
-  sim::Rng rng(GetParam() * 7919);
-  rsl::RequestEditor editor({});
-  std::int64_t expected_total = 0;
-  std::size_t expected_size = 0;
-  std::size_t journal_entries = 0;
-  for (int op = 0; op < 300; ++op) {
-    const auto pick = rng.uniform_int(0, 3);
-    if (pick <= 1 || editor.size() == 0) {  // add (biased)
-      rsl::JobRequest j;
-      j.resource_manager_contact = "h" + std::to_string(rng.uniform_int(0, 9));
-      j.executable = "x";
-      j.count = static_cast<std::int32_t>(rng.uniform_int(1, 16));
-      j.label = rng.chance(0.5)
-                    ? "L" + std::to_string(rng.uniform_int(0, 4))
-                    : "";
-      expected_total += j.count;
-      ++expected_size;
-      ++journal_entries;
-      editor.add(std::move(j));
-    } else if (pick == 2) {  // remove
-      const auto index =
-          static_cast<std::size_t>(rng.uniform_int(0, editor.size() - 1));
-      expected_total -= editor.subjobs()[index].count;
-      --expected_size;
-      ++journal_entries;
-      ASSERT_TRUE(editor.remove(index).is_ok());
-    } else {  // substitute
-      const auto index =
-          static_cast<std::size_t>(rng.uniform_int(0, editor.size() - 1));
-      rsl::JobRequest j;
-      j.resource_manager_contact = "s" + std::to_string(rng.uniform_int(0, 9));
-      j.executable = "y";
-      j.count = static_cast<std::int32_t>(rng.uniform_int(1, 16));
-      expected_total +=
-          j.count - editor.subjobs()[index].count;
-      ++journal_entries;
-      ASSERT_TRUE(editor.substitute(index, std::move(j)).is_ok());
-    }
-    ASSERT_EQ(editor.size(), expected_size);
-    ASSERT_EQ(editor.total_count(), expected_total);
-    ASSERT_EQ(editor.journal().size(), journal_entries);
-  }
-  if (editor.size() > 0) {
-    // Whatever the final state, it prints and reparses identically.
-    auto reparsed = rsl::RequestEditor::from_text(editor.to_string());
-    ASSERT_TRUE(reparsed.is_ok());
-    EXPECT_EQ(reparsed.value().subjobs(), editor.subjobs());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EditorFuzz, ::testing::Range<std::uint64_t>(1, 7));
 
 // ---- live request randomized pre-commit edits ----------------------------------
 

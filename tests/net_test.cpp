@@ -336,20 +336,6 @@ TEST_F(NetFixture, LinkFlappingAlternatesAndHealsAtEnd) {
             (std::vector<bool>{false, true, false, true, false, false}));
 }
 
-TEST(LatencyModels, MatrixUsesPairsAndDefault) {
-  net::MatrixLatency m(10);
-  m.set_pair(1, 2, 99);
-  EXPECT_EQ(m.latency(1, 2, 0), 99);
-  EXPECT_EQ(m.latency(2, 1, 0), 99);  // symmetric
-  EXPECT_EQ(m.latency(1, 3, 0), 10);
-}
-
-TEST(LatencyModels, BandwidthAddsSerialization) {
-  net::BandwidthLatency bw(sim::kMillisecond, 1000.0);  // 1000 B/s
-  EXPECT_EQ(bw.latency(1, 2, 0), sim::kMillisecond);
-  EXPECT_EQ(bw.latency(1, 2, 1000), sim::kMillisecond + sim::kSecond);
-}
-
 TEST(LatencyModels, JitterStaysInBand) {
   net::JitterLatency j(10 * sim::kMillisecond, 5 * sim::kMillisecond,
                        sim::Rng(1));

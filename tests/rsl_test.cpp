@@ -1,9 +1,8 @@
-// Unit tests for the RSL language: lexer, parser, printer, typed
-// attributes, editor, and variable substitution.
+// Unit tests for the RSL language: lexer, parser, printer and typed
+// attributes.
 #include <gtest/gtest.h>
 
 #include "rsl/attributes.hpp"
-#include "rsl/editor.hpp"
 #include "rsl/lexer.hpp"
 #include "rsl/parser.hpp"
 #include "simkit/rng.hpp"
@@ -160,6 +159,20 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_FALSE(parse("(&(count=4)))").is_ok());     // trailing input
   EXPECT_FALSE(parse("(&(=4))").is_ok());           // missing attribute
   EXPECT_FALSE(parse("xyz").is_ok());               // bare literal
+  // Nesting past the bound is rejected instead of overflowing the stack,
+  // for groups and for value lists alike.
+  const auto deep_groups = parse(std::string(100000, '('));
+  EXPECT_EQ(deep_groups.status().code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_NE(deep_groups.status().message().find("offset 64"),
+            std::string::npos);
+  EXPECT_EQ(parse("&(a=" + std::string(100000, '(')).status().code(),
+            util::ErrorCode::kInvalidArgument);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '(') + "a=1" +
+           std::string(static_cast<std::size_t>(depth), ')');
+  };
+  EXPECT_TRUE(parse(nested(kMaxNestingDepth)).is_ok());
+  EXPECT_FALSE(parse(nested(kMaxNestingDepth + 1)).is_ok());
 }
 
 TEST(Parser, ErrorsIncludeOffset) {
@@ -262,53 +275,36 @@ TEST_P(PrintParseProperty, RoundTrips) {
     ASSERT_TRUE(reparsed.is_ok())
         << text << " -> " << reparsed.status().to_string();
     EXPECT_EQ(spec, reparsed.value()) << text;
-    // Pretty printing parses back to the same tree too.
-    auto pretty = parse(spec.to_pretty_string());
-    ASSERT_TRUE(pretty.is_ok());
-    EXPECT_EQ(spec, pretty.value());
+  }
+  // Typed subjobs survive print -> parse_multi_request ->
+  // parse_job_requests unchanged.
+  sim::Rng job_rng(GetParam() * 7919);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<JobRequest> jobs(
+        static_cast<std::size_t>(job_rng.uniform_int(1, 8)));
+    std::vector<Spec> subjobs;
+    for (JobRequest& j : jobs) {
+      j.resource_manager_contact =
+          "h" + std::to_string(job_rng.uniform_int(0, 9));
+      j.executable = job_rng.chance(0.5) ? "x" : "y";
+      j.count = static_cast<std::int32_t>(job_rng.uniform_int(1, 16));
+      j.start_type = static_cast<SubjobStartType>(job_rng.uniform_int(0, 2));
+      j.label = job_rng.chance(0.5)
+                    ? "L" + std::to_string(job_rng.uniform_int(0, 4))
+                    : "";
+      subjobs.push_back(j.to_spec());
+    }
+    const std::string text = Spec::multi(std::move(subjobs)).to_string();
+    auto multi = parse_multi_request(text);
+    ASSERT_TRUE(multi.is_ok()) << text;
+    auto reparsed = parse_job_requests(multi.value());
+    ASSERT_TRUE(reparsed.is_ok()) << text;
+    EXPECT_EQ(reparsed.value(), jobs) << text;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrintParseProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// ---- variables -------------------------------------------------------------------
-
-TEST(Variables, SubstitutionReplacesReferences) {
-  auto spec = parse("&(executable=$(EXE))(directory=$(DIR))");
-  ASSERT_TRUE(spec.is_ok());
-  auto out = substitute_variables(spec.value(),
-                                  {{"EXE", "a.out"}, {"DIR", "/tmp"}});
-  ASSERT_TRUE(out.is_ok());
-  EXPECT_EQ(out.value()
-                .children()[0]
-                .relation()
-                .single_value()
-                ->text(),
-            "a.out");
-}
-
-TEST(Variables, UnboundVariableFails) {
-  auto spec = parse("(&(executable=$(MISSING)))");
-  ASSERT_TRUE(spec.is_ok());
-  auto out = substitute_variables(spec.value(), {});
-  EXPECT_FALSE(out.is_ok());
-  EXPECT_EQ(out.status().code(), util::ErrorCode::kNotFound);
-}
-
-TEST(Variables, SubstitutionDescendsIntoLists) {
-  auto spec = parse("&(environment=(HOME $(H)))");
-  ASSERT_TRUE(spec.is_ok());
-  auto out = substitute_variables(spec.value(), {{"H", "/home/u"}});
-  ASSERT_TRUE(out.is_ok());
-  EXPECT_EQ(out.value()
-                .children()[0]
-                .relation()
-                .values[0]
-                .items()[1]
-                .text(),
-            "/home/u");
-}
 
 // ---- typed attributes ---------------------------------------------------------------
 
@@ -403,75 +399,6 @@ TEST(Attributes, StartTypeNamesRoundTrip) {
     EXPECT_EQ(parsed.value(), t);
   }
   EXPECT_TRUE(parse_start_type("REQUIRED").is_ok());  // case-insensitive
-}
-
-// ---- editor -----------------------------------------------------------------------
-
-JobRequest make_job(const std::string& contact, const std::string& label = "") {
-  JobRequest j;
-  j.resource_manager_contact = contact;
-  j.executable = "app";
-  j.count = 4;
-  j.label = label;
-  return j;
-}
-
-TEST(Editor, AddRemoveSubstitute) {
-  RequestEditor ed({make_job("a", "one"), make_job("b", "two")});
-  EXPECT_EQ(ed.size(), 2u);
-  EXPECT_EQ(ed.total_count(), 8);
-
-  ed.add(make_job("c", "three"));
-  EXPECT_EQ(ed.size(), 3u);
-
-  ASSERT_TRUE(ed.remove_labeled("two").is_ok());
-  EXPECT_EQ(ed.size(), 2u);
-  EXPECT_EQ(ed.find_labeled("two"), ed.size());
-
-  ASSERT_TRUE(ed.substitute(0, make_job("z", "one")).is_ok());
-  EXPECT_EQ(ed.subjobs()[0].resource_manager_contact, "z");
-
-  EXPECT_EQ(ed.journal().size(), 3u);
-  EXPECT_EQ(ed.journal()[0].kind, EditRecord::Kind::kAdd);
-  EXPECT_EQ(ed.journal()[1].kind, EditRecord::Kind::kDelete);
-  EXPECT_EQ(ed.journal()[2].kind, EditRecord::Kind::kSubstitute);
-}
-
-TEST(Editor, ErrorsOnBadIndices) {
-  RequestEditor ed({make_job("a")});
-  EXPECT_FALSE(ed.remove(5).is_ok());
-  EXPECT_FALSE(ed.substitute(5, make_job("b")).is_ok());
-  EXPECT_FALSE(ed.remove_labeled("nope").is_ok());
-}
-
-TEST(Editor, FromTextAndBackToSpec) {
-  auto ed = RequestEditor::from_text(
-      "+(&(resourceManagerContact=a)(executable=x))"
-      "(&(resourceManagerContact=b)(executable=y))");
-  ASSERT_TRUE(ed.is_ok());
-  const std::string out = ed.value().to_string();
-  auto reparsed = parse_multi_request(out);
-  ASSERT_TRUE(reparsed.is_ok());
-  EXPECT_EQ(reparsed.value().children().size(), 2u);
-}
-
-TEST(Editor, FromTextRejectsNonMulti) {
-  EXPECT_FALSE(RequestEditor::from_text("&(a=1)").is_ok());
-}
-
-// ---- spec mutation helpers ------------------------------------------------------------
-
-TEST(Spec, SetAndRemoveRelation) {
-  auto spec = parse("&(a=1)(b=2)");
-  ASSERT_TRUE(spec.is_ok());
-  Spec s = spec.value();
-  s.set_relation(Relation::eq("a", std::int64_t{9}));
-  EXPECT_EQ(s.find_relation("a")->single_value()->as_int(), 9);
-  s.set_relation(Relation::eq("c", std::int64_t{3}));
-  EXPECT_NE(s.find_relation("c"), nullptr);
-  EXPECT_TRUE(s.remove_relation("b"));
-  EXPECT_FALSE(s.remove_relation("b"));
-  EXPECT_EQ(s.find_relation("b"), nullptr);
 }
 
 }  // namespace

@@ -593,48 +593,6 @@ TEST(AggregateWorkPredictor, GrowsWithQueuedWork) {
   EXPECT_GT(p.predict(summarize(heavy), 8), p.predict(summarize(light), 8));
 }
 
-TEST(HistoryPredictor, EmptyPredictsZero) {
-  HistoryPredictor p;
-  QueueSnapshot snap;
-  EXPECT_EQ(p.predict(summarize(snap), 4), 0);
-}
-
-TEST(HistoryPredictor, LearnsFromObservations) {
-  HistoryPredictor p(128, 4);
-  // Busy states waited ~100 s, idle states ~0 s.
-  for (int i = 0; i < 20; ++i) {
-    p.observe(10, 1000 * sim::kMinute, 8, 100 * sim::kSecond);
-    p.observe(0, 0, 8, 0);
-  }
-  QueueSnapshot idle;
-  idle.total_processors = 16;
-  QueueSnapshot busy;
-  busy.total_processors = 16;
-  busy.busy_processors = 16;
-  for (int i = 0; i < 10; ++i) {
-    busy.queued.push_back({static_cast<JobId>(i), 8, 100 * sim::kMinute, 0});
-  }
-  EXPECT_LT(p.predict(summarize(idle), 8), 10 * sim::kSecond);
-  EXPECT_GT(p.predict(summarize(busy), 8), 50 * sim::kSecond);
-}
-
-TEST(HistoryPredictor, TrainsFromSchedulerHistory) {
-  sim::Engine e;
-  BatchScheduler s(e, 8);
-  s.submit(job(1, 8, 10 * sim::kSecond, 10 * sim::kSecond), nullptr, nullptr);
-  s.submit(job(2, 8, 10 * sim::kSecond, 10 * sim::kSecond), nullptr, nullptr);
-  e.run();
-  HistoryPredictor p;
-  p.train(s.wait_history());
-  EXPECT_EQ(p.observation_count(), 2u);
-}
-
-TEST(HistoryPredictor, WindowEvictsOldest) {
-  HistoryPredictor p(4, 2);
-  for (int i = 0; i < 10; ++i) p.observe(i, 0, 1, i * sim::kSecond);
-  EXPECT_EQ(p.observation_count(), 4u);
-}
-
 // ---- information service -----------------------------------------------------------
 
 TEST(LoadInformationService, PublishesOnInterval) {
