@@ -44,22 +44,10 @@ struct TrialResult {
   bool operator==(const TrialResult&) const = default;
 };
 
-net::RetryPolicy bench_retry_policy(std::uint64_t seed) {
-  net::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff = 200 * sim::kMillisecond;
-  policy.multiplier = 2.0;
-  policy.jitter = 0.2;
-  policy.jitter_seed = seed;
-  policy.attempt_timeout = 3 * sim::kSecond;
-  return policy;
-}
-
 core::HeartbeatConfig bench_heartbeats() {
   core::HeartbeatConfig config;
   config.interval = 2 * sim::kSecond;
   config.beat_timeout = sim::kSecond;
-  config.misses_to_suspect = 2;
   // Five consecutive losses at p=0.1 per direction is ~1e-5 per window:
   // the detector is tuned to ambient loss so it only convicts real deaths.
   config.misses_to_dead = 5;
@@ -85,7 +73,9 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
   defaults.rpc_timeout = 5 * sim::kSecond;
   defaults.startup_timeout = kStartupTimeout;
   auto mech = grid.make_coallocator("agent", "/CN=ablate", defaults);
-  if (fault_tolerant) mech->gram().set_retry_policy(bench_retry_policy(seed));
+  if (fault_tolerant) {
+    mech->gram().set_retry_policy(net::RetryPolicy{.jitter_seed = seed});
+  }
   grid.network().set_drop_probability(loss);
 
   core::DurocAllocator duroc(*mech);

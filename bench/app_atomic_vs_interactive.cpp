@@ -112,7 +112,7 @@ TrialResult run_interactive(double p, std::uint64_t seed) {
   }
   TrialResult result;
   core::ReplacementAgent agent(
-      *setup.mech, {.spare_contacts = spares, .auto_commit = true},
+      *setup.mech, {.spare_contacts = spares},
       {.on_subjob = nullptr,
        .on_released =
            [&](const core::RuntimeConfig& config) {

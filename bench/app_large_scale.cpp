@@ -66,7 +66,7 @@ ScaleResult run_sf_express(int broken_machines, std::uint64_t seed) {
   }
   ScaleResult result;
   core::ReplacementAgent agent(
-      *mech, {.spare_contacts = spares, .auto_commit = true},
+      *mech, {.spare_contacts = spares},
       {.on_subjob =
            [&](core::SubjobHandle, core::SubjobState s, const util::Status&) {
              if (s == core::SubjobState::kFailed) {

@@ -31,7 +31,7 @@ CoallocatedProcess::~CoallocatedProcess() {
 
 void CoallocatedProcess::start(gram::ProcessApi& api) {
   api_ = &api;
-  FailureMode mode = profile_.mode;
+  FailureMode mode = FailureMode::kHealthy;
   const bool eligible =
       !profile_.failure_per_job || api.local_rank() == 0;
   if (eligible && profile_.failure_probability > 0.0 &&

@@ -36,10 +36,9 @@ struct StartupProfile {
   sim::Time init_jitter = 0;
   /// Post-release computation time; 0 exits immediately after release.
   sim::Time run_time = 0;
-  FailureMode mode = FailureMode::kHealthy;
-  /// With probability `failure_probability`, a process draws `failure_mode_
-  /// on_chance` instead of `mode` (stochastic failures for the scenario
-  /// benches).
+  /// With probability `failure_probability`, a process behaves as
+  /// `mode_on_chance` instead of kHealthy (stochastic failures for the
+  /// scenario benches; 1.0 selects it without drawing from the RNG).
   double failure_probability = 0.0;
   FailureMode mode_on_chance = FailureMode::kHang;
   /// When true the stochastic failure applies only to local rank 0, making

@@ -1,7 +1,5 @@
 #include "config/gridmpi.hpp"
 
-#include <algorithm>
-
 namespace grid::cfg {
 
 Communicator::Communicator(net::Endpoint& endpoint, core::ReleaseInfo info)
@@ -111,14 +109,12 @@ void Communicator::adopt_table(std::vector<net::NodeId> table) {
 
 void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
   const auto kind = static_cast<Kind>(r.u8());
+  // Counts come off the wire: never reserve them.
   switch (kind) {
-    case kGatherAddress:
-      return;  // unused: the release payload already carries member lists
     case kLeaderTable: {
       const std::int32_t subjob = r.i32();
       const std::uint64_t n = r.varint();
       std::vector<net::NodeId> nodes;
-      nodes.reserve(n);
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) nodes.push_back(r.u32());
       if (r.ok()) on_leader_table(subjob, nodes);
       return;
@@ -126,7 +122,6 @@ void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
     case kFullTable: {
       const std::uint64_t n = r.varint();
       std::vector<net::NodeId> table;
-      table.reserve(n);
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) table.push_back(r.u32());
       if (r.ok()) adopt_table(std::move(table));
       return;
@@ -138,69 +133,12 @@ void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
       if (r.ok()) deliver_user(src_rank, tag, blob);
       return;
     }
-    case kBarrierEnter: {
-      ++barrier_arrivals_;
-      if (barrier_arrivals_ >= size()) {
-        barrier_arrivals_ -= size();
-        util::Writer w;
-        w.u8(kBarrierLeave);
-        const sim::Payload frame =
-            net::Endpoint::encode_notify(kNotifyGridMpi, w.take());
-        for (std::int32_t g = 1; g < size(); ++g) {
-          endpoint_->notify_frame(address_of(g), frame.share());
-        }
-        if (!barrier_waiters_.empty()) {
-          auto cb = std::move(barrier_waiters_.front());
-          barrier_waiters_.erase(barrier_waiters_.begin());
-          cb();
-        }
-      }
-      return;
-    }
-    case kBarrierLeave: {
-      if (!barrier_waiters_.empty()) {
-        auto cb = std::move(barrier_waiters_.front());
-        barrier_waiters_.erase(barrier_waiters_.begin());
-        cb();
-      }
-      return;
-    }
-    case kBcast: {
-      const std::uint64_t seq = r.u64();
-      const util::Bytes blob = r.blob();
-      if (!r.ok()) return;
-      auto it = bcast_waiters_.find(seq);
-      if (it == bcast_waiters_.end()) {
-        bcast_early_[seq] = blob;
-        return;
-      }
-      auto cb = std::move(it->second);
-      bcast_waiters_.erase(it);
-      cb(blob);
-      return;
-    }
     case kReduceContrib: {
       const std::uint64_t seq = r.u64();
-      const auto op = static_cast<ReduceOp>(r.u8());
       const std::int64_t value = r.i64();
       if (!r.ok()) return;
       ReduceState& state = reduce_state_[seq];
-      if (state.contributions == 0) {
-        state.value = value;
-        state.op = op;
-      } else {
-        switch (state.op) {
-          case ReduceOp::kSum:
-            state.value += value;
-            break;
-          case ReduceOp::kMin:
-            state.value = std::min(state.value, value);
-            break;
-          case ReduceOp::kMax:
-            state.value = std::max(state.value, value);
-            break;
-        }
-      }
+      state.value += value;
       ++state.contributions;
       if (state.contributions >= size()) {
         const std::int64_t total = state.value;
@@ -239,39 +177,6 @@ void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
       cb(total);
       return;
     }
-    case kGatherContrib: {
-      const std::uint64_t seq = r.u64();
-      const std::int32_t src_rank = r.i32();
-      util::Bytes blob = r.blob();
-      if (!r.ok()) return;
-      gather_contribute(seq, src_rank, std::move(blob));
-      return;
-    }
-  }
-}
-
-void Communicator::gather_contribute(std::uint64_t seq, std::int32_t src_rank,
-                                     util::Bytes blob) {
-  GatherState& state = gather_state_[seq];
-  if (state.pieces.empty()) {
-    state.pieces.resize(static_cast<std::size_t>(size()));
-    state.present.resize(static_cast<std::size_t>(size()), false);
-  }
-  if (src_rank < 0 || static_cast<std::size_t>(src_rank) >= state.pieces.size() ||
-      state.present[static_cast<std::size_t>(src_rank)]) {
-    return;
-  }
-  state.pieces[static_cast<std::size_t>(src_rank)] = std::move(blob);
-  state.present[static_cast<std::size_t>(src_rank)] = true;
-  ++state.received;
-  if (state.received >= size()) {
-    auto pieces = std::move(state.pieces);
-    gather_state_.erase(seq);
-    auto it = gather_waiters_.find(seq);
-    if (it == gather_waiters_.end()) return;  // root callback not set yet?
-    auto cb = std::move(it->second);
-    gather_waiters_.erase(it);
-    cb(std::move(pieces));
   }
 }
 
@@ -311,48 +216,8 @@ void Communicator::recv(std::int32_t tag, RecvHandler handler) {
   }
 }
 
-void Communicator::barrier(std::function<void()> on_done) {
-  barrier_waiters_.push_back(std::move(on_done));
-  if (rank() == 0) {
-    const util::Bytes frame{static_cast<std::uint8_t>(kBarrierEnter)};
-    util::Reader self(frame);
-    handle(endpoint_->id(), self);
-    return;
-  }
-  util::Writer w;
-  w.u8(kBarrierEnter);
-  raw_send(address_of(0), w.take());
-}
-
-void Communicator::bcast(std::int32_t root, util::Bytes payload,
-                         std::function<void(util::Bytes)> on_done) {
-  const std::uint64_t seq = bcast_seq_++;
-  if (rank() == root) {
-    util::Writer w;
-    w.u8(kBcast);
-    w.u64(seq);
-    w.blob(payload);
-    const sim::Payload frame =
-        net::Endpoint::encode_notify(kNotifyGridMpi, w.take());
-    for (std::int32_t g = 0; g < size(); ++g) {
-      if (g == root) continue;
-      endpoint_->notify_frame(address_of(g), frame.share());
-    }
-    on_done(std::move(payload));
-    return;
-  }
-  auto it = bcast_early_.find(seq);
-  if (it != bcast_early_.end()) {
-    util::Bytes blob = std::move(it->second);
-    bcast_early_.erase(it);
-    on_done(std::move(blob));
-    return;
-  }
-  bcast_waiters_[seq] = std::move(on_done);
-}
-
-void Communicator::allreduce(ReduceOp op, std::int64_t value,
-                             std::function<void(std::int64_t)> on_done) {
+void Communicator::allreduce_sum(std::int64_t value,
+                                 std::function<void(std::int64_t)> on_done) {
   const std::uint64_t seq = reduce_seq_++;
   reduce_waiters_[seq] = std::move(on_done);
   // A result that raced ahead of this call (possible on non-root ranks
@@ -368,7 +233,6 @@ void Communicator::allreduce(ReduceOp op, std::int64_t value,
   util::Writer w;
   w.u8(kReduceContrib);
   w.u64(seq);
-  w.u8(static_cast<std::uint8_t>(op));
   w.i64(value);
   if (rank() == 0) {
     util::Reader self(w.bytes());
@@ -376,39 +240,6 @@ void Communicator::allreduce(ReduceOp op, std::int64_t value,
   } else {
     raw_send(address_of(0), w.take());
   }
-}
-
-void Communicator::allreduce_sum(std::int64_t value,
-                                 std::function<void(std::int64_t)> on_done) {
-  allreduce(ReduceOp::kSum, value, std::move(on_done));
-}
-
-void Communicator::allreduce_min(std::int64_t value,
-                                 std::function<void(std::int64_t)> on_done) {
-  allreduce(ReduceOp::kMin, value, std::move(on_done));
-}
-
-void Communicator::allreduce_max(std::int64_t value,
-                                 std::function<void(std::int64_t)> on_done) {
-  allreduce(ReduceOp::kMax, value, std::move(on_done));
-}
-
-void Communicator::gather(std::int32_t root, util::Bytes payload,
-                          std::function<void(std::vector<util::Bytes>)>
-                              on_done) {
-  const std::uint64_t seq = gather_seq_++;
-  if (rank() == root) {
-    gather_waiters_[seq] = std::move(on_done);
-    gather_contribute(seq, rank(), std::move(payload));
-    return;
-  }
-  util::Writer w;
-  w.u8(kGatherContrib);
-  w.u64(seq);
-  w.i32(rank());
-  w.blob(payload);
-  raw_send(address_of(root), w.take());
-  on_done({});  // non-root ranks complete immediately
 }
 
 }  // namespace grid::cfg

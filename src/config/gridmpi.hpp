@@ -6,8 +6,8 @@
 // over the simulated network: after barrier release, init() runs a
 // three-stage address exchange built from exactly the §3.3 mechanisms
 // (members -> leader gather; leader <-> leader exchange; leader -> member
-// table broadcast), after which every rank can reach every other rank and
-// the usual operations (send/recv, barrier, bcast, allreduce) work.
+// table broadcast), after which every rank can reach every other rank by
+// send/recv and the ranks can sum a value with allreduce_sum.
 #pragma once
 
 #include <cstdint>
@@ -54,47 +54,21 @@ class Communicator {
   /// arrive before registration are queued and delivered on registration.
   void recv(std::int32_t tag, RecvHandler handler);
 
-  // ---- collectives (flat; adequate at simulation scale) --------------------
-
-  /// Completes once all ranks have entered.
-  void barrier(std::function<void()> on_done);
-
-  /// Root's payload is delivered to every rank (including the root).
-  void bcast(std::int32_t root, util::Bytes payload,
-             std::function<void(util::Bytes)> on_done);
+  // ---- collective (flat, rooted at global rank 0) ---------------------------
 
   /// Global sum; every rank receives the total.
   void allreduce_sum(std::int64_t value,
                      std::function<void(std::int64_t)> on_done);
 
-  /// Global minimum / maximum; every rank receives the result.
-  void allreduce_min(std::int64_t value,
-                     std::function<void(std::int64_t)> on_done);
-  void allreduce_max(std::int64_t value,
-                     std::function<void(std::int64_t)> on_done);
-
-  /// Gathers every rank's payload at `root`, ordered by rank.  Only the
-  /// root's callback fires; other ranks' callbacks receive an empty vector
-  /// immediately after their contribution is sent.
-  void gather(std::int32_t root, util::Bytes payload,
-              std::function<void(std::vector<util::Bytes>)> on_done);
-
  private:
   // Internal message kinds multiplexed on kNotifyGridMpi.
   enum Kind : std::uint8_t {
-    kGatherAddress = 1,   // member -> leader: (local_rank, node)
     kLeaderTable = 2,     // leader -> leader: (subjob, [(rank, node)...])
     kFullTable = 3,       // leader -> member: [(global_rank, node)...]
     kUser = 4,            // user payload: (src_rank, tag, blob)
-    kBarrierEnter = 5,    // rank -> 0
-    kBarrierLeave = 6,    // 0 -> rank
-    kBcast = 7,           // root -> rank: (seq, blob)
-    kReduceContrib = 8,   // rank -> 0: (seq, op, value)
-    kReduceResult = 9,    // 0 -> rank: (seq, value)
-    kGatherContrib = 10,  // rank -> root: (seq, rank, blob)
+    kReduceContrib = 8,   // rank -> 0: (seq, value)
+    kReduceResult = 9,    // 0 -> rank: (seq, total)
   };
-
-  enum class ReduceOp : std::uint8_t { kSum = 0, kMin = 1, kMax = 2 };
 
   void handle(net::NodeId src, util::Reader& payload);
   void on_leader_table(std::int32_t subjob,
@@ -123,34 +97,15 @@ class Communicator {
   std::map<std::int32_t, std::vector<std::pair<std::int32_t, util::Bytes>>>
       early_;
 
-  // Collective state (flat algorithms rooted at global rank 0).
-  std::int32_t barrier_arrivals_ = 0;
-  std::vector<std::function<void()>> barrier_waiters_;
-  std::uint64_t bcast_seq_ = 0;
-  std::map<std::uint64_t, std::function<void(util::Bytes)>> bcast_waiters_;
-  std::map<std::uint64_t, util::Bytes> bcast_early_;
+  // Reduction state (rooted at global rank 0).
   std::uint64_t reduce_seq_ = 0;
   std::map<std::uint64_t, std::int64_t> reduce_early_;
   struct ReduceState {
     std::int64_t value = 0;
     std::int32_t contributions = 0;
-    ReduceOp op = ReduceOp::kSum;
   };
   std::map<std::uint64_t, ReduceState> reduce_state_;  // rank 0 only
   std::map<std::uint64_t, std::function<void(std::int64_t)>> reduce_waiters_;
-  void allreduce(ReduceOp op, std::int64_t value,
-                 std::function<void(std::int64_t)> on_done);
-  std::uint64_t gather_seq_ = 0;
-  struct GatherState {
-    std::vector<util::Bytes> pieces;
-    std::vector<bool> present;
-    std::int32_t received = 0;
-  };
-  std::map<std::uint64_t, GatherState> gather_state_;  // root only
-  std::map<std::uint64_t, std::function<void(std::vector<util::Bytes>)>>
-      gather_waiters_;
-  void gather_contribute(std::uint64_t seq, std::int32_t src_rank,
-                         util::Bytes blob);
 };
 
 }  // namespace grid::cfg

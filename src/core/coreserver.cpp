@@ -28,7 +28,6 @@ void NetworkCoReserver::acquire(std::vector<std::string> contacts,
   flow->contacts = std::move(contacts);
   flow->options = options;
   flow->on_done = std::move(on_done);
-  flow->probe = options.earliest;
   // Resolve every contact up front; an unknown contact fails fast.
   for (const std::string& contact : flow->contacts) {
     auto gatekeeper = resolver_ ? resolver_(contact)

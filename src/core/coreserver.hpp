@@ -26,7 +26,7 @@ namespace grid::core {
 class GRID_HOT NetworkCoReserver {
  public:
   struct Options {
-    sim::Time earliest = 0;
+    /// Probing starts at time 0 and gives up past `horizon`.
     sim::Time horizon = 48 * sim::kHour;
     sim::Time step = 10 * sim::kMinute;
     sim::Time duration = sim::kHour;

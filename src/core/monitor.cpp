@@ -2,18 +2,6 @@
 
 namespace grid::core {
 
-std::string to_string(SubjobHealth h) {
-  switch (h) {
-    case SubjobHealth::kHealthy:
-      return "HEALTHY";
-    case SubjobHealth::kSuspect:
-      return "SUSPECT";
-    case SubjobHealth::kDead:
-      return "DEAD";
-  }
-  return "?";
-}
-
 HeartbeatDetector::HeartbeatDetector(Coallocator& mechanisms,
                                      RequestId request, HeartbeatConfig config)
     : mech_(&mechanisms),
@@ -37,11 +25,6 @@ void HeartbeatDetector::stop() {
   mech_->engine().cancel(tick_event_);
 }
 
-SubjobHealth HeartbeatDetector::health(SubjobHandle handle) const {
-  const Watch* w = watches_.find(handle);
-  return w == nullptr ? SubjobHealth::kHealthy : w->health;
-}
-
 void HeartbeatDetector::tick() {
   if (!running_) return;
   CoallocationRequest* req = mech_->find_request(request_);
@@ -63,7 +46,7 @@ void HeartbeatDetector::tick() {
     if (!watchable) continue;
     Watch& w = watches_[h];
     if (w.job != v.gram_job) w = Watch{v.gram_job};  // substituted: fresh slate
-    if (w.health == SubjobHealth::kDead) continue;   // verdict already out
+    if (w.dead) continue;       // verdict already out
     if (w.in_flight) continue;  // previous beat still pending; let it miss
     beat(h, v.gatekeeper, v.gram_job);
   }
@@ -88,10 +71,9 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
         if (wp == nullptr || wp->job != job) return;  // stale
         Watch& w = *wp;
         w.in_flight = false;
-        if (w.health == SubjobHealth::kDead) return;
+        if (w.dead) return;
         if (status.is_ok()) {
           w.misses = 0;
-          w.health = SubjobHealth::kHealthy;
           return;
         }
         ++beats_missed_;
@@ -101,14 +83,12 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
               util::ErrorCode::kUnavailable,
               "heartbeat detector: " + std::to_string(w.misses) +
                   " consecutive beats unanswered");
-          w.health = SubjobHealth::kDead;
+          w.dead = true;
           ++verdicts_;
           CoallocationRequest* req = mech_->find_request(request_);
           if (req != nullptr && !is_request_terminal(req->state())) {
             req->report_subjob_failure(handle, why);
           }
-        } else if (w.misses >= config_.misses_to_suspect) {
-          w.health = SubjobHealth::kSuspect;
         }
       });
 }

@@ -4,15 +4,14 @@
 // progress".  The lack-of-progress class is the hard one: a crashed or
 // partitioned resource manager produces no event at all.  The detector
 // turns silence into an explicit verdict by pinging every watched subjob's
-// gatekeeper on a fixed beat and escalating consecutive misses
-// (healthy -> suspect -> dead); a dead verdict is fed back into the
-// mechanism layer as an ordinary subjob failure, so the category semantics
-// of §3.2 (required aborts, optional degrades) apply unchanged.
+// gatekeeper on a fixed beat and counting consecutive misses; enough of
+// them make a dead verdict, which is fed back into the mechanism layer as
+// an ordinary subjob failure, so the category semantics of §3.2 (required
+// aborts, optional degrades) apply unchanged.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/coallocator.hpp"
 #include "core/request.hpp"
@@ -21,15 +20,6 @@
 
 namespace grid::core {
 
-/// Detector opinion of one subjob's resource manager.
-enum class SubjobHealth : std::uint8_t {
-  kHealthy = 0,
-  kSuspect,  // >= misses_to_suspect consecutive beats unanswered
-  kDead,     // >= misses_to_dead; verdict delivered, no further beats
-};
-
-std::string to_string(SubjobHealth h);
-
 struct HeartbeatConfig {
   /// Beat period.  Each watched subjob's gatekeeper is pinged once per
   /// interval (single-attempt, so the detector — not an RPC retry layer —
@@ -37,7 +27,7 @@ struct HeartbeatConfig {
   sim::Time interval = 5 * sim::kSecond;
   /// Per-beat reply deadline; an unanswered beat is one miss.
   sim::Time beat_timeout = 2 * sim::kSecond;
-  int misses_to_suspect = 1;
+  /// Consecutive misses that make the dead verdict.
   int misses_to_dead = 3;
 };
 
@@ -59,9 +49,6 @@ class GRID_HOT HeartbeatDetector {
   void start();
   void stop();
 
-  /// kHealthy for slots never watched.
-  SubjobHealth health(SubjobHandle handle) const;
-
   std::uint64_t beats_sent() const { return beats_sent_; }
   std::uint64_t beats_missed() const { return beats_missed_; }
   /// Dead verdicts delivered to the request.
@@ -73,7 +60,7 @@ class GRID_HOT HeartbeatDetector {
   struct Watch {
     gram::JobId job = 0;  // incarnation tracking: new job resets the watch
     int misses = 0;
-    SubjobHealth health = SubjobHealth::kHealthy;
+    bool dead = false;       // verdict delivered, no further beats
     bool in_flight = false;  // previous beat still outstanding
   };
 

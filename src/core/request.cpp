@@ -32,8 +32,7 @@ CoallocationRequest::CoallocationRequest(Coallocator& owner, RequestId id,
     : owner_(&owner),
       id_(id),
       callbacks_(std::move(callbacks)),
-      config_(config),
-      log_(owner.engine(), "coalloc/req" + std::to_string(id)) {}
+      config_(config) {}
 
 CoallocationRequest::~CoallocationRequest() {
   *alive_ = false;
@@ -343,10 +342,7 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     sj->process_nodes.assign(count, net::kInvalidNode);
     sj->checked.assign(count, false);
   }
-  if (msg.rank < 0 || static_cast<std::size_t>(msg.rank) >= count) {
-    GRID_LOG(log_, kWarn) << "check-in with out-of-range rank " << msg.rank;
-    return;
-  }
+  if (msg.rank < 0 || static_cast<std::size_t>(msg.rank) >= count) return;
   const auto rank = static_cast<std::size_t>(msg.rank);
   if (sj->checked[rank]) return;  // duplicate
   sj->checked[rank] = true;
@@ -363,7 +359,8 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     }
     if (state_ == RequestState::kReleased) {
       // A late optional subjob joins the running computation (§3.2).
-      release_subjob(*sj);
+      add_layout(*sj);
+      send_releases(*sj);
     } else {
       maybe_release();
     }
@@ -391,36 +388,20 @@ void CoallocationRequest::maybe_release() {
   config_table_ = RuntimeConfig{};
   config_table_.request = id_;
   for (SubjobHandle h : order_) {
-    Subjob* sj = find(h);
+    const Subjob* sj = find(h);
     if (sj == nullptr || !is_live(*sj)) continue;
     if (sj->state != SubjobState::kCheckedIn) continue;  // pending optional
-    SubjobLayout layout;
-    layout.subjob = sj->handle;
-    layout.index = static_cast<std::int32_t>(config_table_.subjobs.size());
-    layout.size = sj->request.count;
-    layout.rank_base = config_table_.total_processes;
-    layout.leader = sj->process_nodes.empty() ? net::kInvalidNode
-                                              : sj->process_nodes.front();
-    layout.contact = sj->request.resource_manager_contact;
-    config_table_.total_processes += sj->request.count;
-    config_table_.subjobs.push_back(std::move(layout));
+    add_layout(*sj);
   }
   for (SubjobHandle h : order_) {
     Subjob* sj = find(h);
     if (sj == nullptr || sj->state != SubjobState::kCheckedIn) continue;
-    set_state(*sj, SubjobState::kReleased);
-    sj->released = true;
-    sj->released_at = owner_->engine().now();
-    for (std::int32_t rank = 0; rank < sj->request.count; ++rank) {
-      send_release(*sj, rank);
-    }
-    notify_subjob(*sj);
+    send_releases(*sj);
   }
   if (callbacks_.on_released) callbacks_.on_released(config_table_);
 }
 
-void CoallocationRequest::release_subjob(Subjob& sj) {
-  // Late join: extend the configuration without renumbering existing ranks.
+void CoallocationRequest::add_layout(const Subjob& sj) {
   SubjobLayout layout;
   layout.subjob = sj.handle;
   layout.index = static_cast<std::int32_t>(config_table_.subjobs.size());
@@ -431,8 +412,10 @@ void CoallocationRequest::release_subjob(Subjob& sj) {
   layout.contact = sj.request.resource_manager_contact;
   config_table_.total_processes += sj.request.count;
   config_table_.subjobs.push_back(std::move(layout));
+}
+
+void CoallocationRequest::send_releases(Subjob& sj) {
   set_state(sj, SubjobState::kReleased);
-  sj.released = true;
   sj.released_at = owner_->engine().now();
   for (std::int32_t rank = 0; rank < sj.request.count; ++rank) {
     send_release(sj, rank);
@@ -529,9 +512,6 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
     hold_handle_ = 0;
     pump_submissions();
   }
-  GRID_LOG(log_, kInfo) << "subjob " << handle << " ("
-                        << sj->request.resource_manager_contact
-                        << ") failed: " << why.to_string();
   const rsl::SubjobStartType type = sj->request.start_type;
   // The agent callback runs before category handling so a failure can be
   // repaired (substitute/remove) in the same turn (§3.2).

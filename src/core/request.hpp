@@ -42,7 +42,6 @@
 #include "rsl/attributes.hpp"
 #include "simkit/annotate.hpp"
 #include "simkit/idmap.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::core {
 
@@ -209,7 +208,6 @@ class GRID_HOT CoallocationRequest {
     std::vector<bool> checked;
     std::int32_t checked_count = 0;
     bool queued = false;    // waiting in the submission pipeline
-    bool released = false;
     util::Status failure;
     sim::EventId timeout_event;
     /// Check-ins that overtook the GRAM accept reply on a jittery network;
@@ -233,7 +231,11 @@ class GRID_HOT CoallocationRequest {
   // Barrier.
   void on_checkin(net::NodeId src, const CheckinMessage& msg);
   void maybe_release();
-  void release_subjob(Subjob& sj);
+  /// Appends `sj` to the release configuration after the subjobs already
+  /// in it, so existing ranks never move.
+  void add_layout(const Subjob& sj);
+  /// Marks `sj` released and lets each of its processes out of the barrier.
+  void send_releases(Subjob& sj);
   void send_release(const Subjob& sj, std::int32_t rank);
 
   // Failure handling.
@@ -260,7 +262,6 @@ class GRID_HOT CoallocationRequest {
   RequestId id_;
   RequestCallbacks callbacks_;
   RequestConfig config_;
-  util::Logger log_;
 
   RequestState state_ = RequestState::kEditing;
   bool started_ = false;

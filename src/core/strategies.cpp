@@ -7,9 +7,8 @@ namespace grid::core {
 ReplacementAgent::ReplacementAgent(Coallocator& mechanisms, Options options,
                                    RequestCallbacks user_callbacks)
     : mech_(&mechanisms),
-      options_(std::move(options)),
       user_(std::move(user_callbacks)),
-      spares_(options_.spare_contacts) {
+      spares_(std::move(options.spare_contacts)) {
   RequestCallbacks cbs;
   cbs.on_subjob = [this](SubjobHandle h, SubjobState s,
                          const util::Status& why) { on_subjob(h, s, why); };
@@ -26,7 +25,7 @@ void ReplacementAgent::on_subjob(SubjobHandle handle, SubjobState state,
     auto view = request_->subjob(handle);
     if (view.is_ok() &&
         view.value().start_type == rsl::SubjobStartType::kInteractive &&
-        !spares_.empty() && substitutions_ < options_.max_substitutions) {
+        !spares_.empty()) {
       auto original = request_->subjob_request(handle);
       if (original.is_ok()) {
         rsl::JobRequest replacement = original.take();
@@ -46,8 +45,7 @@ void ReplacementAgent::on_subjob(SubjobHandle handle, SubjobState state,
 }
 
 void ReplacementAgent::maybe_commit() {
-  if (!options_.auto_commit || committed_ ||
-      request_->state() != RequestState::kEditing) {
+  if (committed_ || request_->state() != RequestState::kEditing) {
     return;
   }
   for (SubjobHandle h : request_->subjobs()) {

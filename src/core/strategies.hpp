@@ -23,16 +23,13 @@
 
 namespace grid::core {
 
-/// Substitutes failed interactive subjobs with alternates from a pool.
+/// Substitutes failed interactive subjobs with alternates from a pool, and
+/// commits once every live subjob has checked in.
 class GRID_HOT ReplacementAgent {
  public:
   struct Options {
     /// Contacts tried, in order, when an interactive subjob fails.
     std::vector<std::string> spare_contacts;
-    /// Cap on total substitutions across the request.
-    std::size_t max_substitutions = SIZE_MAX;
-    /// Commit automatically once every live subjob has checked in.
-    bool auto_commit = true;
   };
 
   ReplacementAgent(Coallocator& mechanisms, Options options,
@@ -48,7 +45,6 @@ class GRID_HOT ReplacementAgent {
   void maybe_commit();
 
   Coallocator* mech_;
-  Options options_;
   RequestCallbacks user_;
   CoallocationRequest* request_ = nullptr;
   std::vector<std::string> spares_;

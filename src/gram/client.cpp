@@ -15,7 +15,6 @@ Client::Client(net::Endpoint& endpoint, const gsi::CertificateAuthority& ca,
 struct Client::AuthRetryState {
   net::NodeId gatekeeper;
   sim::Time timeout;
-  sim::Time started;
   net::RetrySchedule schedule;
   gsi::ClientContext::DoneFn done;
 };
@@ -27,8 +26,8 @@ void Client::authenticate_with_retry(net::NodeId gatekeeper, sim::Time timeout,
     return;
   }
   auto state = std::make_shared<AuthRetryState>(AuthRetryState{
-      gatekeeper, timeout, endpoint_->engine().now(),
-      net::RetrySchedule(*retry_, next_auth_stream_++), std::move(on_done)});
+      gatekeeper, timeout, net::RetrySchedule(*retry_, next_auth_stream_++),
+      std::move(on_done)});
   auth_attempt(std::move(state), 1);
 }
 
@@ -38,20 +37,13 @@ void Client::auth_attempt(std::shared_ptr<AuthRetryState> state, int n) {
       s->gatekeeper, s->timeout,
       [this, state = std::move(state),
        n](util::Result<gsi::Session> session) mutable {
-        const net::RetryPolicy& policy = state->schedule.policy();
         if (session.is_ok() ||
             session.status().code() != util::ErrorCode::kTimeout ||
-            n >= policy.max_attempts) {
+            n >= net::kRetryAttempts) {
           state->done(std::move(session));
           return;
         }
         const sim::Time backoff = state->schedule.backoff_before(n + 1);
-        if (policy.overall_deadline > 0 &&
-            endpoint_->engine().now() + backoff >=
-                state->started + policy.overall_deadline) {
-          state->done(std::move(session));
-          return;
-        }
         endpoint_->engine().schedule_after(
             backoff, [this, state = std::move(state), n]() mutable {
               auth_attempt(std::move(state), n + 1);
@@ -63,9 +55,7 @@ void Client::idempotent_call(net::NodeId dst, std::uint32_t method,
                              sim::Payload args, sim::Time timeout,
                              net::Endpoint::ResponseFn on_response) {
   if (retry_.has_value()) {
-    net::RetryPolicy policy = *retry_;
-    if (policy.attempt_timeout <= 0) policy.attempt_timeout = timeout;
-    endpoint_->retrying_call(dst, method, std::move(args), policy,
+    endpoint_->retrying_call(dst, method, std::move(args), *retry_,
                              std::move(on_response));
   } else {
     endpoint_->call(dst, method, std::move(args), timeout,

@@ -37,11 +37,13 @@ class Client {
   using DoneFn = std::function<void(util::Status)>;
 
   /// Opts this client into fault-tolerant RPC.  Idempotent verbs (status,
-  /// cancel, reservation cancel) are re-issued on timeout per
-  /// `policy`; submit() and reserve() retry only their pre-ack phase (the
-  /// GSI handshake) — the job-request / reserve RPC itself is never
-  /// re-sent, since a retry after a lost *accept reply* would allocate a
-  /// second job or window on the server.  nullopt restores one-shot calls.
+  /// cancel, reservation cancel) are re-issued on timeout on the schedule
+  /// of net/retry.hpp, with `policy`'s jitter seed; their own `timeout`
+  /// then gives way to kRetryAttemptTimeout per attempt.  submit() and
+  /// reserve() retry only their pre-ack phase (the GSI handshake) — the
+  /// job-request / reserve RPC itself is never re-sent, since a retry
+  /// after a lost *accept reply* would allocate a second job or window on
+  /// the server.  nullopt restores one-shot calls.
   void set_retry_policy(std::optional<net::RetryPolicy> policy) {
     retry_ = policy;
   }

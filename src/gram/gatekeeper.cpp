@@ -6,6 +6,12 @@
 #include "sched/reservation.hpp"
 
 namespace grid::gram {
+namespace {
+
+/// Timeout of the gatekeeper's own NIS lookups.
+constexpr sim::Time kNisTimeout = 30 * sim::kSecond;
+
+}  // namespace
 
 Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
                        sched::LocalScheduler& scheduler,
@@ -20,8 +26,7 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
       registry_(&registry),
       gsi_(endpoint_, ca, gridmap, std::move(host_credential), gsi_costs),
       nis_(endpoint_, nis_server),
-      costs_(costs),
-      log_(network.engine(), "gram/" + host_name_) {
+      costs_(costs) {
   endpoint_.register_method(
       kMethodJobRequest,
       [this](net::NodeId caller, std::uint64_t call_id, util::Reader& args) {
@@ -101,7 +106,7 @@ void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
   // initgroups(): the dominant cost (Figure 3).  The gatekeeper must set up
   // the local user's supplementary groups before spawning the job manager.
   nis_.initgroups(
-      local_user, costs_.nis_timeout,
+      local_user, kNisTimeout,
       [this, caller, call_id, request = std::move(request), local_user](
           util::Result<std::vector<std::string>> groups) mutable {
         if (!groups.is_ok()) {
@@ -143,8 +148,7 @@ void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
       jobs_
           .emplace(id, std::make_unique<JobManager>(
                            *this, id, job_request.take(), local_user,
-                           request.callback_contact, costs_.exec_startup,
-                           log_.child("jm" + std::to_string(id & 0xffffffff))))
+                           request.callback_contact, costs_.exec_startup))
           .get();
   if (auto st = manager->start(); !st.is_ok()) {
     jobs_.erase(id);

@@ -29,7 +29,6 @@
 #include "net/rpc.hpp"
 #include "sched/scheduler.hpp"
 #include "simkit/idmap.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::gram {
 
@@ -38,8 +37,6 @@ namespace grid::gram {
 struct GatekeeperCosts {
   /// Non-initgroups, non-auth request processing ("misc." in Figure 3).
   sim::Time misc_processing = 10 * sim::kMillisecond;
-  /// Timeout of the gatekeeper's own NIS lookups.
-  sim::Time nis_timeout = 30 * sim::kSecond;
   /// Executable load/exec time between processor allocation and the job's
   /// processes entering main() (part of Figure 2's "successful startup").
   sim::Time exec_startup = 720 * sim::kMillisecond;
@@ -110,7 +107,6 @@ class Gatekeeper {
   gsi::ServerContext gsi_;
   NisClient nis_;
   GatekeeperCosts costs_;
-  util::Logger log_;
   std::uint64_t next_job_ = 1;
   sim::IdSlab<std::unique_ptr<JobManager>> jobs_;
   struct Ended {

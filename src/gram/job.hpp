@@ -26,8 +26,6 @@ enum class JobState : std::uint8_t {
   kFailed = 4,    // job failed, was cancelled, or exceeded wall time
 };
 
-std::string to_string(JobState s);
-
 /// True for states a job can never leave.
 constexpr bool is_terminal(JobState s) {
   return s == JobState::kDone || s == JobState::kFailed;

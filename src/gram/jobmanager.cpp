@@ -74,8 +74,7 @@ class JobManager::Process final : public ProcessApi {
 
 JobManager::JobManager(Gatekeeper& gatekeeper, JobId id,
                        rsl::JobRequest request, std::string local_user,
-                       net::NodeId callback_contact, sim::Time exec_startup,
-                       util::Logger logger)
+                       net::NodeId callback_contact, sim::Time exec_startup)
     : gatekeeper_(&gatekeeper),
       endpoint_(&gatekeeper.endpoint()),
       scheduler_(&gatekeeper.scheduler()),
@@ -84,8 +83,7 @@ JobManager::JobManager(Gatekeeper& gatekeeper, JobId id,
       request_(std::move(request)),
       local_user_(std::move(local_user)),
       callback_contact_(callback_contact),
-      exec_startup_(exec_startup),
-      log_(std::move(logger)) {}
+      exec_startup_(exec_startup) {}
 
 JobManager::~JobManager() = default;
 
@@ -255,8 +253,6 @@ void JobManager::transition(JobState state, util::ErrorCode error,
   if (state_ == state) return;
   if (is_terminal(state) && !is_terminal(state_)) gatekeeper_->job_ended(id_);
   state_ = state;
-  GRID_LOG(log_, kDebug) << "job " << id_ << " -> " << to_string(state)
-                         << (message.empty() ? "" : ": " + message);
   if (callback_contact_ == net::kInvalidNode) return;
   JobStateChange change;
   change.job = id_;

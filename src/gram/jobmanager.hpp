@@ -19,7 +19,6 @@
 #include "net/rpc.hpp"
 #include "rsl/attributes.hpp"
 #include "sched/scheduler.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::gram {
 
@@ -35,7 +34,7 @@ class JobManager {
   /// the processes are actually running).
   JobManager(Gatekeeper& gatekeeper, JobId id, rsl::JobRequest request,
              std::string local_user, net::NodeId callback_contact,
-             sim::Time exec_startup, util::Logger logger);
+             sim::Time exec_startup);
   ~JobManager();
 
   JobManager(const JobManager&) = delete;
@@ -76,7 +75,6 @@ class JobManager {
   std::string local_user_;
   net::NodeId callback_contact_;
   sim::Time exec_startup_;
-  util::Logger log_;
 
   JobState state_ = JobState::kUnsubmitted;
   std::vector<std::unique_ptr<Process>> processes_;

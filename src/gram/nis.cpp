@@ -59,15 +59,16 @@ void NisClient::initgroups(const std::string& user, sim::Time timeout,
                            DoneFn on_done) {
   util::Writer w;
   w.str(user);
-  auto handler = [on_done = std::move(on_done)](const util::Status& status,
-                                                util::Reader& reply) {
+  endpoint_->call(server_, kMethodInitgroups, w.take(), timeout,
+                  [on_done = std::move(on_done)](const util::Status& status,
+                                                 util::Reader& reply) {
                     if (!status.is_ok()) {
                       on_done(status);
                       return;
                     }
+                    // `n` comes off the wire: never reserve it.
                     const std::uint64_t n = reply.varint();
                     std::vector<std::string> groups;
-                    groups.reserve(n);
                     for (std::uint64_t i = 0; i < n && reply.ok(); ++i) {
                       groups.push_back(reply.str());
                     }
@@ -77,16 +78,7 @@ void NisClient::initgroups(const std::string& user, sim::Time timeout,
                       return;
                     }
                     on_done(std::move(groups));
-  };
-  if (retry_.has_value()) {
-    net::RetryPolicy policy = *retry_;
-    if (policy.attempt_timeout <= 0) policy.attempt_timeout = timeout;
-    endpoint_->retrying_call(server_, kMethodInitgroups, w.take(), policy,
-                             std::move(handler));
-  } else {
-    endpoint_->call(server_, kMethodInitgroups, w.take(), timeout,
-                    std::move(handler));
-  }
+                  });
 }
 
 }  // namespace grid::gram

@@ -10,12 +10,10 @@
 
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "net/retry.hpp"
 #include "net/rpc.hpp"
 #include "simkit/status.hpp"
 #include "simkit/time.hpp"
@@ -73,16 +71,9 @@ class NisClient {
   /// `timeout`, another real-world failure mode the co-allocator sees.
   void initgroups(const std::string& user, sim::Time timeout, DoneFn on_done);
 
-  /// Opts lookups into retry-on-timeout (initgroups is a pure read, so
-  /// re-issuing a lost lookup is always safe).  nullopt restores one-shot.
-  void set_retry_policy(std::optional<net::RetryPolicy> policy) {
-    retry_ = policy;
-  }
-
  private:
   net::Endpoint* endpoint_;
   net::NodeId server_;
-  std::optional<net::RetryPolicy> retry_;
 };
 
 }  // namespace grid::gram

@@ -2,22 +2,6 @@
 
 namespace grid::gram {
 
-std::string to_string(JobState s) {
-  switch (s) {
-    case JobState::kUnsubmitted:
-      return "UNSUBMITTED";
-    case JobState::kPending:
-      return "PENDING";
-    case JobState::kActive:
-      return "ACTIVE";
-    case JobState::kDone:
-      return "DONE";
-    case JobState::kFailed:
-      return "FAILED";
-  }
-  return "?";
-}
-
 void JobRequestArgs::encode(util::Writer& w) const {
   w.reserve(22 + rsl.size());
   w.u64(session_token);

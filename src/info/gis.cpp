@@ -239,9 +239,9 @@ void GisClient::list_contacts(sim::Time timeout, ContactsFn on_done) {
                       on_done(status);
                       return;
                     }
+                    // `n` comes off the wire: never reserve it.
                     const std::uint64_t n = reply.varint();
                     std::vector<std::string> contacts;
-                    contacts.reserve(n);
                     for (std::uint64_t i = 0; i < n && reply.ok(); ++i) {
                       contacts.push_back(reply.str());
                     }

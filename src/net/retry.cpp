@@ -15,22 +15,13 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 RetrySchedule::RetrySchedule(const RetryPolicy& policy, std::uint64_t stream)
-    : policy_(policy), rng_(policy.jitter_seed ^ mix(stream)) {}
+    : rng_(policy.jitter_seed ^ mix(stream)) {}
 
 sim::Time RetrySchedule::backoff_before(int attempt) {
   if (attempt < 2) return 0;
-  double delay = static_cast<double>(policy_.initial_backoff);
-  for (int i = 2; i < attempt; ++i) {
-    delay *= policy_.multiplier;
-    if (delay >= static_cast<double>(policy_.max_backoff)) break;
-  }
-  if (delay > static_cast<double>(policy_.max_backoff)) {
-    delay = static_cast<double>(policy_.max_backoff);
-  }
-  if (policy_.jitter > 0.0) {
-    delay *= rng_.uniform(1.0 - policy_.jitter, 1.0 + policy_.jitter);
-  }
-  if (delay < 0.0) delay = 0.0;
+  double delay = static_cast<double>(kRetryInitialBackoff);
+  for (int i = 2; i < attempt; ++i) delay *= 2.0;
+  delay *= rng_.uniform(1.0 - kRetryJitter, 1.0 + kRetryJitter);
   return static_cast<sim::Time>(delay);
 }
 

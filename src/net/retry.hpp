@@ -1,12 +1,14 @@
-// Retry policy for idempotent RPC calls.
+// Retry schedule for idempotent RPC calls.
 //
 // The network drops messages silently (crashes, partitions, injected
 // loss), so every lost request or reply surfaces as kTimeout at the RPC
-// layer.  A RetryPolicy turns that one-shot failure surface into a
-// bounded, deterministic retry schedule: exponential backoff with seeded
-// jitter, a per-attempt timeout, and an overall deadline.  Only calls the
-// caller declares idempotent should be retried — re-issuing a
-// non-idempotent request whose reply was lost duplicates its effect.
+// layer.  A retrying call turns that one-shot failure surface into a
+// bounded, deterministic schedule: up to kRetryAttempts attempts of
+// kRetryAttemptTimeout each, separated by a backoff that starts at
+// kRetryInitialBackoff, doubles before each further attempt and is scaled
+// by seeded jitter.  Only calls the caller declares idempotent should be
+// retried — re-issuing a non-idempotent request whose reply was lost
+// duplicates its effect.
 #pragma once
 
 #include <cstdint>
@@ -17,26 +19,20 @@
 
 namespace grid::net {
 
+/// Total attempts of a retrying call, including the first.
+inline constexpr int kRetryAttempts = 4;
+/// Timeout of each attempt.
+inline constexpr sim::Time kRetryAttemptTimeout = 3 * sim::kSecond;
+/// Backoff before the second attempt; doubles before each further one.
+inline constexpr sim::Time kRetryInitialBackoff = 200 * sim::kMillisecond;
+/// Each backoff is scaled by a uniform draw from [1-kRetryJitter,
+/// 1+kRetryJitter].
+inline constexpr double kRetryJitter = 0.2;
+
 struct RetryPolicy {
-  /// Total attempts, including the first.  1 behaves like a plain call.
-  int max_attempts = 4;
-  /// Backoff before the second attempt; doubles (times `multiplier`) for
-  /// each further attempt, clamped to `max_backoff`.
-  sim::Time initial_backoff = 100 * sim::kMillisecond;
-  double multiplier = 2.0;
-  sim::Time max_backoff = 5 * sim::kSecond;
-  /// Each backoff is scaled by a uniform draw from [1-jitter, 1+jitter].
-  /// The draw stream is seeded from `jitter_seed` and the per-call stream
-  /// id, so equal seeds replay identical schedules.
-  double jitter = 0.0;
+  /// Seeds the jitter draws together with the per-call stream id, so equal
+  /// seeds replay identical schedules.
   std::uint64_t jitter_seed = 0x5eedbac0ffULL;
-  /// Timeout of each individual attempt.  Must be > 0: without a
-  /// per-attempt timeout a lost message would never trigger a retry.
-  sim::Time attempt_timeout = 5 * sim::kSecond;
-  /// Bound on the whole operation, measured from the first attempt; the
-  /// last attempt's timeout is truncated to the remaining budget and no
-  /// attempt starts after expiry.  0 means attempts-only bounding.
-  sim::Time overall_deadline = 0;
 };
 
 /// The materialized backoff schedule of one retrying call.  Draws jitter
@@ -50,10 +46,7 @@ class GRID_HOT RetrySchedule {
   /// Call with consecutive attempt numbers to stay on the jitter stream.
   sim::Time backoff_before(int attempt);
 
-  const RetryPolicy& policy() const { return policy_; }
-
  private:
-  RetryPolicy policy_;
   sim::Rng rng_;
 };
 

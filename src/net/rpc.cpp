@@ -89,7 +89,6 @@ std::uint64_t Endpoint::retrying_call(NodeId dst, std::uint32_t method,
   rc.method = method;
   rc.args = std::move(args);
   rc.on_response = std::move(on_response);
-  rc.started_at = engine().now();
   retrying_.emplace(ticket, std::move(rc));
   issue_attempt(ticket);
   return ticket;
@@ -107,21 +106,6 @@ bool Endpoint::cancel_retrying_call(std::uint64_t ticket) {
 void Endpoint::issue_attempt(std::uint64_t ticket) {
   RetryingCall* rc = retrying_.find(ticket);
   if (rc == nullptr) return;
-  const RetryPolicy& policy = rc->schedule.policy();
-  sim::Time timeout = policy.attempt_timeout;
-  if (policy.overall_deadline > 0) {
-    const sim::Time remaining =
-        rc->started_at + policy.overall_deadline - engine().now();
-    if (remaining <= 0) {
-      util::Reader r(nullptr, 0);
-      on_attempt_response(
-          ticket,
-          util::Status(util::ErrorCode::kTimeout, "rpc deadline exhausted"),
-          r);
-      return;
-    }
-    if (timeout <= 0 || remaining < timeout) timeout = remaining;
-  }
   ++rc->attempt;
   if (rc->attempt > 1) ++network_->mutable_stats().rpc_retries;
   // The frozen args buffer is shared into the attempt; call() only reads
@@ -129,7 +113,7 @@ void Endpoint::issue_attempt(std::uint64_t ticket) {
   // inner call lives in pending_, a different slab than retrying_, so
   // `rc` stays valid across the call.
   rc->inner_call =
-      call(rc->dst, rc->method, rc->args.share(), timeout,
+      call(rc->dst, rc->method, rc->args.share(), kRetryAttemptTimeout,
            [this, ticket](const util::Status& status, util::Reader& result) {
              on_attempt_response(ticket, status, result);
            });
@@ -141,7 +125,6 @@ void Endpoint::on_attempt_response(std::uint64_t ticket,
   RetryingCall* rc = retrying_.find(ticket);
   if (rc == nullptr) return;  // cancelled mid-flight
   rc->inner_call = 0;
-  const RetryPolicy& policy = rc->schedule.policy();
   if (status.code() != util::ErrorCode::kTimeout) {
     // Success or a definitive (non-retryable) error: deliver it.
     if (status.is_ok() && rc->attempt > 1) {
@@ -152,17 +135,7 @@ void Endpoint::on_attempt_response(std::uint64_t ticket,
     fn(status, result);
     return;
   }
-  const sim::Time deadline = policy.overall_deadline > 0
-                                 ? rc->started_at + policy.overall_deadline
-                                 : sim::kTimeNever;
-  sim::Time backoff = 0;
-  bool exhausted = rc->attempt >= policy.max_attempts;
-  if (!exhausted) {
-    backoff = rc->schedule.backoff_before(rc->attempt + 1);
-    // No attempt may start at or past the deadline.
-    exhausted = engine().now() + backoff >= deadline;
-  }
-  if (exhausted) {
+  if (rc->attempt >= kRetryAttempts) {
     ++network_->mutable_stats().rpc_retry_exhausted;
     const int attempts = rc->attempt;
     ResponseFn fn = std::move(rc->on_response);
@@ -174,8 +147,8 @@ void Endpoint::on_attempt_response(std::uint64_t ticket,
        r);
     return;
   }
-  rc->backoff_event =
-      engine().schedule_after(backoff, [this, ticket] {
+  rc->backoff_event = engine().schedule_after(
+      rc->schedule.backoff_before(rc->attempt + 1), [this, ticket] {
         RetryingCall* rit = retrying_.find(ticket);
         if (rit != nullptr) rit->backoff_event = {};
         issue_attempt(ticket);

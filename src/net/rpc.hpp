@@ -76,10 +76,11 @@ class GRID_HOT Endpoint : public Node {
   bool cancel_call(std::uint64_t call_id);
 
   /// Issues a call that is transparently re-issued on kTimeout, following
-  /// `policy`'s backoff schedule.  ONLY safe for idempotent methods: a
-  /// retry after a lost *reply* re-executes the request on the server.
-  /// The callback fires exactly once — with the first non-timeout outcome,
-  /// or with a single kTimeout error once attempts/deadline are exhausted.
+  /// the retry schedule of net/retry.hpp with `policy`'s jitter seed.  ONLY
+  /// safe for idempotent methods: a retry after a lost *reply* re-executes
+  /// the request on the server.  The callback fires exactly once — with
+  /// the first non-timeout outcome, or with a single kTimeout error once
+  /// the attempts are exhausted.
   /// Returns a ticket usable with cancel_retrying_call(); the ticket id
   /// space is shared with plain call ids.  The frozen args buffer is
   /// share()d into each attempt, so retries re-send without re-encoding.
@@ -167,8 +168,7 @@ class GRID_HOT Endpoint : public Node {
     sim::Payload args;
     RetrySchedule schedule;
     ResponseFn on_response;
-    int attempt = 0;            // attempts issued so far
-    sim::Time started_at = 0;   // deadline anchor
+    int attempt = 0;               // attempts issued so far
     std::uint64_t inner_call = 0;  // pending call id of the live attempt
     sim::EventId backoff_event;    // pending timer between attempts
 

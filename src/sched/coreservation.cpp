@@ -15,7 +15,7 @@ CoReservationAgent::acquire(
                         "step and duration must be positive");
   }
   std::vector<Hold> holds;
-  for (sim::Time probe = options.earliest; probe <= options.horizon;
+  for (sim::Time probe = 0; probe <= options.horizon;
        probe += options.step) {
     holds.clear();
     bool all = true;

@@ -18,9 +18,8 @@ namespace grid::sched {
 class CoReservationAgent {
  public:
   struct Options {
-    /// Earliest admissible window start.
-    sim::Time earliest = 0;
-    /// Give up when no common window starts before this.
+    /// Give up when no common window starts before this (probing starts
+    /// at time 0).
     sim::Time horizon = 48 * sim::kHour;
     /// Probe granularity.
     sim::Time step = 10 * sim::kMinute;

@@ -3,19 +3,23 @@
 #include <algorithm>
 
 namespace grid::sched {
+namespace {
+
+/// Assumed runtime of a job that gives no estimate, runtime or wall time.
+constexpr sim::Time kDefaultEstimate = sim::kHour;
+
+}  // namespace
 
 ReservationScheduler::ReservationScheduler(sim::Engine& engine,
-                                           std::int32_t processors,
-                                           sim::Time default_estimate)
-    : engine_(&engine), total_(processors),
-      default_estimate_(default_estimate), res_(processors),
+                                           std::int32_t processors)
+    : engine_(&engine), total_(processors), res_(processors),
       commit_(processors) {}
 
 sim::Time ReservationScheduler::job_estimate(const JobDescriptor& d) const {
   if (d.estimated_runtime > 0) return d.estimated_runtime;
   if (d.runtime > 0) return d.runtime;
   if (d.max_wall_time > 0) return d.max_wall_time;
-  return default_estimate_;
+  return kDefaultEstimate;
 }
 
 sim::Time ReservationScheduler::horizon(sim::Time now, sim::Time length) const {

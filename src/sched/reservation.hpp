@@ -41,10 +41,9 @@ struct Reservation {
 
 class ReservationScheduler final : public LocalScheduler {
  public:
-  /// Jobs without estimates are assumed to run `default_estimate` when
-  /// checked against reservation windows.
-  ReservationScheduler(sim::Engine& engine, std::int32_t processors,
-                       sim::Time default_estimate = sim::kHour);
+  /// Jobs without estimates are assumed to run an hour when checked
+  /// against reservation windows.
+  ReservationScheduler(sim::Engine& engine, std::int32_t processors);
 
   // ---- reservations ------------------------------------------------------
 
@@ -111,7 +110,6 @@ class ReservationScheduler final : public LocalScheduler {
   std::int32_t total_;
   std::int32_t busy_ = 0;       // all running jobs, reserved or not
   std::int32_t busy_best_ = 0;  // running best-effort jobs only
-  sim::Time default_estimate_;
   ReservationId next_reservation_ = 1;
   std::vector<Reservation> reservations_;
   Profile res_;     // admitted windows

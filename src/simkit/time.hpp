@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace grid::sim {
 
@@ -32,13 +31,5 @@ constexpr Time from_seconds(double s) {
 constexpr double to_seconds(Time t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }
-
-/// Converts virtual time to fractional milliseconds (for reporting only).
-constexpr double to_millis(Time t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-/// Renders a time as a compact human-readable string, e.g. "2.043s".
-std::string format_time(Time t);
 
 }  // namespace grid::sim

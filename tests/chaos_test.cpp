@@ -64,22 +64,10 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-net::RetryPolicy chaos_retry_policy(std::uint64_t seed) {
-  net::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff = 200 * sim::kMillisecond;
-  policy.multiplier = 2.0;
-  policy.jitter = 0.2;
-  policy.jitter_seed = seed;
-  policy.attempt_timeout = 3 * sim::kSecond;
-  return policy;
-}
-
 core::HeartbeatConfig chaos_heartbeats() {
   core::HeartbeatConfig config;
   config.interval = 2 * sim::kSecond;
   config.beat_timeout = sim::kSecond;
-  config.misses_to_suspect = 1;
   config.misses_to_dead = 3;
   return config;
 }
@@ -108,7 +96,7 @@ struct ChaosTrial {
     defaults.rpc_timeout = 5 * sim::kSecond;
     defaults.startup_timeout = kStartupTimeout;
     mech = grid->make_coallocator("agent", "/CN=chaos", defaults);
-    mech->gram().set_retry_policy(chaos_retry_policy(seed));
+    mech->gram().set_retry_policy(net::RetryPolicy{.jitter_seed = seed});
     inject = std::make_unique<app::FailureInjector>(grid->network());
   }
 

@@ -79,6 +79,63 @@ TEST(RuntimeConfig, CodecRoundTrip) {
   EXPECT_EQ(back.subjob_members, info.subjob_members);
 }
 
+// ---- gridmpi bootstrap frames ------------------------------------------------
+
+// A table frame whose count (2^62) is far past what it holds is dropped:
+// the rank sizes no vector from the count and stays uninitialized, and a
+// well-formed frame afterwards still completes the bootstrap.
+TEST(GridMpi, TableFrameWithHugeCountIsDropped) {
+  sim::Engine engine;
+  net::Network network{engine};
+  net::Endpoint leader_ep{network, "leader"};
+  net::Endpoint member_ep{network, "member"};
+  net::Endpoint peer{network, "peer"};  // plays subjob 1's leader
+  // Two subjobs of two processes: `leader` is subjob 0's rank 0 and waits
+  // for subjob 1's leader table; `member` is its rank 1 and waits for the
+  // full table.
+  core::ReleaseInfo info;
+  info.config.total_processes = 4;
+  info.config.subjobs = {{1, 0, 2, 0, leader_ep.id(), "a"},
+                         {2, 1, 2, 2, peer.id(), "b"}};
+  info.subjob_members = {leader_ep.id(), member_ep.id()};
+  cfg::Communicator leader(leader_ep, info);
+  info.local_rank = 1;
+  info.global_rank = 1;
+  cfg::Communicator member(member_ep, info);
+  leader.init([] {});
+  member.init([] {});
+
+  // gridmpi's wire kinds of the two table frames.
+  constexpr std::uint8_t kLeaderTable = 2;
+  constexpr std::uint8_t kFullTable = 3;
+  constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 62;
+  util::Writer bad_leader_table;
+  bad_leader_table.u8(kLeaderTable);
+  bad_leader_table.i32(1);
+  bad_leader_table.varint(kHugeCount);
+  peer.notify(leader_ep.id(), cfg::kNotifyGridMpi, bad_leader_table.take());
+  util::Writer bad_full_table;
+  bad_full_table.u8(kFullTable);
+  bad_full_table.varint(kHugeCount);
+  peer.notify(member_ep.id(), cfg::kNotifyGridMpi, bad_full_table.take());
+  engine.run();
+  EXPECT_FALSE(leader.initialized());
+  EXPECT_FALSE(member.initialized());
+
+  // Subjob 1's real table completes the leader, which then sends the full
+  // table to its member.
+  util::Writer leader_table;
+  leader_table.u8(kLeaderTable);
+  leader_table.i32(1);
+  leader_table.varint(2);
+  leader_table.u32(peer.id());
+  leader_table.u32(peer.id());
+  peer.notify(leader_ep.id(), cfg::kNotifyGridMpi, leader_table.take());
+  engine.run();
+  EXPECT_TRUE(leader.initialized());
+  EXPECT_TRUE(member.initialized());
+}
+
 // ---- gridmpi over a real co-allocation ---------------------------------------
 
 /// Shared driver: each MpiApp process registers its communicator here once
@@ -203,41 +260,6 @@ TEST(GridMpi, EarlyMessagesDeliveredOnRecvRegistration) {
   EXPECT_EQ(got, "early");
 }
 
-TEST(GridMpi, BarrierSynchronizesAllRanks) {
-  MpiFixture f({2, 3});
-  int out = 0;
-  f.world.on_world_ready = [&] {
-    for (auto& [rank, comm] : f.world.by_rank) {
-      comm->barrier([&] { ++out; });
-    }
-  };
-  f.g->grid->run();
-  EXPECT_EQ(out, 5);
-}
-
-TEST(GridMpi, BcastDeliversRootPayload) {
-  MpiFixture f({2, 2});
-  std::map<std::int32_t, std::string> got;
-  f.world.on_world_ready = [&] {
-    for (auto& [rank, comm] : f.world.by_rank) {
-      util::Bytes payload;
-      if (rank == 1) {
-        util::Writer w;
-        w.str("broadcast payload");
-        // bcast with root=1: root passes the payload, others pass empty.
-        payload = w.take_bytes();
-      }
-      comm->bcast(1, payload, [&, rank = rank](util::Bytes data) {
-        util::Reader r(data);
-        got[rank] = r.str();
-      });
-    }
-  };
-  f.g->grid->run();
-  ASSERT_EQ(got.size(), 4u);
-  for (auto& [rank, s] : got) EXPECT_EQ(s, "broadcast payload") << rank;
-}
-
 TEST(GridMpi, AllReduceSumsContributions) {
   MpiFixture f({3, 1, 2});
   std::map<std::int32_t, std::int64_t> got;
@@ -251,48 +273,6 @@ TEST(GridMpi, AllReduceSumsContributions) {
   f.g->grid->run();
   ASSERT_EQ(got.size(), 6u);
   for (auto& [rank, total] : got) EXPECT_EQ(total, 21) << rank;  // 1+..+6
-}
-
-TEST(GridMpi, AllReduceMinAndMax) {
-  MpiFixture f({2, 2});
-  std::map<std::int32_t, std::int64_t> mins, maxs;
-  f.world.on_world_ready = [&] {
-    for (auto& [rank, comm] : f.world.by_rank) {
-      // values: 10, 7, 4, 1 for ranks 0..3
-      const std::int64_t v = 10 - 3 * rank;
-      comm->allreduce_min(v, [&, rank = rank](std::int64_t m) {
-        mins[rank] = m;
-      });
-      comm->allreduce_max(v, [&, rank = rank](std::int64_t m) {
-        maxs[rank] = m;
-      });
-    }
-  };
-  f.g->grid->run();
-  ASSERT_EQ(mins.size(), 4u);
-  for (auto& [rank, m] : mins) EXPECT_EQ(m, 1) << rank;
-  for (auto& [rank, m] : maxs) EXPECT_EQ(m, 10) << rank;
-}
-
-TEST(GridMpi, GatherCollectsInRankOrder) {
-  MpiFixture f({2, 3});
-  std::vector<util::Bytes> gathered;
-  f.world.on_world_ready = [&] {
-    for (auto& [rank, comm] : f.world.by_rank) {
-      util::Writer w;
-      w.str("from-rank-" + std::to_string(rank));
-      comm->gather(/*root=*/2, w.take_bytes(),
-                   [&, rank = rank](std::vector<util::Bytes> pieces) {
-                     if (rank == 2) gathered = std::move(pieces);
-                   });
-    }
-  };
-  f.g->grid->run();
-  ASSERT_EQ(gathered.size(), 5u);
-  for (std::int32_t r = 0; r < 5; ++r) {
-    util::Reader reader(gathered[static_cast<std::size_t>(r)]);
-    EXPECT_EQ(reader.str(), "from-rank-" + std::to_string(r));
-  }
 }
 
 TEST(GridMpi, ConsecutiveCollectivesKeepOrder) {

@@ -125,7 +125,8 @@ TEST(Coallocation, SubjobViewsTrackTimeline) {
 TEST(Coallocation, RequiredFailureAbortsEverything) {
   SmallGrid g(3);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks());
@@ -146,7 +147,8 @@ TEST(Coallocation, CrashBeforeBarrierAbortsRequired) {
   SmallGrid g(2);
   app::install_app(
       g.grid->executables(), "crasher",
-      app::StartupProfile{.mode = app::FailureMode::kCrashBeforeBarrier},
+      {.failure_probability = 1.0,
+       .mode_on_chance = app::FailureMode::kCrashBeforeBarrier},
       &g.stats);
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks());
@@ -161,7 +163,8 @@ TEST(Coallocation, CrashBeforeBarrierAbortsRequired) {
 TEST(Coallocation, HangingSubjobTimesOutAndAborts) {
   SmallGrid g(2);
   app::install_app(g.grid->executables(), "hang",
-                   app::StartupProfile{.mode = app::FailureMode::kHang},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kHang},
                    &g.stats);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kSecond;
@@ -180,7 +183,8 @@ TEST(Coallocation, HangingSubjobTimesOutAndAborts) {
 TEST(Coallocation, OptionalFailureIsIgnored) {
   SmallGrid g(3);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks());
@@ -221,7 +225,8 @@ TEST(Coallocation, BarrierDoesNotWaitForOptional) {
 TEST(Coallocation, InteractiveFailurePreCommitContinues) {
   SmallGrid g(3);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   Outcome outcome;
   core::SubjobHandle failed_handle = 0;
@@ -248,7 +253,8 @@ TEST(Coallocation, InteractiveFailurePreCommitContinues) {
 TEST(Coallocation, InteractiveFailureCanBeSubstituted) {
   SmallGrid g(3);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   Outcome outcome;
   bool substituted = false;
@@ -317,7 +323,8 @@ TEST(Coallocation, RequiredFailureRepairedInCallbackDoesNotAbort) {
 TEST(Coallocation, InteractiveFailureAfterCommitAborts) {
   SmallGrid g(2);
   app::install_app(g.grid->executables(), "hang",
-                   app::StartupProfile{.mode = app::FailureMode::kHang},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kHang},
                    &g.stats);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kSecond;
@@ -499,7 +506,8 @@ TEST(Grab, AllocatesAtomically) {
 TEST(Grab, IgnoresStartTypesEverythingRequired) {
   SmallGrid g(2);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   core::GrabAllocator grab(*g.coallocator);
   bool started = false;
@@ -548,12 +556,13 @@ TEST(Grab, CancelRollsBack) {
 TEST(Strategies, ReplacementAgentSubstitutesFromPool) {
   SmallGrid g(4);
   app::install_app(g.grid->executables(), "crasher",
-                   app::StartupProfile{.mode = app::FailureMode::kFailedCheck},
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
                    &g.stats);
   Outcome outcome;
   core::ReplacementAgent agent(
       *g.coallocator,
-      {.spare_contacts = {"host3", "host4"}, .auto_commit = true},
+      {.spare_contacts = {"host3", "host4"}},
       outcome.callbacks());
   agent.request().add_subjob(make_job("host1", 4, SubjobStartType::kRequired));
   agent.request().add_subjob(

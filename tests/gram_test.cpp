@@ -326,6 +326,34 @@ TEST_F(GramFixture, CrashedNisFailsRequests) {
   EXPECT_EQ(status.code(), util::ErrorCode::kUnavailable);
 }
 
+// A reply whose group count (2^62) is far past what it holds is reported
+// as malformed; the client must not size a vector from the count.
+TEST(NisClient, HugeGroupCountReplyIsMalformed) {
+  sim::Engine engine;
+  net::Network network{engine};
+  net::Endpoint client{network, "client"};
+  net::Endpoint fake_nis{network, "fake-nis"};
+  fake_nis.register_method(
+      gram::kMethodInitgroups,
+      [&](net::NodeId caller, std::uint64_t id, util::Reader&) {
+        util::Writer w;
+        w.varint(std::uint64_t{1} << 62);
+        fake_nis.respond(caller, id, w.take());
+      });
+  gram::NisClient nis(client, fake_nis.id());
+  int callbacks = 0;
+  util::Status status;
+  nis.initgroups("alice", sim::kSecond,
+                 [&](util::Result<std::vector<std::string>> groups) {
+                   ++callbacks;
+                   status = groups.status();
+                 });
+  engine.run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(status.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(status.message(), "malformed initgroups reply");
+}
+
 TEST_F(GramFixture, BatchHostQueuesUntilProcessorsFree) {
   grid_.add_host("batch1", 8, testbed::SchedulerKind::kFcfs);
   app::StartupProfile slow;

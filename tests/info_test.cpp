@@ -127,6 +127,31 @@ TEST_F(GisFixture, ListContactsEnumeratesDirectory) {
   EXPECT_EQ(contacts, (std::vector<std::string>{"busy", "idle"}));
 }
 
+// A reply whose contact count (2^62) is far past what it holds is reported
+// as malformed; the client must not size a vector from the count.
+TEST_F(GisFixture, HugeContactCountReplyIsMalformed) {
+  net::Endpoint fake_gis(*network, "fake-gis");
+  fake_gis.register_method(
+      info::kMethodListContacts,
+      [&](net::NodeId caller, std::uint64_t id, util::Reader&) {
+        util::Writer w;
+        w.varint(std::uint64_t{1} << 62);
+        fake_gis.respond(caller, id, w.take());
+      });
+  info::GisClient to_fake(*endpoint, fake_gis.id());
+  int callbacks = 0;
+  util::Status status;
+  to_fake.list_contacts(sim::kSecond,
+                        [&](util::Result<std::vector<std::string>> r) {
+                          ++callbacks;
+                          status = r.status();
+                        });
+  engine->run();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(status.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(status.message(), "malformed contact list");
+}
+
 TEST_F(GisFixture, CrashedServerTimesOut) {
   network->set_node_up(server->contact(), false);
   util::Status status;

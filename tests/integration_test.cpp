@@ -39,7 +39,9 @@ TEST(Integration, Figure1MasterWorker) {
   app::install_app(grid.executables(), "worker", {}, &stats);
   // RM4's worker pool is broken (application check fails there).
   app::install_app(grid.executables(), "broken-worker",
-                   {.mode = app::FailureMode::kFailedCheck}, &stats);
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kFailedCheck},
+                   &stats);
   auto coallocator = grid.make_coallocator("agent", "/CN=mw");
   std::vector<std::string> subs = {
       testbed::rsl_subjob("RM1", 1, "master", "required"),
@@ -166,7 +168,9 @@ TEST(Integration, SfExpressScaleRun) {
   grid.add_host("spare", 256);
   app::install_app(grid.executables(), "sf", {}, &stats);
   app::install_app(grid.executables(), "sf-broken",
-                   {.mode = app::FailureMode::kCrashBeforeBarrier}, &stats);
+                   {.failure_probability = 1.0,
+                    .mode_on_chance = app::FailureMode::kCrashBeforeBarrier},
+                   &stats);
 
   auto coallocator = grid.make_coallocator("agent", "/CN=sf");
   Outcome outcome;

@@ -648,15 +648,12 @@ TEST_F(RpcFixture, TeardownWithBackoffTimerCancelsIt) {
     net::Endpoint doomed{network, "doomed"};
     server.register_method(9, [](net::NodeId, std::uint64_t, util::Reader&) {});
     net::RetryPolicy policy;
-    policy.attempt_timeout = 10 * sim::kMillisecond;
-    policy.initial_backoff = 10 * sim::kSecond;
-    policy.jitter = 0.0;
-    // The server swallows method 9: the first attempt times out and the
-    // call parks on its backoff timer (clamped to max_backoff, still far
-    // past the point where we tear down).
+    // The server swallows method 9: the first attempt times out at 3 s and
+    // the call parks on its backoff timer (at least 0.16 s), where we tear
+    // down.
     doomed.retrying_call(server.id(), 9, {}, policy,
                          [&](const util::Status&, util::Reader&) { ++fired; });
-    engine.run_until(sim::kSecond);
+    engine.run_until(3100 * sim::kMillisecond);
     EXPECT_EQ(doomed.pending_calls(), 0u);        // attempt timed out
     EXPECT_EQ(doomed.pending_retrying_calls(), 1u);  // waiting out backoff
   }

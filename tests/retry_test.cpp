@@ -1,4 +1,4 @@
-// Unit tests for the RPC retry layer: RetryPolicy schedules and
+// Unit tests for the RPC retry layer: the retry schedule and
 // Endpoint::retrying_call() semantics.
 #include <gtest/gtest.h>
 
@@ -13,29 +13,18 @@ namespace {
 
 // ---- RetrySchedule ---------------------------------------------------------
 
-TEST(RetrySchedule, ExponentialSequenceWithoutJitter) {
-  net::RetryPolicy policy;
-  policy.initial_backoff = 100 * sim::kMillisecond;
-  policy.multiplier = 2.0;
-  policy.max_backoff = 5 * sim::kSecond;
-  policy.jitter = 0.0;
-  net::RetrySchedule schedule(policy, 1);
-  EXPECT_EQ(schedule.backoff_before(2), 100 * sim::kMillisecond);
-  EXPECT_EQ(schedule.backoff_before(3), 200 * sim::kMillisecond);
-  EXPECT_EQ(schedule.backoff_before(4), 400 * sim::kMillisecond);
-  EXPECT_EQ(schedule.backoff_before(5), 800 * sim::kMillisecond);
-}
-
-TEST(RetrySchedule, ClampsToMaxBackoff) {
-  net::RetryPolicy policy;
-  policy.initial_backoff = sim::kSecond;
-  policy.multiplier = 10.0;
-  policy.max_backoff = 3 * sim::kSecond;
-  policy.jitter = 0.0;
-  net::RetrySchedule schedule(policy, 1);
-  EXPECT_EQ(schedule.backoff_before(2), sim::kSecond);
-  EXPECT_EQ(schedule.backoff_before(3), 3 * sim::kSecond);
-  EXPECT_EQ(schedule.backoff_before(4), 3 * sim::kSecond);
+TEST(RetrySchedule, DoublingBackoffStaysInJitterBand) {
+  // Nominal 200, 400, 800 ms before attempts 2..4, each scaled by a draw
+  // from [0.8, 1.2].
+  for (std::uint64_t stream = 1; stream <= 100; ++stream) {
+    net::RetrySchedule schedule(net::RetryPolicy{}, stream);
+    sim::Time nominal = 200 * sim::kMillisecond;
+    for (int a = 2; a <= net::kRetryAttempts; ++a, nominal *= 2) {
+      const sim::Time t = schedule.backoff_before(a);
+      EXPECT_GE(t, nominal * 8 / 10) << "stream " << stream << " at " << a;
+      EXPECT_LE(t, nominal * 12 / 10) << "stream " << stream << " at " << a;
+    }
+  }
 }
 
 TEST(RetrySchedule, NoBackoffBeforeFirstAttempt) {
@@ -45,9 +34,7 @@ TEST(RetrySchedule, NoBackoffBeforeFirstAttempt) {
 }
 
 TEST(RetrySchedule, JitterIsDeterministicPerSeedAndStream) {
-  net::RetryPolicy policy;
-  policy.jitter = 0.5;
-  policy.jitter_seed = 42;
+  const net::RetryPolicy policy{.jitter_seed = 42};
   std::vector<sim::Time> first, second, other_stream;
   {
     net::RetrySchedule s(policy, 7);
@@ -63,19 +50,6 @@ TEST(RetrySchedule, JitterIsDeterministicPerSeedAndStream) {
   }
   EXPECT_EQ(first, second);  // replayable
   EXPECT_NE(first, other_stream);  // decorrelated across calls
-}
-
-TEST(RetrySchedule, JitterStaysInBand) {
-  net::RetryPolicy policy;
-  policy.initial_backoff = 100 * sim::kMillisecond;
-  policy.multiplier = 1.0;  // constant nominal backoff
-  policy.jitter = 0.2;
-  net::RetrySchedule schedule(policy, 3);
-  for (int a = 2; a < 100; ++a) {
-    const sim::Time t = schedule.backoff_before(a);
-    EXPECT_GE(t, 80 * sim::kMillisecond);
-    EXPECT_LE(t, 120 * sim::kMillisecond);
-  }
 }
 
 // ---- retrying_call ---------------------------------------------------------
@@ -100,15 +74,7 @@ struct RetryRpcFixture : ::testing::Test {
         });
   }
 
-  static net::RetryPolicy quick_policy() {
-    net::RetryPolicy policy;
-    policy.max_attempts = 4;
-    policy.initial_backoff = 100 * sim::kMillisecond;
-    policy.multiplier = 2.0;
-    policy.jitter = 0.0;
-    policy.attempt_timeout = sim::kSecond;
-    return policy;
-  }
+  net::RetryPolicy policy;
 };
 
 TEST_F(RetryRpcFixture, SucceedsAfterLosses) {
@@ -116,7 +82,7 @@ TEST_F(RetryRpcFixture, SucceedsAfterLosses) {
   int callbacks = 0;
   util::Status got;
   std::uint32_t value = 0;
-  client.retrying_call(server.id(), 1, {}, quick_policy(),
+  client.retrying_call(server.id(), 1, {}, policy,
                        [&](const util::Status& status, util::Reader& reply) {
                          ++callbacks;
                          got = status;
@@ -137,41 +103,20 @@ TEST_F(RetryRpcFixture, ExhaustionDeliversSingleTimeout) {
   serve_after(1000);  // never answers
   int callbacks = 0;
   util::Status got;
-  client.retrying_call(server.id(), 1, {}, quick_policy(),
-                       [&](const util::Status& status, util::Reader&) {
-                         ++callbacks;
-                         got = status;
-                       });
-  engine.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(got.code(), util::ErrorCode::kTimeout);
-  EXPECT_EQ(requests, 4);  // max_attempts
-  // 4 x 1 s attempts + 0.1 + 0.2 + 0.4 s of backoff.
-  EXPECT_EQ(engine.now(), 4 * sim::kSecond + 700 * sim::kMillisecond);
-  EXPECT_EQ(network.stats().rpc_retry_exhausted, 1u);
-  EXPECT_EQ(client.pending_retrying_calls(), 0u);
-}
-
-TEST_F(RetryRpcFixture, OverallDeadlineTruncatesLastAttempt) {
-  serve_after(1000);
-  auto policy = quick_policy();
-  policy.max_attempts = 10;
-  policy.overall_deadline = 1500 * sim::kMillisecond;
-  int callbacks = 0;
-  util::Status got;
   client.retrying_call(server.id(), 1, {}, policy,
                        [&](const util::Status& status, util::Reader&) {
                          ++callbacks;
                          got = status;
                        });
   engine.run();
-  // Attempt 1 times out at 1 s; attempt 2 starts at 1.1 s with its timeout
-  // truncated to the remaining 0.4 s; the next retry would start past the
-  // deadline, so the operation fails exactly at it.
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(got.code(), util::ErrorCode::kTimeout);
-  EXPECT_EQ(requests, 2);
-  EXPECT_EQ(engine.now(), 1500 * sim::kMillisecond);
+  EXPECT_EQ(requests, net::kRetryAttempts);
+  // 4 x 3 s attempts + 0.2 + 0.4 + 0.8 s of backoff, each within +-20%.
+  EXPECT_GE(engine.now(), 13120 * sim::kMillisecond);
+  EXPECT_LE(engine.now(), 13680 * sim::kMillisecond);
+  EXPECT_EQ(network.stats().rpc_retry_exhausted, 1u);
+  EXPECT_EQ(client.pending_retrying_calls(), 0u);
 }
 
 TEST_F(RetryRpcFixture, DefinitiveErrorIsNotRetried) {
@@ -183,7 +128,7 @@ TEST_F(RetryRpcFixture, DefinitiveErrorIsNotRetried) {
       });
   int callbacks = 0;
   util::Status got;
-  client.retrying_call(server.id(), 1, {}, quick_policy(),
+  client.retrying_call(server.id(), 1, {}, policy,
                        [&](const util::Status& status, util::Reader&) {
                          ++callbacks;
                          got = status;
@@ -201,7 +146,7 @@ TEST_F(RetryRpcFixture, LateReplyOfEarlierAttemptIsIgnored) {
   server.register_method(
       1, [this](net::NodeId caller, std::uint64_t id, util::Reader&) {
         ++requests;
-        const sim::Time delay = requests == 1 ? 2 * sim::kSecond : 0;
+        const sim::Time delay = requests == 1 ? 4 * sim::kSecond : 0;
         engine.schedule_after(delay, [this, caller, id] {
           util::Writer w;
           w.u32(static_cast<std::uint32_t>(requests));
@@ -209,7 +154,7 @@ TEST_F(RetryRpcFixture, LateReplyOfEarlierAttemptIsIgnored) {
         });
       });
   int callbacks = 0;
-  client.retrying_call(server.id(), 1, {}, quick_policy(),
+  client.retrying_call(server.id(), 1, {}, policy,
                        [&](const util::Status& status, util::Reader&) {
                          ++callbacks;
                          EXPECT_TRUE(status.is_ok());
@@ -222,10 +167,11 @@ TEST_F(RetryRpcFixture, CancelDuringBackoffPreventsCallbackAndAttempts) {
   serve_after(1000);
   int callbacks = 0;
   const auto ticket = client.retrying_call(
-      server.id(), 1, {}, quick_policy(),
+      server.id(), 1, {}, policy,
       [&](const util::Status&, util::Reader&) { ++callbacks; });
-  // 1.05 s is inside the first backoff window (timeout at 1 s + 0.1 s).
-  engine.schedule_after(1050 * sim::kMillisecond, [&] {
+  // 3.1 s is inside the first backoff window (timeout at 3 s, then at
+  // least 0.16 s).
+  engine.schedule_after(3100 * sim::kMillisecond, [&] {
     EXPECT_TRUE(client.cancel_retrying_call(ticket));
     EXPECT_FALSE(client.cancel_retrying_call(ticket));
   });
@@ -238,13 +184,13 @@ TEST_F(RetryRpcFixture, CancelDuringBackoffPreventsCallbackAndAttempts) {
 TEST_F(RetryRpcFixture, ClientCrashDropsRetryingCalls) {
   serve_after(1000);
   int callbacks = 0;
-  client.retrying_call(server.id(), 1, {}, quick_policy(),
+  client.retrying_call(server.id(), 1, {}, policy,
                        [&](const util::Status&, util::Reader&) {
                          ++callbacks;
                        });
   // Crash during the first backoff: the backoff timer must not wake a dead
   // client up and transmit.
-  engine.schedule_after(1050 * sim::kMillisecond, [&] {
+  engine.schedule_after(3100 * sim::kMillisecond, [&] {
     network.set_node_up(client.id(), false);
   });
   engine.run();
@@ -257,7 +203,7 @@ TEST_F(RetryRpcFixture, EndpointDestructionWithRetryInFlightIsSafe) {
   serve_after(1000);
   auto doomed = std::make_unique<net::Endpoint>(network, "doomed");
   int callbacks = 0;
-  doomed->retrying_call(server.id(), 1, {}, quick_policy(),
+  doomed->retrying_call(server.id(), 1, {}, policy,
                         [&](const util::Status&, util::Reader&) {
                           ++callbacks;
                         });
@@ -266,22 +212,6 @@ TEST_F(RetryRpcFixture, EndpointDestructionWithRetryInFlightIsSafe) {
   doomed.reset();  // outstanding attempt + backoff timer + plain call
   engine.run();    // must not touch freed memory
   EXPECT_EQ(callbacks, 0);
-}
-
-TEST_F(RetryRpcFixture, SingleAttemptPolicyBehavesLikePlainCall) {
-  serve_after(1000);
-  auto policy = quick_policy();
-  policy.max_attempts = 1;
-  util::Status got;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status& status, util::Reader&) {
-                         got = status;
-                       });
-  engine.run();
-  EXPECT_EQ(got.code(), util::ErrorCode::kTimeout);
-  EXPECT_EQ(requests, 1);
-  EXPECT_EQ(engine.now(), sim::kSecond);
-  EXPECT_EQ(network.stats().rpc_retries, 0u);
 }
 
 }  // namespace

@@ -624,15 +624,6 @@ TEST(TrialPool, PropagatesFirstException) {
 TEST(Time, ConversionRoundTrips) {
   EXPECT_EQ(sim::from_seconds(2.0), 2 * sim::kSecond);
   EXPECT_DOUBLE_EQ(sim::to_seconds(1500 * sim::kMillisecond), 1.5);
-  EXPECT_DOUBLE_EQ(sim::to_millis(3 * sim::kMillisecond), 3.0);
-}
-
-TEST(Time, FormatPicksUnits) {
-  EXPECT_EQ(sim::format_time(2 * sim::kSecond), "2.000s");
-  EXPECT_EQ(sim::format_time(3 * sim::kMillisecond), "3.000ms");
-  EXPECT_EQ(sim::format_time(5 * sim::kMicrosecond), "5us");
-  EXPECT_EQ(sim::format_time(7), "7ns");
-  EXPECT_EQ(sim::format_time(sim::kTimeNever), "never");
 }
 
 // ---- rng -----------------------------------------------------------------------

@@ -1,10 +1,9 @@
-// Tests for the testbed assembly layer, reporting, logging, and the app
-// behaviour / failure-injection substrate.
+// Tests for the testbed assembly layer, reporting, and the app behaviour /
+// failure-injection substrate.
 #include <gtest/gtest.h>
 
 #include "app/failure.hpp"
 #include "rsl/parser.hpp"
-#include "simkit/log.hpp"
 #include "test_util.hpp"
 #include "testbed/report.hpp"
 #include "testbed/scale.hpp"
@@ -37,70 +36,6 @@ TEST(Report, RowsPaddedToHeaderCount) {
 TEST(Report, NumFormatting) {
   EXPECT_EQ(testbed::Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(testbed::Table::num(std::int64_t{42}), "42");
-}
-
-// ---- logging ------------------------------------------------------------------
-
-TEST(Logger, StampsWithVirtualTimeAndComponent) {
-  sim::Engine engine;
-  util::Logger logger(engine, "gram/host1");
-  logger.set_level(util::LogLevel::kDebug);
-  std::vector<std::string> lines;
-  logger.set_sink([&](std::string_view line) { lines.emplace_back(line); });
-  engine.schedule_at(1500 * sim::kMillisecond, [&] {
-    GRID_LOG(logger, kInfo) << "job " << 7 << " started";
-  });
-  engine.run();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("[1.500s]"), std::string::npos);
-  EXPECT_NE(lines[0].find("INFO"), std::string::npos);
-  EXPECT_NE(lines[0].find("gram/host1"), std::string::npos);
-  EXPECT_NE(lines[0].find("job 7 started"), std::string::npos);
-}
-
-TEST(Logger, LevelFiltersBelowThreshold) {
-  sim::Engine engine;
-  util::Logger logger(engine, "x");
-  logger.set_level(util::LogLevel::kWarn);
-  int lines = 0;
-  logger.set_sink([&](std::string_view) { ++lines; });
-  GRID_LOG(logger, kDebug) << "hidden";
-  GRID_LOG(logger, kInfo) << "hidden";
-  GRID_LOG(logger, kWarn) << "shown";
-  GRID_LOG(logger, kError) << "shown";
-  EXPECT_EQ(lines, 2);
-}
-
-TEST(Logger, DisabledStatementEvaluatesNoOperand) {
-  sim::Engine engine;
-  util::Logger logger(engine, "x");
-  logger.set_level(util::LogLevel::kWarn);
-  std::vector<std::string> lines;
-  logger.set_sink([&](std::string_view line) { lines.emplace_back(line); });
-  int evaluated = 0;
-  auto operand = [&evaluated] { return ++evaluated; };
-  GRID_LOG(logger, kDebug) << "hidden " << operand();
-  EXPECT_EQ(evaluated, 0);
-  EXPECT_TRUE(lines.empty());
-  // A single expression, so it binds as the body of an unbraced if/else.
-  if (evaluated == 0)
-    GRID_LOG(logger, kWarn) << "then " << operand();
-  else
-    GRID_LOG(logger, kWarn) << "else " << operand();
-  EXPECT_EQ(evaluated, 1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("then 1"), std::string::npos);
-}
-
-TEST(Logger, ChildExtendsComponent) {
-  sim::Engine engine;
-  util::Logger parent(engine, "gram");
-  parent.set_level(util::LogLevel::kInfo);
-  std::string got;
-  parent.set_sink([&](std::string_view line) { got = std::string(line); });
-  util::Logger child = parent.child("jm42");
-  GRID_LOG(child, kInfo) << "x";
-  EXPECT_NE(got.find("gram/jm42"), std::string::npos);
 }
 
 // ---- testbed grid ----------------------------------------------------------------

@@ -137,9 +137,6 @@ ALLOW = {
         "ProcessApi IS the sanctioned environment abstraction",
     ("src/gram/jobmanager.cpp", "env"):
         "concrete ProcessApi implementation backing the abstraction",
-    ("src/simkit/log.cpp", "shard-safety"):
-        "process-wide logging config: set by harnesses before runs, atomic "
-        "so a mid-run set cannot tear; log output never feeds results",
     ("src/simkit/allocguard.cpp", "shard-safety"):
         "the allocation counter is the measurement instrument itself, "
         "thread-local by construction and read only by benches/tests",
