@@ -28,8 +28,14 @@ net::NodeId Communicator::address_of(std::int32_t global_rank) const {
 // ---- bootstrap ---------------------------------------------------------------
 
 void Communicator::init(std::function<void()> on_ready) {
-  on_ready_ = std::move(on_ready);
   const std::int32_t nsub = runtime_.subjob_count();
+  if (runtime_.my_subjob() < 0 || runtime_.my_subjob() >= nsub ||
+      runtime_.total_processes() < 0) {
+    // The release names no slot of its own layout, or a negative world
+    // size: nothing can be indexed or sized from it.
+    return;
+  }
+  on_ready_ = std::move(on_ready);
   if (!runtime_.is_leader()) {
     // Members wait for the full table from their leader (stage 3).
     return;
@@ -58,7 +64,10 @@ void Communicator::init(std::function<void()> on_ready) {
 
 void Communicator::on_leader_table(std::int32_t subjob,
                                    const std::vector<net::NodeId>& nodes) {
-  if (subjob < 0 || subjob >= runtime_.subjob_count()) return;
+  // Before a leader's init() the tables are unsized: drop the frame.
+  if (subjob < 0 || static_cast<std::size_t>(subjob) >= leader_tables_.size()) {
+    return;
+  }
   auto& slot = leader_tables_[static_cast<std::size_t>(subjob)];
   if (!slot.empty()) return;  // duplicate
   slot = nodes;

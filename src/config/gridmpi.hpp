@@ -34,7 +34,9 @@ class Communicator {
   Communicator& operator=(const Communicator&) = delete;
 
   /// Runs the bootstrap address exchange.  `on_ready` fires when this rank
-  /// holds the full rank -> address table.
+  /// holds the full rank -> address table.  A release whose subjob index
+  /// lies outside its layout, or whose total_processes is negative, leaves
+  /// the communicator uninitialized.
   void init(std::function<void()> on_ready);
   bool initialized() const { return initialized_; }
 

@@ -93,7 +93,6 @@ util::Status JobManager::start() {
   desc.count = request_.count;
   desc.max_wall_time =
       request_.max_wall_time.has_value() ? *request_.max_wall_time : 0;
-  desc.annotation = request_.executable;
   // The scheduler may call back long after this manager is reaped (a
   // crashed host's job stays queued or running), so its callbacks find the
   // manager by id; a reaped job is terminal, where both are no-ops anyway.

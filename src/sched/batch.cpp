@@ -53,9 +53,14 @@ util::Status BatchScheduler::submit(const JobDescriptor& job, StartFn on_start,
   q.desc = job;
   q.on_start = std::move(on_start);
   q.on_end = std::move(on_end);
+  q.seq = next_seq_++;
   q.submitted_at = engine_->now();
   q.queue_length_at_submit = static_cast<std::int32_t>(queue_.size());
-  q.queued_work_at_submit = current_queued_work();
+  // The integral only feeds wait_history(), which never shrinks: a job
+  // submitted into a full history is never recorded.
+  if (history_.size() < history_capacity_) {
+    q.queued_work_at_submit = current_queued_work();
+  }
   const bool was_blocked = !queue_.empty();
   queue_.push_back(std::move(q));
   queued_ids_.insert(job.id, 1);
@@ -99,6 +104,10 @@ void BatchScheduler::submit_fast_path() {
   const bool within_extra = cand.desc.count <= cached_extra_;
   if (!ends_before_shadow && !within_extra) return;
   if (!ends_before_shadow) cached_extra_ -= cand.desc.count;
+  // The tail is the job this submit just queued, after every publication
+  // mark, so its start has no departure to journal.
+  GRID_CHECK(cand.seq >= mark_seq_,
+             "fast path starting a job queued at the publication mark");
   Queued q = std::move(cand);
   queue_.pop_back();
   // The admission continues the pass that cached the shadow state, so the
@@ -156,6 +165,7 @@ void BatchScheduler::try_schedule() {
   for (;;) {
     // FCFS: start head jobs while they fit.
     if (!queue_.empty() && queue_.front().desc.count <= free_) {
+      journal_departure(queue_.front());
       Queued q = std::move(queue_.front());
       queue_.pop_front();
       start(std::move(q));
@@ -202,6 +212,7 @@ std::int32_t BatchScheduler::backfill_scan(sim::Time now, sim::Time shadow,
       continue;
     }
     if (!ends_before_shadow) extra -= cand.desc.count;
+    journal_departure(cand);
     Queued q = std::move(cand);
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
     const std::uint64_t gen = state_gen_;
@@ -278,6 +289,7 @@ bool BatchScheduler::cancel(JobId id) {
   if (queued_ids_.find(id) != sim::IdMap::kNotFound) {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (it->desc.id == id) {
+        journal_departure(*it);
         Queued q = std::move(*it);
         queue_.erase(it);
         queued_ids_.erase(id);
@@ -310,17 +322,55 @@ QueueSummary BatchScheduler::summary() const {
   return s;
 }
 
+void BatchScheduler::journal_departure(const Queued& q) {
+  if (q.seq >= mark_seq_) return;  // submitted after the mark
+  const Departure d{q.seq, info_of(q)};
+  departed_.insert(
+      std::upper_bound(departed_.begin(), departed_.end(), d,
+                       [](const Departure& a, const Departure& b) {
+                         return a.seq < b.seq;
+                       }),
+      d);
+}
+
+void BatchScheduler::mark_published() const {
+#if defined(GRID_CHECKED)
+  if (marked_) {
+    GRID_CHECK(published_queue(mark_version_) == marked_copy_,
+               "BatchScheduler departure journal lost a published job");
+  }
+  marked_copy_ = snapshot().queued;
+  marked_ = true;
+#endif
+  departed_.clear();
+  mark_seq_ = next_seq_;
+  mark_version_ = version_;
+}
+
+std::vector<QueuedJobInfo> BatchScheduler::published_queue(
+    [[maybe_unused]] std::uint64_t version) const {
+  GRID_CHECK(version == mark_version_,
+             "published_queue for a round this scheduler did not mark last");
+  // Both inputs are in submission order; merge them by sequence number.
+  std::vector<QueuedJobInfo> out;
+  out.reserve(queue_.size() + departed_.size());
+  auto d = departed_.begin();
+  for (const Queued& q : queue_) {
+    if (q.seq >= mark_seq_) break;  // the rest were submitted after the mark
+    for (; d != departed_.end() && d->seq < q.seq; ++d) out.push_back(d->info);
+    out.push_back(info_of(q));
+  }
+  for (; d != departed_.end(); ++d) out.push_back(d->info);
+  return out;
+}
+
 QueueSnapshot BatchScheduler::snapshot() const {
   QueueSnapshot s;
   s.taken_at = engine_->now();
   s.total_processors = total_;
   s.busy_processors = total_ - free_;
   s.queued.reserve(queue_.size());
-  for (const Queued& q : queue_) {
-    s.queued.push_back(QueuedJobInfo{q.desc.id, q.desc.count,
-                                     q.desc.estimated_runtime,
-                                     q.submitted_at});
-  }
+  for (const Queued& q : queue_) s.queued.push_back(info_of(q));
   return s;
 }
 

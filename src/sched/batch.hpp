@@ -18,6 +18,7 @@
 
 #include "sched/profile.hpp"
 #include "sched/scheduler.hpp"
+#include "simkit/check.hpp"
 #include "simkit/idmap.hpp"
 
 namespace grid::sched {
@@ -43,6 +44,13 @@ class BatchScheduler final : public LocalScheduler {
   QueueSnapshot snapshot() const override;
   QueueSummary summary() const override;
   std::uint64_t version() const override { return version_; }
+  /// Departure journal: the queue is in submission order, so the queue at
+  /// the mark is the live queue's pre-mark jobs merged by submission
+  /// sequence with the pre-mark jobs that left since.  A mark costs O(1);
+  /// a rebuild O(queue depth), paid only when a full snapshot is asked for.
+  void mark_published() const override;
+  std::vector<QueuedJobInfo> published_queue(
+      std::uint64_t version) const override;
   std::string policy() const override {
     return backfill_ == Backfill::kEasy ? "easy-backfill" : "fcfs";
   }
@@ -50,7 +58,9 @@ class BatchScheduler final : public LocalScheduler {
   /// Caps the wait-history vector (`wait_history()`): recording stops once
   /// it holds `cap` observations.  Default is unlimited; sustained-load
   /// scenarios set a cap (or 0) so a million-job day does not accrete an
-  /// unbounded observation log.
+  /// unbounded observation log.  Set it before the first submit: a submit
+  /// into a full history skips the queued-work integral its observation
+  /// would carry.
   void set_history_capacity(std::size_t cap) { history_capacity_ = cap; }
 
   /// Virtual-time wait statistics of started jobs, for predictor training.
@@ -73,6 +83,7 @@ class BatchScheduler final : public LocalScheduler {
     JobDescriptor desc;
     StartFn on_start;
     EndFn on_end;
+    std::uint64_t seq = 0;  // submission sequence number
     sim::Time submitted_at = 0;
     std::int32_t queue_length_at_submit = 0;
     std::int64_t queued_work_at_submit = 0;
@@ -102,6 +113,13 @@ class BatchScheduler final : public LocalScheduler {
   /// unknown); saturates instead of overflowing.
   sim::Time estimated_end(const JobDescriptor& d, sim::Time started) const;
   std::int64_t current_queued_work() const;
+  /// Called where a queued job that may predate the mark leaves the queue:
+  /// the FCFS head start, the backfill start and cancel.
+  void journal_departure(const Queued& q);
+  static QueuedJobInfo info_of(const Queued& q) {
+    return QueuedJobInfo{q.desc.id, q.desc.count, q.desc.estimated_runtime,
+                         q.submitted_at};
+  }
   /// Admission estimate for backfill: estimate else runtime (no wall
   /// fallback — mirrors the seed scan and the reference oracle).
   static sim::Time backfill_estimate(const JobDescriptor& d) {
@@ -123,6 +141,20 @@ class BatchScheduler final : public LocalScheduler {
   bool scheduling_ = false;  // re-entrancy guard for try_schedule
   std::uint64_t state_gen_ = 0;  // bumped by end_running (re-entrant ends)
   std::uint64_t version_ = 1;    // dirty-flag counter (0 = untracked)
+  // Publication mark: jobs with seq < mark_seq_ were queued at the mark;
+  // departed_ holds those that left since, sorted by seq.
+  std::uint64_t next_seq_ = 0;
+  struct Departure {
+    std::uint64_t seq = 0;
+    QueuedJobInfo info;
+  };
+  mutable std::vector<Departure> departed_;
+  mutable std::uint64_t mark_seq_ = 0;
+  mutable std::uint64_t mark_version_ = 0;
+  // Checked builds also copy the queue at each mark and hold the rebuild
+  // to it before the next mark clears the journal.
+  GRID_CHECKED_ONLY(mutable std::vector<QueuedJobInfo> marked_copy_;
+                    mutable bool marked_ = false;)
   // Shadow state cached by the last full EASY pass that left the head
   // blocked; lets a submit decide its own fate without rescanning.
   bool cache_valid_ = false;

@@ -34,7 +34,7 @@ void LoadInformationService::register_resource(std::string contact,
   e.published = false;
   if (sched != nullptr) {
     e.published_at = engine_->now();
-    refresh(e);
+    refresh(e, sched->version());
   }
 }
 
@@ -68,10 +68,11 @@ void LoadInformationService::tick() {
   }
 }
 
-void LoadInformationService::refresh(Entry& e) {
-  e.snap = std::make_shared<QueueSnapshot>(e.sched->snapshot());
+void LoadInformationService::refresh(Entry& e, std::uint64_t version) {
   e.summary = e.sched->summary();
-  e.sched_version = e.sched->version();
+  e.sched_version = version;
+  e.sched->mark_published();
+  e.snap.reset();  // rebuilt by the round's first snapshot_ref()
   e.published_version = ++next_published_version_;
   e.published = true;
   ++stats_.snapshots_refreshed;
@@ -87,10 +88,10 @@ void LoadInformationService::publish_now() {
     e.published_at = now;  // the round ran, even if the content held still
     const std::uint64_t v = e.sched->version();
     if (e.published && v != 0 && v == e.sched_version) {
-      ++stats_.snapshots_skipped;  // dirty flag clean: keep the shared copy
+      ++stats_.snapshots_skipped;  // dirty flag clean: the last mark holds
       continue;
     }
-    refresh(e);
+    refresh(e, v);
   }
 }
 
@@ -122,6 +123,16 @@ LoadInformationService::snapshot_ref(ContactId id) const {
   if (!e->published) {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unpublished");
+  }
+  if (e->snap == nullptr) {
+    // The summary carries the same taken_at and processor counts that a
+    // snapshot() at the mark would have.
+    auto snap = std::make_shared<QueueSnapshot>();
+    snap->taken_at = e->summary.taken_at;
+    snap->total_processors = e->summary.total_processors;
+    snap->busy_processors = e->summary.busy_processors;
+    snap->queued = e->sched->published_queue(e->sched_version);
+    e->snap = std::move(snap);
   }
   return e->snap;
 }

@@ -10,15 +10,17 @@
 //   - contacts are interned to dense ContactIds once at registration, so
 //     a query by id never hashes a string or allocates an error message
 //     (callers resolve() a contact string once);
-//   - published snapshots are shared immutable `shared_ptr<const
-//     QueueSnapshot>` values — a query hands out a reference, never a
-//     deep copy of the queued-job vector;
-//   - a publish round re-copies only resources whose scheduler `version()`
-//     moved since the last round (dirty-flag republish); unchanged queues
-//     cost O(1) per round regardless of depth;
-//   - the aggregate `QueueSummary` is published alongside, so consumers
-//     that only rank resources (predictors, brokers) never touch the
-//     per-job detail at all.
+//   - a publish round copies no queue: it records the aggregate
+//     `QueueSummary` and `version()` and sets the scheduler's publication
+//     mark (LocalScheduler::mark_published), all O(1) per resource;
+//   - a round re-marks only resources whose scheduler `version()` moved
+//     since the last round (dirty-flag republish);
+//   - per-job detail is rebuilt on the round's first full-snapshot query
+//     (LocalScheduler::published_queue) and then shared as an immutable
+//     `shared_ptr<const QueueSnapshot>`: a query hands out a reference,
+//     never a deep copy of the queued-job vector;
+//   - consumers that only rank resources (predictors, brokers) read the
+//     summary and never cause the per-job detail to be built at all.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +64,9 @@ class LoadInformationService {
 
   /// Registers a resource under its manager contact string.  The scheduler
   /// must outlive the service.  Re-registering a known contact revives its
-  /// ContactId.
+  /// ContactId.  A scheduler has one publisher: register it with one
+  /// service under one contact, since its publication hooks answer only
+  /// its latest mark (checked builds abort on a query for an older one).
   void register_resource(std::string contact, const LocalScheduler* sched);
   void unregister_resource(const std::string& contact);
 
@@ -79,8 +83,9 @@ class LoadInformationService {
   /// once, then query by id.
   ContactId resolve(const std::string& contact) const;
 
-  /// Most recently published snapshot, shared (no copy).  kNotFound for
-  /// invalid / unregistered / never-published ids.
+  /// Most recently published snapshot: built on the round's first call,
+  /// shared (no copy) after that.  kNotFound for invalid / unregistered /
+  /// never-published ids.
   util::Result<SnapshotRef> snapshot_ref(ContactId id) const;
 
   /// Aggregate-only published view — O(1) data regardless of queue depth.
@@ -102,7 +107,7 @@ class LoadInformationService {
  private:
   struct Entry {
     const LocalScheduler* sched = nullptr;
-    SnapshotRef snap;
+    mutable SnapshotRef snap;  // built on the round's first snapshot_ref()
     QueueSummary summary;
     std::uint64_t sched_version = 0;      // scheduler version at last refresh
     std::uint64_t published_version = 0;  // bumped on every content refresh
@@ -112,7 +117,7 @@ class LoadInformationService {
   };
 
   void tick();
-  void refresh(Entry& e);
+  void refresh(Entry& e, std::uint64_t version);
   Entry* entry(ContactId id);
   const Entry* entry(ContactId id) const;
 

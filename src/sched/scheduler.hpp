@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "simkit/check.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/status.hpp"
 #include "simkit/time.hpp"
@@ -32,7 +33,6 @@ struct JobDescriptor {
   sim::Time runtime = 0;
   /// Hard limit: the scheduler kills the job this long after start.
   sim::Time max_wall_time = 0;
-  std::string annotation;  // diagnostics only
 };
 
 /// Why a running or queued job left the scheduler.
@@ -43,6 +43,8 @@ struct QueuedJobInfo {
   std::int32_t count = 0;
   sim::Time estimated_runtime = 0;
   sim::Time submitted_at = 0;
+
+  bool operator==(const QueuedJobInfo&) const = default;
 };
 
 /// Point-in-time view of a scheduler used by predictors and information
@@ -118,8 +120,36 @@ class LocalScheduler {
   /// 0 means "untracked" — consumers must treat the state as always dirty.
   virtual std::uint64_t version() const { return 0; }
 
+  // ---- publication hooks (LoadInformationService) --------------------------
+  //
+  // A publish round calls mark_published(); published_queue() then returns
+  // the queued jobs as they stood at that mark, in queue order, until the
+  // next mark.  Only the latest mark is answered, so a scheduler has one
+  // publisher: `version` is the version() the publisher read at its mark,
+  // and any other version fails a GRID_CHECK.  Both hooks are publication
+  // bookkeeping, logically const like a cache.
+  //
+  // The default copies snapshot()'s queue at the mark and hands it back.
+  // BatchScheduler instead journals the jobs that leave its queue after
+  // the mark and rebuilds the list on demand, so a round copies nothing.
+
+  virtual void mark_published() const {
+    published_ = snapshot().queued;
+    published_version_ = version();
+  }
+  virtual std::vector<QueuedJobInfo> published_queue(
+      [[maybe_unused]] std::uint64_t version) const {
+    GRID_CHECK(version == published_version_,
+               "published_queue for a round this scheduler did not mark last");
+    return published_;
+  }
+
   /// Human-readable policy name ("fork", "fcfs", "easy-backfill", ...).
   virtual std::string policy() const = 0;
+
+ private:
+  mutable std::vector<QueuedJobInfo> published_;  // default hooks' copy
+  mutable std::uint64_t published_version_ = 0;
 };
 
 }  // namespace grid::sched

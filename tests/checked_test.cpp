@@ -13,6 +13,8 @@
 
 #include "net/network.hpp"
 #include "net/rpc.hpp"
+#include "sched/batch.hpp"
+#include "sched/infoservice.hpp"
 #include "sched/profile.hpp"
 #include "simkit/bufpool.hpp"
 #include "simkit/check.hpp"
@@ -76,6 +78,23 @@ TEST(CheckedDeathTest, ProfileAbortsOnOverRelease) {
   p.reserve(0, 100, 2);
   // Returning more than was claimed would push free past capacity.
   EXPECT_DEATH(p.release(0, 100, 3), "release exceeds capacity");
+}
+
+// A scheduler has one publisher: registered under two contacts, its second
+// registration re-marks it, and a query for the first contact's round
+// aborts instead of serving the other round's queue.
+TEST(CheckedDeathTest, PublishedQueueAnswersOnlyTheLatestMark) {
+  sim::Engine e;
+  sched::BatchScheduler s(e, 4);
+  sched::LoadInformationService service(e, sim::kHour);
+  service.register_resource("a", &s);
+  sched::JobDescriptor d;
+  d.id = 1;
+  d.count = 4;
+  s.submit(d, nullptr, nullptr);  // moves the version
+  service.register_resource("b", &s);
+  EXPECT_DEATH((void)service.snapshot_ref(service.resolve("a")),
+               "did not mark last");
 }
 
 // The GRID_SHARD_LOCAL annotations (simkit/annotate.hpp) are analyzer

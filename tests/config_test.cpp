@@ -136,6 +136,57 @@ TEST(GridMpi, TableFrameWithHugeCountIsDropped) {
   EXPECT_TRUE(member.initialized());
 }
 
+// A leader whose release names a subjob index one past its layout indexes
+// no table slot (a heap overflow before init() checked it) and stays
+// uninitialized; a peer leader's table arriving afterwards finds no sized
+// tables and is dropped.
+TEST(GridMpi, SubjobIndexOutsideLayoutLeavesUninitialized) {
+  sim::Engine engine;
+  net::Network network{engine};
+  net::Endpoint ep{network, "leader"};
+  net::Endpoint peer{network, "peer"};
+  core::ReleaseInfo info;
+  info.config.total_processes = 2;
+  info.config.subjobs = {{1, 0, 1, 0, peer.id(), "a"},
+                         {2, 1, 1, 1, peer.id(), "b"}};
+  info.subjob_index = 2;  // == the subjob count
+  info.subjob_members = {ep.id()};
+  cfg::Communicator comm(ep, info);
+  bool ready = false;
+  comm.init([&ready] { ready = true; });
+  engine.run();
+  EXPECT_FALSE(comm.initialized());
+
+  constexpr std::uint8_t kLeaderTable = 2;  // gridmpi's wire kind
+  util::Writer table;
+  table.u8(kLeaderTable);
+  table.i32(0);
+  table.varint(1);
+  table.u32(peer.id());
+  peer.notify(ep.id(), cfg::kNotifyGridMpi, table.take());
+  engine.run();
+  EXPECT_FALSE(comm.initialized());
+  EXPECT_FALSE(ready);
+}
+
+// A one-subjob release with a negative world size sizes no table from it
+// (std::length_error before init() checked it) and stays uninitialized.
+TEST(GridMpi, NegativeTotalProcessesLeavesUninitialized) {
+  sim::Engine engine;
+  net::Network network{engine};
+  net::Endpoint ep{network, "leader"};
+  core::ReleaseInfo info;
+  info.config.total_processes = -1;
+  info.config.subjobs = {{1, 0, 1, 0, ep.id(), "a"}};
+  info.subjob_members = {ep.id()};
+  cfg::Communicator comm(ep, info);
+  bool ready = false;
+  comm.init([&ready] { ready = true; });
+  engine.run();
+  EXPECT_FALSE(comm.initialized());
+  EXPECT_FALSE(ready);
+}
+
 // ---- gridmpi over a real co-allocation ---------------------------------------
 
 /// Shared driver: each MpiApp process registers its communicator here once

@@ -2,6 +2,7 @@
 // reservations), the queue-wait predictors, and the information service.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sched/batch.hpp"
@@ -624,6 +625,212 @@ TEST(LoadInformationService, UnknownContactFails) {
   EXPECT_FALSE(gis.snapshot_ref(nope).is_ok());
   EXPECT_FALSE(gis.summary(nope).is_ok());
   EXPECT_EQ(gis.staleness(nope), sim::kTimeNever);
+}
+
+// ---- publication: the departure journal -------------------------------------
+
+bool same_snapshot(const QueueSnapshot& a, const QueueSnapshot& b) {
+  return a.taken_at == b.taken_at &&
+         a.total_processors == b.total_processors &&
+         a.busy_processors == b.busy_processors && a.queued == b.queued;
+}
+
+/// One BatchScheduler under random submits, completes and cancels, whose
+/// start callbacks also submit, cancel, complete or publish re-entrantly,
+/// published by a service at random instants.  Each round keeps the
+/// snapshot() it would have copied; every check compares the service's
+/// snapshot_ref() and the scheduler's rebuild with it.
+struct JournalWorld {
+  JournalWorld(std::uint64_t seed, Backfill mode)
+      : rng(seed), s(e, 16, mode), service(e, sim::kHour) {
+    service.register_resource("rm", &s);
+    id = service.resolve("rm");
+    keep_round();
+  }
+
+  void keep_round() {
+    published = service.published_version(id);
+    at_mark = s.snapshot();
+    mark_version = s.version();
+  }
+
+  void check() {
+    ++checks;
+    auto ref = service.snapshot_ref(id);
+    ASSERT_TRUE(ref.is_ok());
+    EXPECT_TRUE(same_snapshot(*ref.value(), at_mark))
+        << "snapshot_ref at t=" << e.now() << ": " << ref.value()->queued.size()
+        << " queued, the round copied " << at_mark.queued.size();
+    EXPECT_TRUE(s.published_queue(mark_version) == at_mark.queued)
+        << "rebuild at t=" << e.now();
+  }
+
+  void round() {
+    check();  // just before the round, when the journal is longest
+    service.publish_now();
+    if (service.published_version(id) != published) keep_round();
+  }
+
+  JobId any_id() {  // may name a job that ended, or none yet
+    return static_cast<JobId>(
+        rng.uniform_int(1, static_cast<std::int64_t>(next_id)));
+  }
+
+  void submit() {
+    JobDescriptor d;
+    d.id = next_id++;
+    d.count = static_cast<std::int32_t>(rng.uniform_int(1, 16));
+    if (rng.chance(0.7)) d.runtime = rng.uniform_time(1, 30) * sim::kMinute;
+    if (!rng.chance(0.2)) {
+      d.estimated_runtime = rng.uniform_time(1, 40) * sim::kMinute;
+    }
+    if (rng.chance(0.1)) {
+      d.max_wall_time = rng.uniform_time(5, 60) * sim::kMinute;
+    }
+    const JobId job_id = d.id;
+    ASSERT_TRUE(s.submit(d, [this](JobId) { on_start(); }, nullptr).is_ok());
+    if (d.runtime == 0) {
+      e.schedule_after(rng.uniform_time(1, 90) * sim::kMinute,
+                       [this, job_id] { s.complete(job_id); });
+    }
+    if (rng.chance(0.2)) {
+      e.schedule_after(rng.uniform_time(0, 30) * sim::kMinute,
+                       [this, job_id] { s.cancel(job_id); });
+    }
+  }
+
+  void on_start() {
+    const double p = rng.next_double();
+    if (p < 0.05) {
+      submit();
+    } else if (p < 0.10) {
+      s.cancel(any_id());
+    } else if (p < 0.15) {
+      s.complete(any_id());
+    } else if (p < 0.17) {
+      round();
+    }
+  }
+
+  sim::Rng rng;
+  sim::Engine e;
+  BatchScheduler s;
+  LoadInformationService service;
+  LoadInformationService::ContactId id = 0;
+  JobId next_id = 1;
+  std::uint64_t published = 0;  // the service's version of the kept round
+  QueueSnapshot at_mark;        // what the round would have copied
+  std::uint64_t mark_version = 0;
+  int checks = 0;
+};
+
+TEST(PublishedQueue, RebuildEqualsTheRoundsCopy) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (Backfill mode : {Backfill::kNone, Backfill::kEasy}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (mode == Backfill::kEasy ? " easy" : " fcfs"));
+      JournalWorld w(seed, mode);
+      const sim::Time horizon = 3 * sim::kHour;
+      for (int i = 0; i < 200; ++i) {
+        w.e.schedule_at(w.rng.uniform_time(0, horizon), [&w] { w.submit(); });
+      }
+      for (int i = 0; i < 40; ++i) {
+        w.e.schedule_at(w.rng.uniform_time(0, horizon), [&w] { w.round(); });
+      }
+      for (int i = 0; i < 80; ++i) {
+        w.e.schedule_at(w.rng.uniform_time(0, horizon), [&w] { w.check(); });
+      }
+      w.e.run();
+      w.round();
+      EXPECT_GE(w.checks, 120);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// Forwards to a scheduler, publication hooks included, counting the calls
+/// the service makes through it.
+class CountingScheduler final : public LocalScheduler {
+ public:
+  explicit CountingScheduler(LocalScheduler& inner) : inner_(&inner) {}
+
+  util::Status submit(const JobDescriptor& job, StartFn on_start,
+                      EndFn on_end) override {
+    return inner_->submit(job, std::move(on_start), std::move(on_end));
+  }
+  void complete(JobId id) override { inner_->complete(id); }
+  bool cancel(JobId id) override { return inner_->cancel(id); }
+  std::int32_t total_processors() const override {
+    return inner_->total_processors();
+  }
+  std::int32_t busy_processors() const override {
+    return inner_->busy_processors();
+  }
+  std::size_t queue_length() const override { return inner_->queue_length(); }
+  QueueSnapshot snapshot() const override {
+    ++snapshots;
+    return inner_->snapshot();
+  }
+  QueueSummary summary() const override { return inner_->summary(); }
+  std::uint64_t version() const override { return inner_->version(); }
+  void mark_published() const override {
+    ++marks;
+    inner_->mark_published();
+  }
+  std::vector<QueuedJobInfo> published_queue(
+      std::uint64_t version) const override {
+    ++rebuilds;
+    return inner_->published_queue(version);
+  }
+  std::string policy() const override { return inner_->policy(); }
+
+  mutable int snapshots = 0;
+  mutable int marks = 0;
+  mutable int rebuilds = 0;
+
+ private:
+  LocalScheduler* inner_;
+};
+
+TEST(PublishedQueue, RoundsCopyNothingAndQueriesRebuildOnce) {
+  sim::Engine e;
+  BatchScheduler batch(e, 8, Backfill::kEasy);
+  CountingScheduler s(batch);
+  LoadInformationService service(e, 30 * sim::kSecond);
+  service.register_resource("rm", &s);
+  const auto id = service.resolve("rm");
+  // A churning queue: 4 jobs a round, each 8-wide for 40 s, so the version
+  // moves every round and the queue keeps growing.
+  JobId next = 1;
+  for (int i = 0; i < 200; ++i) {
+    e.schedule_at(i * 7500 * sim::kMillisecond, [&s, &next] {
+      ASSERT_TRUE(s.submit(job(next, 8, 40 * sim::kSecond, 40 * sim::kSecond),
+                           nullptr, nullptr)
+                      .is_ok());
+      ++next;
+    });
+  }
+  service.start();
+  e.run_until(25 * sim::kMinute);
+  EXPECT_EQ(service.stats().publish_rounds, 50u);
+  EXPECT_EQ(service.stats().snapshots_refreshed, 51u);  // + registration
+  EXPECT_EQ(s.marks, 51);
+  EXPECT_EQ(s.snapshots, 0);
+  EXPECT_EQ(s.rebuilds, 0);
+  ASSERT_GT(s.queue_length(), 10u);
+
+  // Two queries in one round share one rebuild of the round's queue, as
+  // long as its summary says.
+  e.run_until(e.now() + 10 * sim::kSecond);
+  const auto first = service.snapshot_ref(id);
+  const auto second = service.snapshot_ref(id);
+  ASSERT_TRUE(first.is_ok() && second.is_ok());
+  EXPECT_EQ(first.value().get(), second.value().get());
+  EXPECT_EQ(s.rebuilds, 1);
+  EXPECT_EQ(s.snapshots, 0);
+  EXPECT_EQ(first.value()->queued.size(),
+            service.summary(id).value().queue_length);
+  service.stop();
 }
 
 TEST(LoadInformationServiceDeathTest, RejectsNonPositiveInterval) {
