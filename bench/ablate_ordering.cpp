@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -35,9 +35,8 @@ Measure run(bool required_first) {
   core::RequestConfig config;
   config.rpc_timeout = 10 * sim::kSecond;
   auto mech = grid.make_coallocator("agent", "/CN=bench", config);
-  core::DurocAllocator duroc(*mech);
   Measure out;
-  auto* req = duroc.create_request(
+  auto* req = mech->create_request(
       {.on_subjob =
            [&](core::SubjobHandle, core::SubjobState s, const util::Status&) {
              if (s == core::SubjobState::kPending) ++out.wasted_acquisitions;

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -23,9 +23,8 @@ double run(int subjobs, bool serialize) {
   core::RequestConfig config;
   config.serialize_until_checkin = serialize;
   auto mech = grid.make_coallocator("agent", "/CN=bench", config);
-  core::DurocAllocator duroc(*mech);
   sim::Time released = -1;
-  auto* req = duroc.create_request(
+  auto* req = mech->create_request(
       {.on_subjob = nullptr,
        .on_released =
            [&](const core::RuntimeConfig&) { released = grid.engine().now(); },

@@ -15,9 +15,10 @@
 // with the same seed to demonstrate determinism.
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "core/monitor.hpp"
 #include "simkit/stats.hpp"
 #include "simkit/trialpool.hpp"
@@ -78,7 +79,6 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
   }
   grid.network().set_drop_probability(loss);
 
-  core::DurocAllocator duroc(*mech);
   TrialResult out;
   core::RequestCallbacks cbs;
   cbs.on_released = [&](const core::RuntimeConfig&) {
@@ -89,7 +89,7 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
     out.ok = status.is_ok();
     out.finish_s = sim::to_seconds(grid.engine().now());
   };
-  core::CoallocationRequest* req = duroc.create_request(std::move(cbs));
+  core::CoallocationRequest* req = mech->create_request(std::move(cbs));
   const char* kinds[] = {"required", "interactive", "optional", "optional"};
   std::vector<std::string> subs;
   for (int i = 0; i < kMachines; ++i) {
@@ -99,7 +99,11 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
   req->start();
   if (!req->commit().is_ok()) return out;
   std::unique_ptr<core::HeartbeatDetector> detector;
-  if (fault_tolerant) detector = duroc.watch(req->id(), bench_heartbeats());
+  if (fault_tolerant) {
+    detector = std::make_unique<core::HeartbeatDetector>(*mech, req->id(),
+                                                         bench_heartbeats());
+    detector->start();
+  }
 
   grid.run_until(kHorizon);
   if (out.finish_s < 0.0) {

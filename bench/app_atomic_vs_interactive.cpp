@@ -84,13 +84,14 @@ TrialResult run_atomic(double p, std::uint64_t seed) {
     ++result.attempts;
     grab.allocate(
         setup.rsl(),
-        {.on_started =
+        {.on_subjob = nullptr,
+         .on_released =
              [&](const core::RuntimeConfig&) {
                result.success = true;
                result.time_to_start_s =
                    sim::to_seconds(setup.grid->engine().now());
              },
-         .on_done =
+         .on_terminal =
              [&](const util::Status& status) {
                if (!status.is_ok() && !result.success &&
                    result.attempts < kMaxAttempts) {

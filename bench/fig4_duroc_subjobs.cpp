@@ -17,7 +17,7 @@
 #include "simkit/stats.hpp"
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -40,9 +40,8 @@ RunResult run_duroc(int subjobs, int total) {
   app::BarrierStats stats;
   app::install_app(grid.executables(), "app", app::StartupProfile{}, &stats);
   auto mech = grid.make_coallocator("duroc-agent", "/CN=bench");
-  core::DurocAllocator duroc(*mech);
   bool released = false;
-  auto* req = duroc.create_request(
+  auto* req = mech->create_request(
       {.on_subjob = nullptr,
        .on_released = [&](const core::RuntimeConfig&) { released = true; },
        .on_terminal = nullptr});

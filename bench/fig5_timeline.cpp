@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -25,9 +25,8 @@ int main() {
   app::BarrierStats stats;
   app::install_app(grid.executables(), "app", app::StartupProfile{}, &stats);
   auto mech = grid.make_coallocator("duroc-agent", "/CN=bench");
-  core::DurocAllocator duroc(*mech);
   sim::Time released_at = -1;
-  auto* req = duroc.create_request(
+  auto* req = mech->create_request(
       {.on_subjob = nullptr,
        .on_released =
            [&](const core::RuntimeConfig&) { released_at = grid.engine().now(); },
@@ -45,13 +44,14 @@ int main() {
                          "(4 subjobs x 16 processes)");
   testbed::Table table({"subjob", "submit_s", "accept_s", "active_s",
                         "checkin_s", "release_s"});
-  std::vector<core::SubjobView> views;
-  for (core::SubjobHandle h : req->subjobs()) {
-    auto view = req->subjob(h);
-    if (view.is_ok()) views.push_back(view.value());
+  // Handles are 1..subjob_count(): views[i] is subjob i + 1.
+  std::vector<core::CoallocationRequest::SubjobBrief> views;
+  for (core::SubjobHandle h = 1; h <= req->subjob_count(); ++h) {
+    views.push_back(req->subjob_brief(h).value());
   }
-  for (const auto& v : views) {
-    table.add_row({testbed::Table::num(static_cast<std::int64_t>(v.handle)),
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto& v = views[i];
+    table.add_row({testbed::Table::num(static_cast<std::int64_t>(i + 1)),
                    testbed::Table::num(sim::to_seconds(v.submitted_at)),
                    testbed::Table::num(sim::to_seconds(v.accepted_at)),
                    testbed::Table::num(sim::to_seconds(v.active_at)),
@@ -70,7 +70,8 @@ int main() {
     return std::min(std::max(c, 0), width - 1);
   };
   std::printf("\n  0s %*s %.1fs\n", width - 8, "", horizon);
-  for (const auto& v : views) {
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto& v = views[i];
     std::string line(static_cast<std::size_t>(width), ' ');
     for (int c = col(v.submitted_at); c <= col(v.accepted_at); ++c) {
       line[static_cast<std::size_t>(c)] = 'S';
@@ -82,8 +83,7 @@ int main() {
       line[static_cast<std::size_t>(c)] = 'b';
     }
     line[static_cast<std::size_t>(col(v.released_at))] = 'R';
-    std::printf("  subjob %llu |%s|\n",
-                static_cast<unsigned long long>(v.handle), line.c_str());
+    std::printf("  subjob %zu |%s|\n", i + 1, line.c_str());
   }
   std::printf("\n  S = GRAM request on the client critical path "
               "(sequential)\n  x = remote startup (overlaps later "

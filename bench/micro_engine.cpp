@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "simkit/engine.hpp"
 #include "simkit/rng.hpp"
 #include "simkit/trialpool.hpp"
@@ -252,13 +252,12 @@ std::uint64_t run_ensemble_trial(std::uint64_t seed) {
   profile.run_time = 5 * sim::kSecond;
   app::install_app(grid.executables(), "sim", profile, &stats, seed * 7 + 1);
   auto mech = grid.make_coallocator("agent", "/CN=micro", {});
-  core::DurocAllocator duroc(*mech);
   sim::Time released_at = -1;
   core::RequestCallbacks cbs;
   cbs.on_released = [&](const core::RuntimeConfig&) {
     released_at = grid.engine().now();
   };
-  core::CoallocationRequest* req = duroc.create_request(std::move(cbs));
+  core::CoallocationRequest* req = mech->create_request(std::move(cbs));
   std::vector<std::string> subs;
   for (int i = 1; i <= 3; ++i) {
     subs.push_back(

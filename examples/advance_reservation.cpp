@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "app/behaviors.hpp"
+#include "core/coallocator.hpp"
 #include "core/coreserver.hpp"
-#include "core/duroc.hpp"
 #include "testbed/grid.hpp"
 
 using namespace grid;
@@ -47,7 +47,6 @@ int main() {
   defaults.startup_timeout = 12 * sim::kHour;  // covers the window wait
   auto mechanisms =
       grid.make_coallocator("agent", "/O=Grid/CN=reserve", defaults);
-  core::DurocAllocator duroc(*mechanisms);
 
   // Phase 1: network co-reservation (each reserve RPC pays GSI + latency).
   core::NetworkCoReserver reserver(mechanisms->gram(), grid.resolver());
@@ -76,14 +75,14 @@ int main() {
         // Phase 2: co-allocate into the windows (reservationId binding).
         auto jobs = core::NetworkCoReserver::build_requests(
             holds.value(), 32, "app", rsl::SubjobStartType::kRequired);
-        req = duroc.create_request(
+        req = mechanisms->create_request(
             {.on_subjob =
                  [&](core::SubjobHandle h, core::SubjobState s,
                      const util::Status&) {
                    if (s == core::SubjobState::kActive) {
-                     auto view = req->subjob(h);
                      active.emplace_back(
-                         view.is_ok() ? view.value().contact : "?",
+                         req->subjob_request(h).value()
+                             .resource_manager_contact,
                          grid.engine().now());
                    }
                  },

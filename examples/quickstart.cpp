@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -34,11 +34,10 @@ int main() {
   // 3. A co-allocation request: 32 processes on each machine, all
   //    required — the computation needs all 96 or none.
   auto mechanisms = grid.make_coallocator("agent", "/O=Grid/CN=alice");
-  core::DurocAllocator duroc(*mechanisms);
 
   bool released = false;
   util::Status outcome;
-  core::CoallocationRequest* request = duroc.create_request({
+  core::CoallocationRequest* request = mechanisms->create_request({
       .on_subjob =
           [&](core::SubjobHandle h, core::SubjobState s, const util::Status&) {
             std::printf("[%8.3fs] subjob %llu -> %s\n",

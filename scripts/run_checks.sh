@@ -3,7 +3,8 @@
 # selftest), then build + ctest under every correctness preset — default,
 # asan (ASan+UBSan), ubsan, tsan, and checked (GRID_CHECKED invariant
 # tripwires) — and, with the default preset, the benchmark harness smoke
-# check (gridbench/smoke.py builds the harness against the current API).
+# check (gridbench/smoke.py builds the harness against the current API) and
+# the pin of its seed-101 outputs (scripts/check_gridbench_seed101.py).
 # clang-tidy runs if the binary is installed, and is skipped with a note
 # otherwise.
 #
@@ -33,6 +34,8 @@ for preset in "${presets[@]}"; do
   if [ "$preset" = default ]; then
     echo "== default: benchmark harness smoke =="
     python3 gridbench/smoke.py || exit 1
+    echo "== default: gridbench seed-101 outputs =="
+    python3 scripts/check_gridbench_seed101.py || exit 1
   fi
 done
 

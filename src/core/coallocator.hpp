@@ -3,8 +3,24 @@
 //
 // This is the "co-allocation mechanism component" of the layered
 // architecture (paper §3.1): co-allocation agents (applications, resource
-// brokers, the GRAB/DUROC strategy classes) create requests through it and
-// drive them with the editing / commit / monitoring operations.
+// brokers, the strategies in core/strategies.hpp) create requests through
+// it and drive them with the editing / commit / monitoring operations.
+//
+// DUROC, the interactive co-allocator of §4.1, is this API used directly
+// (its control library's create / find / destroy are the three request
+// calls below); GRAB is core::GrabAllocator on top of it:
+//
+//   core::CoallocationRequest* req = mech.create_request({
+//       .on_subjob = ...,    // failure callbacks drive interactive edits
+//       .on_released = ...,  // barrier released with final configuration
+//       .on_terminal = ...});
+//   req->add_rsl("+(&(resourceManagerContact=...)...)...");
+//   req->start();
+//   ...edit until satisfied...
+//   req->commit();
+//
+// Heartbeat detection is attached per request by the agent
+// (core::HeartbeatDetector, core/monitor.hpp).
 #pragma once
 
 #include <memory>

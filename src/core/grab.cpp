@@ -1,11 +1,13 @@
 #include "core/grab.hpp"
 
+#include <memory>
+
 #include "rsl/parser.hpp"
 
 namespace grid::core {
 
 util::Result<RequestId> GrabAllocator::allocate(
-    const std::string& rsl_text, Callbacks callbacks,
+    const std::string& rsl_text, RequestCallbacks callbacks,
     std::optional<RequestConfig> config) {
   auto spec = rsl::parse_multi_request(rsl_text);
   if (!spec.is_ok()) return spec.status();
@@ -15,48 +17,40 @@ util::Result<RequestId> GrabAllocator::allocate(
 }
 
 util::Result<RequestId> GrabAllocator::allocate(
-    std::vector<rsl::JobRequest> subjobs, Callbacks callbacks,
+    std::vector<rsl::JobRequest> subjobs, RequestCallbacks callbacks,
     std::optional<RequestConfig> config) {
   if (subjobs.empty()) {
     return util::Status(util::ErrorCode::kInvalidArgument,
                         "empty co-allocation request");
   }
-  RequestCallbacks cbs;
-  cbs.on_released = std::move(callbacks.on_started);
-  cbs.on_terminal = std::move(callbacks.on_done);
+  // The id is only known after create_request, so the terminal callback
+  // reads it through shared state.  Destruction waits one event because a
+  // request must never die inside its own callback (DESIGN §5.7).
+  auto id = std::make_shared<RequestId>(0);
+  callbacks.on_terminal = [mech = mech_, id,
+                           user = std::move(callbacks.on_terminal)](
+                              const util::Status& status) {
+    if (user) user(status);
+    mech->engine().schedule_after(
+        0, [mech, request = *id] { mech->destroy_request(request); });
+  };
   CoallocationRequest* request =
-      config.has_value() ? mech_->create_request(std::move(cbs), *config)
-                         : mech_->create_request(std::move(cbs));
+      config.has_value() ? mech_->create_request(std::move(callbacks), *config)
+                         : mech_->create_request(std::move(callbacks));
+  *id = request->id();
   for (rsl::JobRequest& j : subjobs) {
     j.start_type = rsl::SubjobStartType::kRequired;  // atomic semantics
-    auto added = request->add_subjob(std::move(j));
-    if (!added.is_ok()) {
-      const RequestId id = request->id();
-      mech_->destroy_request(id);
-      return added.status();
-    }
-  }
-  const RequestId id = request->id();
-  if (heartbeats_.has_value()) {
-    // Armed before start() so the first beat can fire as soon as a subjob
-    // is accepted.  The detector resolves the request by id each tick and
-    // stops itself once the transaction reaches a terminal state.
-    auto detector =
-        std::make_unique<HeartbeatDetector>(*mech_, id, *heartbeats_);
-    detector->start();
-    detectors_[id] = std::move(detector);
+    request->add_subjob(std::move(j));  // cannot fail while editing
   }
   request->start();
   // No editing window: commit immediately; the request releases iff every
-  // subjob checks in, and any failure aborts everything.
-  if (auto st = request->commit(); !st.is_ok()) return st;
-  return id;
+  // subjob checks in, and any failure aborts everything.  Commit fails only
+  // when a subjob already failed inside start(), and on_terminal said so.
+  request->commit();
+  return *id;
 }
 
 void GrabAllocator::cancel(RequestId id) {
-  if (auto* d = detectors_.find(id)) {
-    (*d)->stop();
-  }
   if (CoallocationRequest* request = mech_->find_request(id)) {
     request->kill();
   }

@@ -10,69 +10,48 @@
 // immediately (no editing window), and any failure or timeout rolls the
 // whole allocation back.  Its limitations under realistic failure modes
 // (§4.3) are what motivated DUROC.
+//
+// Abort-fast is the caller's choice: attach a core::HeartbeatDetector to
+// the id allocate() returns.  Every subjob is required, so a dead verdict
+// aborts the whole transaction at once instead of at the startup deadline.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/coallocator.hpp"
-#include "core/monitor.hpp"
 #include "simkit/annotate.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::core {
 
 class GRID_HOT GrabAllocator {
  public:
-  struct Callbacks {
-    /// Fired when all resources are acquired and the barrier released.
-    /// gridlint: allow(hot-function) — once per transaction
-    std::function<void(const RuntimeConfig&)> on_started;
-    /// Fired once at the end: OK after the application completes, or the
-    /// error that rolled back.  gridlint: allow(hot-function)
-    std::function<void(const util::Status&)> on_done;
-  };
-
   explicit GrabAllocator(Coallocator& mechanisms) : mech_(&mechanisms) {}
 
   /// Starts an atomic co-allocation from RSL text.  subjobStartType
   /// attributes are ignored: every subjob is treated as required.  Without
-  /// an explicit config the mechanism layer's defaults apply.
+  /// an explicit config the mechanism layer's defaults apply.  on_released
+  /// fires when every resource is acquired, on_terminal once at the end
+  /// (OK after the application completes, or the error that rolled the
+  /// allocation back).  The request is destroyed one zero-delay event
+  /// after on_terminal.  Returns the request's id whenever one was created,
+  /// even if it already failed (on_terminal then reported it); an error
+  /// only for input rejected before that.
   util::Result<RequestId> allocate(
-      const std::string& rsl_text, Callbacks callbacks,
+      const std::string& rsl_text, RequestCallbacks callbacks,
       std::optional<RequestConfig> config = std::nullopt);
 
   /// Same, from typed subjob descriptions.
   util::Result<RequestId> allocate(
-      std::vector<rsl::JobRequest> subjobs, Callbacks callbacks,
+      std::vector<rsl::JobRequest> subjobs, RequestCallbacks callbacks,
       std::optional<RequestConfig> config = std::nullopt);
 
   /// Rolls back / kills an allocation.
   void cancel(RequestId id);
 
-  /// Arms heartbeat failure detection on subsequently allocated requests.
-  /// Since every GRAB subjob is required, a dead verdict aborts the whole
-  /// transaction immediately ("abort fast") instead of waiting out the
-  /// startup deadline — atomicity is preserved, only detection latency
-  /// changes.  nullopt disables for later allocations.
-  void set_heartbeats(std::optional<HeartbeatConfig> config) {
-    heartbeats_ = config;
-  }
-
-  /// The detector watching `id`; nullptr when heartbeats were not armed.
-  const HeartbeatDetector* detector(RequestId id) const {
-    const auto* d = detectors_.find(id);
-    return d == nullptr ? nullptr : d->get();
-  }
-
-  Coallocator& mechanisms() { return *mech_; }
-
  private:
   Coallocator* mech_;
-  std::optional<HeartbeatConfig> heartbeats_;
-  sim::IdSlab<std::unique_ptr<HeartbeatDetector>> detectors_;
 };
 
 }  // namespace grid::core

@@ -32,10 +32,10 @@ void HeartbeatDetector::tick() {
     stop();
     return;
   }
-  for (SubjobHandle h : req->subjob_order()) {
-    auto brief = req->subjob_brief(h);
-    if (!brief.is_ok()) continue;
-    const CoallocationRequest::SubjobBrief& v = brief.value();
+  const std::size_t count = req->subjob_count();
+  if (watches_.size() < count) watches_.resize(count);
+  for (SubjobHandle h = 1; h <= count; ++h) {
+    const CoallocationRequest::SubjobBrief v = req->subjob_brief(h).value();
     // Released subjobs stay watched: a post-release death would otherwise
     // surface only when the application notices.
     const bool watchable =
@@ -44,7 +44,7 @@ void HeartbeatDetector::tick() {
          v.state == SubjobState::kCheckedIn ||
          v.state == SubjobState::kReleased);
     if (!watchable) continue;
-    Watch& w = watches_[h];
+    Watch& w = watches_[h - 1];
     if (w.job != v.gram_job) w = Watch{v.gram_job};  // substituted: fresh slate
     if (w.dead) continue;       // verdict already out
     if (w.in_flight) continue;  // previous beat still pending; let it miss
@@ -59,7 +59,7 @@ void HeartbeatDetector::tick() {
 void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
                              gram::JobId job) {
   ++beats_sent_;
-  watches_[handle].in_flight = true;
+  watches_[handle - 1].in_flight = true;
   // Raw single-attempt ping: a beat the RPC layer silently retried would
   // hide exactly the misses this detector exists to count.
   mech_->endpoint().call(
@@ -67,9 +67,8 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
       [this, alive = alive_, handle, job](const util::Status& status,
                                           util::Reader&) {
         if (!*alive) return;
-        Watch* wp = watches_.find(handle);
-        if (wp == nullptr || wp->job != job) return;  // stale
-        Watch& w = *wp;
+        Watch& w = watches_[handle - 1];
+        if (w.job != job) return;  // stale
         w.in_flight = false;
         if (w.dead) return;
         if (status.is_ok()) {

@@ -12,11 +12,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/coallocator.hpp"
 #include "core/request.hpp"
 #include "simkit/annotate.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::core {
 
@@ -70,7 +70,7 @@ class GRID_HOT HeartbeatDetector {
   Coallocator* mech_;
   RequestId request_;
   HeartbeatConfig config_;
-  sim::IdSlab<Watch> watches_;
+  std::vector<Watch> watches_;  // subjob handle h at index h - 1
   sim::EventId tick_event_;
   bool running_ = false;
   /// Beat replies and timer lambdas check this before touching `this`, so

@@ -36,21 +36,21 @@ CoallocationRequest::CoallocationRequest(Coallocator& owner, RequestId id,
 
 CoallocationRequest::~CoallocationRequest() {
   *alive_ = false;
-  slots_.for_each([this](SubjobHandle, Subjob& sj) {
+  for (Subjob& sj : slots_) {
     owner_->engine().cancel(sj.timeout_event);
     // Unregister the state watcher so late notifies from the job manager
     // don't fire into a destroyed request.
     if (sj.gram_job != 0) owner_->gram().forget(sj.gram_job);
-  });
+  }
 }
 
 CoallocationRequest::Subjob* CoallocationRequest::find(SubjobHandle handle) {
-  return slots_.find(handle);
+  return handle == 0 || handle > slots_.size() ? nullptr : &slots_[handle - 1];
 }
 
 const CoallocationRequest::Subjob* CoallocationRequest::find(
     SubjobHandle handle) const {
-  return slots_.find(handle);
+  return handle == 0 || handle > slots_.size() ? nullptr : &slots_[handle - 1];
 }
 
 // ---- editing ---------------------------------------------------------------
@@ -61,12 +61,10 @@ util::Result<SubjobHandle> CoallocationRequest::add_subjob(
     return util::Status(util::ErrorCode::kFailedPrecondition,
                         "request contents may not be changed once committed");
   }
-  const SubjobHandle handle = next_handle_++;
-  Subjob sj;
+  const SubjobHandle handle = slots_.size() + 1;
+  Subjob& sj = slots_.emplace_back();
   sj.handle = handle;
   sj.request = std::move(request);
-  order_.push_back(handle);
-  agg_add(slots_.emplace(handle, std::move(sj)));
   if (started_) enqueue_submission(handle);
   return handle;
 }
@@ -96,7 +94,7 @@ util::Status CoallocationRequest::remove_subjob(SubjobHandle handle) {
   owner_->engine().cancel(sj->timeout_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob removed from request");
-  set_state(*sj, SubjobState::kDeleted);
+  sj->state = SubjobState::kDeleted;
   notify_subjob(*sj);
   return util::Status::ok();
 }
@@ -114,11 +112,9 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
   owner_->engine().cancel(sj->timeout_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob substituted");
-  agg_remove(*sj);
   ++sj->incarnation;
   sj->request = std::move(request);
   sj->state = SubjobState::kUnsubmitted;
-  agg_add(*sj);
   sj->gram_job = 0;
   sj->gatekeeper = net::kInvalidNode;
   sj->process_nodes.clear();
@@ -137,11 +133,11 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
 void CoallocationRequest::start() {
   if (started_) return;
   started_ = true;
-  for (SubjobHandle h : order_) {
-    Subjob* sj = find(h);
-    if (sj != nullptr && sj->state == SubjobState::kUnsubmitted &&
-        !sj->queued) {
-      enqueue_submission(h);
+  // Indexed: a subjob failing here runs the agent callback, which may add
+  // subjobs and so move every slot.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].state == SubjobState::kUnsubmitted && !slots_[i].queued) {
+      enqueue_submission(slots_[i].handle);
     }
   }
 }
@@ -158,11 +154,10 @@ void CoallocationRequest::pump_submissions() {
   // Subjob requests are submitted sequentially (§4.2, Figure 5): the next
   // request leaves the client only after the previous accept reply arrives.
   // Remote processing of earlier subjobs overlaps with later submissions.
-  if (submission_in_flight_ || hold_handle_ != 0 ||
-      is_request_terminal(state_)) {
-    return;
-  }
-  while (!submit_queue_.empty()) {
+  // The guard is read on every turn: a subjob failing below runs the agent
+  // callback, whose edits may already have started the next submission.
+  while (!submission_in_flight_ && hold_handle_ == 0 &&
+         !is_request_terminal(state_) && !submit_queue_.empty()) {
     const SubjobHandle handle = submit_queue_.front();
     submit_queue_.pop_front();
     Subjob* sj = find(handle);
@@ -183,18 +178,18 @@ void CoallocationRequest::pump_submissions() {
       continue;
     }
     sj->gatekeeper = gatekeeper.value();
-    set_state(*sj, SubjobState::kSubmitting);
+    sj->state = SubjobState::kSubmitting;
     sj->submitted_at = owner_->engine().now();
     arm_timeout(*sj);
     rsl::JobRequest to_send = sj->request;
     inject_barrier_env(to_send, owner_->endpoint().id(), id_, handle);
     const std::uint32_t inc = sj->incarnation;
-    notify_subjob(*sj);
+    notify_subjob(*sj);  // may move every slot: `sj` is not read again
     submission_in_flight_ = true;
     owner_->gram().submit(
-        sj->gatekeeper, to_send.to_spec().to_string(), config_.rpc_timeout,
+        gatekeeper.value(), to_send.to_spec().to_string(), config_.rpc_timeout,
         [this, handle, inc, alive = alive_, client = &owner_->gram(),
-         gatekeeper = sj->gatekeeper,
+         gatekeeper = gatekeeper.value(),
          timeout = config_.rpc_timeout](util::Result<gram::JobId> result) {
           if (!*alive) {
             // The request was destroyed while the submit was in flight; any
@@ -241,10 +236,11 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   }
   sj->gram_job = result.value();
   sj->accepted_at = owner_->engine().now();
-  set_state(*sj, SubjobState::kPending);
+  sj->state = SubjobState::kPending;
   if (config_.serialize_until_checkin) hold_handle_ = handle;
   notify_subjob(*sj);
   // Replay check-ins that raced ahead of this accept reply.
+  sj = find(handle);
   if (!sj->early_checkins.empty()) {
     auto buffered = std::move(sj->early_checkins);
     sj->early_checkins.clear();
@@ -263,7 +259,7 @@ void CoallocationRequest::on_gram_state(SubjobHandle handle,
   switch (change.state) {
     case gram::JobState::kActive:
       if (sj->state == SubjobState::kPending) {
-        set_state(*sj, SubjobState::kActive);
+        sj->state = SubjobState::kActive;
         sj->active_at = owner_->engine().now();
         notify_subjob(*sj);
       }
@@ -277,7 +273,7 @@ void CoallocationRequest::on_gram_state(SubjobHandle handle,
       if (sj->state == SubjobState::kReleased) {
         // Post-release failure: a monitoring event, not fatal to the
         // ensemble (§3.4).
-        set_state(*sj, SubjobState::kFailed);
+        sj->state = SubjobState::kFailed;
         sj->failure = why;
         notify_subjob(*sj);
         maybe_done();
@@ -288,7 +284,7 @@ void CoallocationRequest::on_gram_state(SubjobHandle handle,
     }
     case gram::JobState::kDone:
       if (sj->state == SubjobState::kReleased) {
-        set_state(*sj, SubjobState::kDone);
+        sj->state = SubjobState::kDone;
         notify_subjob(*sj);
         maybe_done();
       } else if (!is_subjob_terminal(sj->state)) {
@@ -349,18 +345,20 @@ void CoallocationRequest::on_checkin(net::NodeId src,
   sj->process_nodes[rank] = src;
   ++sj->checked_count;
   if (sj->checked_count == sj->request.count) {
-    set_state(*sj, SubjobState::kCheckedIn);
+    const SubjobHandle handle = sj->handle;
+    sj->state = SubjobState::kCheckedIn;
     sj->checked_in_at = owner_->engine().now();
     owner_->engine().cancel(sj->timeout_event);
     notify_subjob(*sj);
-    if (hold_handle_ == sj->handle) {
+    if (hold_handle_ == handle) {
       hold_handle_ = 0;
       pump_submissions();
     }
     if (state_ == RequestState::kReleased) {
       // A late optional subjob joins the running computation (§3.2).
-      add_layout(*sj);
-      send_releases(*sj);
+      Subjob& joined = *find(handle);
+      add_layout(joined);
+      send_releases(joined);
     } else {
       maybe_release();
     }
@@ -370,12 +368,11 @@ void CoallocationRequest::on_checkin(net::NodeId src,
 void CoallocationRequest::maybe_release() {
   if (state_ != RequestState::kCommitted) return;
   std::size_t live = 0;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj == nullptr || !is_live(*sj)) continue;
+  for (const Subjob& sj : slots_) {
+    if (!is_live(sj)) continue;
     ++live;
-    if (sj->request.start_type == rsl::SubjobStartType::kOptional) continue;
-    if (sj->state != SubjobState::kCheckedIn) return;  // barrier not full
+    if (sj.request.start_type == rsl::SubjobStartType::kOptional) continue;
+    if (sj.state != SubjobState::kCheckedIn) return;  // barrier not full
   }
   if (live == 0) {
     abort("no live subjobs remain in the committed request");
@@ -387,16 +384,13 @@ void CoallocationRequest::maybe_release() {
   released_at_ = owner_->engine().now();
   config_table_ = RuntimeConfig{};
   config_table_.request = id_;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj == nullptr || !is_live(*sj)) continue;
-    if (sj->state != SubjobState::kCheckedIn) continue;  // pending optional
-    add_layout(*sj);
+  for (const Subjob& sj : slots_) {
+    // Pending optional subjobs join when they check in.
+    if (sj.state == SubjobState::kCheckedIn) add_layout(sj);
   }
-  for (SubjobHandle h : order_) {
-    Subjob* sj = find(h);
-    if (sj == nullptr || sj->state != SubjobState::kCheckedIn) continue;
-    send_releases(*sj);
+  // Indexed: each release runs the agent callback.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].state == SubjobState::kCheckedIn) send_releases(slots_[i]);
   }
   if (callbacks_.on_released) callbacks_.on_released(config_table_);
 }
@@ -415,7 +409,7 @@ void CoallocationRequest::add_layout(const Subjob& sj) {
 }
 
 void CoallocationRequest::send_releases(Subjob& sj) {
-  set_state(sj, SubjobState::kReleased);
+  sj.state = SubjobState::kReleased;
   sj.released_at = owner_->engine().now();
   for (std::int32_t rank = 0; rank < sj.request.count; ++rank) {
     send_release(sj, rank);
@@ -448,11 +442,17 @@ util::Status CoallocationRequest::commit() {
     return {util::ErrorCode::kFailedPrecondition,
             "commit is only valid from the editing phase"};
   }
-  if (order_.empty()) {
+  if (slots_.empty()) {
     return {util::ErrorCode::kFailedPrecondition,
             "cannot commit an empty request"};
   }
   start();  // commit implies the pipeline is running
+  if (state_ != RequestState::kEditing) {
+    // A subjob that failed inside start() ended the request (or its
+    // callback committed): the terminal callback has already run.
+    return {util::ErrorCode::kFailedPrecondition,
+            "commit is only valid from the editing phase"};
+  }
   state_ = RequestState::kCommitted;
   maybe_release();
   return util::Status::ok();
@@ -506,11 +506,12 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
   owner_->engine().cancel(sj->timeout_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob failed: " + why.message());
-  set_state(*sj, SubjobState::kFailed);
+  sj->state = SubjobState::kFailed;
   sj->failure = why;
   if (hold_handle_ == handle) {
     hold_handle_ = 0;
     pump_submissions();
+    sj = find(handle);
   }
   const rsl::SubjobStartType type = sj->request.start_type;
   // The agent callback runs before category handling so a failure can be
@@ -544,18 +545,17 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
 void CoallocationRequest::abort(const std::string& reason) {
   if (is_request_terminal(state_)) return;
   state_ = RequestState::kAborted;  // set first: callbacks see a dead request
-  for (SubjobHandle h : order_) {
-    Subjob* sj = find(h);
-    if (sj == nullptr) continue;
-    owner_->engine().cancel(sj->timeout_event);
-    if (sj->state == SubjobState::kDeleted) continue;
-    cancel_gram_job(*sj);
-    abort_subjob_processes(*sj, reason);
-    if (sj->state != SubjobState::kFailed &&
-        sj->state != SubjobState::kDone) {
-      set_state(*sj, SubjobState::kFailed);
-      sj->failure = util::Status(util::ErrorCode::kAborted, reason);
-      notify_subjob(*sj);
+  // Indexed: each failed slot runs the agent callback.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Subjob& sj = slots_[i];
+    owner_->engine().cancel(sj.timeout_event);
+    if (sj.state == SubjobState::kDeleted) continue;
+    cancel_gram_job(sj);
+    abort_subjob_processes(sj, reason);
+    if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDone) {
+      sj.state = SubjobState::kFailed;
+      sj.failure = util::Status(util::ErrorCode::kAborted, reason);
+      notify_subjob(sj);
     }
   }
   finish(util::Status(util::ErrorCode::kAborted, reason));
@@ -564,11 +564,10 @@ void CoallocationRequest::abort(const std::string& reason) {
 void CoallocationRequest::maybe_done() {
   if (state_ != RequestState::kReleased) return;
   bool any = false;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj == nullptr || !is_live(*sj)) continue;
+  for (const Subjob& sj : slots_) {
+    if (!is_live(sj)) continue;
     any = true;
-    if (sj->state != SubjobState::kDone) return;
+    if (sj.state != SubjobState::kDone) return;
   }
   if (!any) {
     finish(util::Status(util::ErrorCode::kAborted,
@@ -591,33 +590,10 @@ void CoallocationRequest::finish(util::Status status) {
 // ---- monitoring --------------------------------------------------------------
 
 void CoallocationRequest::notify_subjob(const Subjob& sj) {
-  if (callbacks_.on_subjob) {
-    callbacks_.on_subjob(sj.handle, sj.state, sj.failure);
-  }
-}
-
-std::vector<SubjobHandle> CoallocationRequest::subjobs() const {
-  return order_;
-}
-
-void CoallocationRequest::agg_add(const Subjob& sj) {
-  if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDeleted) {
-    ++agg_.live_subjobs;
-    agg_.live_processes += sj.request.count;
-  }
-}
-
-void CoallocationRequest::agg_remove(const Subjob& sj) {
-  if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDeleted) {
-    --agg_.live_subjobs;
-    agg_.live_processes -= sj.request.count;
-  }
-}
-
-void CoallocationRequest::set_state(Subjob& sj, SubjobState to) {
-  agg_remove(sj);
-  sj.state = to;
-  agg_add(sj);
+  if (!callbacks_.on_subjob) return;
+  // A copy: the callback may add a subjob, which moves `sj`.
+  const util::Status why = sj.failure;
+  callbacks_.on_subjob(sj.handle, sj.state, why);
 }
 
 util::Result<CoallocationRequest::SubjobBrief>
@@ -630,34 +606,15 @@ CoallocationRequest::subjob_brief(SubjobHandle handle) const {
   b.state = sj->state;
   b.start_type = sj->request.start_type;
   b.count = sj->request.count;
+  b.checked_in = sj->checked_count;
   b.gram_job = sj->gram_job;
   b.gatekeeper = sj->gatekeeper;
+  b.submitted_at = sj->submitted_at;
+  b.accepted_at = sj->accepted_at;
+  b.active_at = sj->active_at;
+  b.checked_in_at = sj->checked_in_at;
+  b.released_at = sj->released_at;
   return b;
-}
-
-util::Result<SubjobView> CoallocationRequest::subjob(
-    SubjobHandle handle) const {
-  const Subjob* sj = find(handle);
-  if (sj == nullptr) {
-    return util::Status(util::ErrorCode::kNotFound, "unknown subjob");
-  }
-  SubjobView v;
-  v.handle = sj->handle;
-  v.state = sj->state;
-  v.start_type = sj->request.start_type;
-  v.contact = sj->request.resource_manager_contact;
-  v.label = sj->request.label;
-  v.count = sj->request.count;
-  v.checked_in = sj->checked_count;
-  v.gram_job = sj->gram_job;
-  v.gatekeeper = sj->gatekeeper;
-  v.failure = sj->failure;
-  v.submitted_at = sj->submitted_at;
-  v.accepted_at = sj->accepted_at;
-  v.active_at = sj->active_at;
-  v.checked_in_at = sj->checked_in_at;
-  v.released_at = sj->released_at;
-  return v;
 }
 
 util::Result<rsl::JobRequest> CoallocationRequest::subjob_request(
@@ -667,16 +624,6 @@ util::Result<rsl::JobRequest> CoallocationRequest::subjob_request(
     return util::Status(util::ErrorCode::kNotFound, "unknown subjob");
   }
   return sj->request;
-}
-
-SubjobHandle CoallocationRequest::find_labeled(std::string_view label) const {
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj != nullptr && is_live(*sj) && sj->request.label == label) {
-      return h;
-    }
-  }
-  return 0;
 }
 
 }  // namespace grid::core

@@ -22,9 +22,17 @@
 //                optional subjobs, which join as and when they check in
 //                (including after release).
 //
-// Both co-allocators are built from this one mechanism set: DUROC exposes
-// it directly; GRAB (atomic transactions) is the degenerate configuration
-// "all subjobs required, commit immediately, no edits" (core/grab.hpp).
+// Both co-allocators of §4.1 are this one API.  DUROC is the API used
+// directly: an agent creates a request through core::Coallocator, edits it
+// while watching its subjob callbacks, commits, and then monitors and
+// controls the released ensemble.  GRAB (atomic transactions) is the
+// degenerate configuration "all subjobs required, commit immediately, no
+// edits" (core/grab.hpp).
+//
+// Subjob handles are dense: add_subjob() hands out 1, 2, ... and no slot
+// is ever erased or reused (a removed subjob stays as kDeleted, a
+// substituted one keeps its handle), so handles 1..subjob_count() are the
+// slots in insertion order.  subjob_brief() is the one view of a slot.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +40,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/barrier_protocol.hpp"
@@ -41,7 +48,6 @@
 #include "gram/client.hpp"
 #include "rsl/attributes.hpp"
 #include "simkit/annotate.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::core {
 
@@ -55,33 +61,14 @@ struct RequestConfig {
   sim::Time rpc_timeout = 30 * sim::kSecond;
   /// Deadline from subjob submission to full barrier check-in; expiry is a
   /// failure handled per the subjob's category.  0 disables.  Earlier
-  /// detection of a silent resource manager is core::HeartbeatDetector's
-  /// job (DurocAllocator::watch, GrabAllocator::set_heartbeats).
+  /// detection of a silent resource manager is the job of a
+  /// core::HeartbeatDetector, which the agent attaches to the request.
   sim::Time startup_timeout = 10 * sim::kMinute;
   /// Ablation knob (bench/ablate_pipelining): when true the pipeline holds
   /// the next subjob until the previous one has fully checked in — the
   /// "zero concurrency" behaviour Figure 4 compares against.  The default
   /// (false) overlaps remote processing with later submissions.
   bool serialize_until_checkin = false;
-};
-
-/// A subjob slot as visible to co-allocation agents.
-struct SubjobView {
-  SubjobHandle handle = 0;
-  SubjobState state = SubjobState::kUnsubmitted;
-  rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired;
-  std::string contact;
-  std::string label;
-  std::int32_t count = 0;
-  std::int32_t checked_in = 0;
-  gram::JobId gram_job = 0;
-  net::NodeId gatekeeper = net::kInvalidNode;
-  util::Status failure;
-  sim::Time submitted_at = -1;
-  sim::Time accepted_at = -1;
-  sim::Time active_at = -1;
-  sim::Time checked_in_at = -1;
-  sim::Time released_at = -1;
 };
 
 // Registration-time callbacks: each fires at most once per subjob state
@@ -158,37 +145,29 @@ class GRID_HOT CoallocationRequest {
 
   // ---- monitoring (§3.4) --------------------------------------------------
 
-  /// Live-slot totals, maintained incrementally at every transition so
-  /// reading them is O(1) no matter how many subjobs the request carries.
-  struct SubjobAggregate {
-    std::size_t live_subjobs = 0;  // not failed, not deleted
-    std::int32_t live_processes = 0;
-  };
-
-  /// Cheap fixed-size view of one subjob slot: everything periodic
-  /// monitors (heartbeats) need, with no string copies.
+  /// Fixed-size view of one subjob slot, with no string copies: what
+  /// periodic monitors (heartbeats) and agent strategies read on every
+  /// callback, and the per-subjob timeline of Figure 5 (-1 until reached).
   struct SubjobBrief {
     SubjobState state = SubjobState::kUnsubmitted;
     rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired;
     std::int32_t count = 0;
+    std::int32_t checked_in = 0;
     gram::JobId gram_job = 0;
     net::NodeId gatekeeper = net::kInvalidNode;
+    sim::Time submitted_at = -1;
+    sim::Time accepted_at = -1;
+    sim::Time active_at = -1;
+    sim::Time checked_in_at = -1;
+    sim::Time released_at = -1;
   };
 
-  std::vector<SubjobHandle> subjobs() const;
-  /// Insertion-order slot handles without the copy subjobs() makes.
-  const std::vector<SubjobHandle>& subjob_order() const { return order_; }
+  /// Slots ever added; their handles are 1..subjob_count().
+  std::size_t subjob_count() const { return slots_.size(); }
   util::Result<SubjobBrief> subjob_brief(SubjobHandle handle) const;
-  util::Result<SubjobView> subjob(SubjobHandle handle) const;
   /// The full specification currently bound to a slot (agents use this to
   /// build substitutes from the failed subjob's shape).
   util::Result<rsl::JobRequest> subjob_request(SubjobHandle handle) const;
-  /// First live subjob whose RSL label matches; 0 when absent.  Labels are
-  /// how Figure 1-style requests name their logical pieces.
-  SubjobHandle find_labeled(std::string_view label) const;
-  /// Live subjobs: edited in and not failed/deleted.
-  std::size_t live_subjob_count() const { return agg_.live_subjobs; }
-  std::int32_t total_live_processes() const { return agg_.live_processes; }
   sim::Time released_at() const { return released_at_; }
 
   /// The configuration sent at release (valid once state >= kReleased).
@@ -247,10 +226,9 @@ class GRID_HOT CoallocationRequest {
   void finish(util::Status status);
 
   void notify_subjob(const Subjob& sj);
-  /// All slot-state transitions go through here so `agg_` stays exact.
-  void set_state(Subjob& sj, SubjobState to);
-  void agg_add(const Subjob& sj);
-  void agg_remove(const Subjob& sj);
+  /// The slot behind `handle`, or nullptr for a handle never issued.  A
+  /// callback may add a subjob and so move every slot: code that runs one
+  /// looks its slot up again afterwards.
   Subjob* find(SubjobHandle handle);
   const Subjob* find(SubjobHandle handle) const;
   bool is_live(const Subjob& sj) const {
@@ -268,10 +246,7 @@ class GRID_HOT CoallocationRequest {
   bool submission_in_flight_ = false;
   SubjobHandle hold_handle_ = 0;  // serialize_until_checkin gate
   std::deque<SubjobHandle> submit_queue_;
-  std::vector<SubjobHandle> order_;  // insertion order of slots
-  sim::IdSlab<Subjob> slots_;
-  SubjobAggregate agg_;
-  SubjobHandle next_handle_ = 1;
+  std::vector<Subjob> slots_;  // handle h at index h - 1
   RuntimeConfig config_table_;
   sim::Time released_at_ = -1;
   /// Cleared by the destructor; captured by callbacks handed to the gram

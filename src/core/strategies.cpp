@@ -22,19 +22,15 @@ void ReplacementAgent::on_subjob(SubjobHandle handle, SubjobState state,
   if (user_.on_subjob) user_.on_subjob(handle, state, why);
   if (state == SubjobState::kFailed &&
       request_->state() == RequestState::kEditing) {
-    auto view = request_->subjob(handle);
-    if (view.is_ok() &&
-        view.value().start_type == rsl::SubjobStartType::kInteractive &&
+    if (request_->subjob_brief(handle).value().start_type ==
+            rsl::SubjobStartType::kInteractive &&
         !spares_.empty()) {
-      auto original = request_->subjob_request(handle);
-      if (original.is_ok()) {
-        rsl::JobRequest replacement = original.take();
-        replacement.resource_manager_contact = spares_.front();
-        spares_.erase(spares_.begin());
-        ++substitutions_;
-        request_->substitute_subjob(handle, std::move(replacement));
-        return;
-      }
+      rsl::JobRequest replacement = request_->subjob_request(handle).take();
+      replacement.resource_manager_contact = spares_.front();
+      spares_.erase(spares_.begin());
+      ++substitutions_;
+      request_->substitute_subjob(handle, std::move(replacement));
+      return;
     }
   }
   // A check-in may complete the barrier; an unrepairable failure may leave
@@ -48,10 +44,8 @@ void ReplacementAgent::maybe_commit() {
   if (committed_ || request_->state() != RequestState::kEditing) {
     return;
   }
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
+  for (SubjobHandle h = 1; h <= request_->subjob_count(); ++h) {
+    const auto v = request_->subjob_brief(h).value();
     if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
       continue;
     }
@@ -94,11 +88,9 @@ MinimumCountAgent::~MinimumCountAgent() {
 
 std::int32_t MinimumCountAgent::checked_in_processes() const {
   std::int32_t n = 0;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (view.is_ok() && view.value().state == SubjobState::kCheckedIn) {
-      n += view.value().count;
-    }
+  for (SubjobHandle h = 1; h <= request_->subjob_count(); ++h) {
+    const auto v = request_->subjob_brief(h).value();
+    if (v.state == SubjobState::kCheckedIn) n += v.count;
   }
   return n;
 }
@@ -115,10 +107,8 @@ void MinimumCountAgent::evaluate() {
   // deleting laggards only applies to interactive ones (Fig. 1 semantics).
   std::int32_t ready = 0;
   bool required_pending = false;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
+  for (SubjobHandle h = 1; h <= request_->subjob_count(); ++h) {
+    const auto v = request_->subjob_brief(h).value();
     if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
       continue;
     }
@@ -131,10 +121,10 @@ void MinimumCountAgent::evaluate() {
   if (ready < options_.minimum_processes || required_pending) return;
   committed_ = true;
   // Terminate subjobs that have not yet responded, then commit (§4.1).
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
+  // remove_subjob runs the callbacks, so each slot is read afresh.
+  const std::size_t count = request_->subjob_count();
+  for (SubjobHandle h = 1; h <= count; ++h) {
+    const auto v = request_->subjob_brief(h).value();
     if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted ||
         v.state == SubjobState::kCheckedIn) {
       continue;

@@ -108,7 +108,16 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
   if (it == reservations_.end()) {
     return {util::ErrorCode::kNotFound, "unknown reservation"};
   }
-  if (job.count > it->count) {
+  // The window holds `count` processors for every job bound to it, so the
+  // jobs still queued or running against it share them with this one.
+  std::int32_t bound = job.count;
+  for (const Queued& q : queue_) {
+    if (q.reservation == rid) bound += q.desc.count;
+  }
+  running_.for_each([&](JobId, const Running& r) {
+    if (r.reservation == rid) bound += r.desc.count;
+  });
+  if (bound > it->count) {
     return {util::ErrorCode::kResourceExhausted,
             "job exceeds reservation capacity"};
   }

@@ -57,7 +57,9 @@ class ReservationScheduler final : public LocalScheduler {
 
   /// Submits a job bound to a reservation; it starts at the window start
   /// (immediately if the window is open) and is killed at window end if
-  /// still running.  The job's count must fit the reservation.
+  /// still running.  The job's count, plus the counts of the jobs already
+  /// bound to the reservation and still queued or running, must fit the
+  /// reservation (kResourceExhausted otherwise).
   util::Status submit_reserved(const JobDescriptor& job, ReservationId rid,
                                StartFn on_start, EndFn on_end);
 

@@ -23,7 +23,7 @@
 
 #include "app/behaviors.hpp"
 #include "app/failure.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "core/grab.hpp"
 #include "core/monitor.hpp"
 #include "simkit/trialpool.hpp"
@@ -100,6 +100,15 @@ struct ChaosTrial {
     inject = std::make_unique<app::FailureInjector>(grid->network());
   }
 
+  /// Attaches a started heartbeat detector to request `id`: abort-fast for
+  /// GRAB, early dead-resource detection for DUROC.
+  std::unique_ptr<core::HeartbeatDetector> watch(core::RequestId id) {
+    auto detector = std::make_unique<core::HeartbeatDetector>(
+        *mech, id, chaos_heartbeats());
+    detector->start();
+    return detector;
+  }
+
   std::string rsl(const std::vector<std::string>& start_types) const {
     std::vector<std::string> subs;
     for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -159,27 +168,29 @@ struct ChaosTrial {
 Outcome run_grab_trial(Schedule schedule, std::uint64_t seed) {
   ChaosTrial trial(3, seed);
   core::GrabAllocator grab(*trial.mech);
-  grab.set_heartbeats(chaos_heartbeats());
   Outcome out;
   auto allocated = grab.allocate(
       trial.rsl({"required"}),
-      {.on_started =
+      {.on_subjob = nullptr,
+       .on_released =
            [&](const core::RuntimeConfig&) {
              if (out.terminals > 0) out.release_after_terminal = true;
              ++out.releases;
              out.released_at = trial.grid->engine().now();
            },
-       .on_done =
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
              out.finished_at = trial.grid->engine().now();
            }});
   EXPECT_TRUE(allocated.is_ok());
+  if (!allocated.is_ok()) return out;
+  auto detector = trial.watch(allocated.value());
   sim::Rng rng(seed ^ 0xc4a05);
   trial.apply(schedule, rng);
   trial.grid->run_until(kHorizon);
-  if (out.terminals == 0 && allocated.is_ok()) {
+  if (out.terminals == 0) {
     // The request survived the horizon (e.g. waiting out a timeout that
     // message loss keeps extending); the control operation must still
     // produce exactly one terminal callback.
@@ -191,7 +202,6 @@ Outcome run_grab_trial(Schedule schedule, std::uint64_t seed) {
 
 Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
   ChaosTrial trial(4, seed);
-  core::DurocAllocator duroc(*trial.mech);
   Outcome out;
   core::RequestCallbacks cbs;
   cbs.on_released = [&](const core::RuntimeConfig&) {
@@ -204,7 +214,7 @@ Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
     out.ok = status.is_ok();
     out.finished_at = trial.grid->engine().now();
   };
-  core::CoallocationRequest* req = duroc.create_request(std::move(cbs));
+  core::CoallocationRequest* req = trial.mech->create_request(std::move(cbs));
   // Mixed categories: one failure-sensitive subjob, one repairable, two
   // that must never block or kill the ensemble.
   EXPECT_TRUE(req->add_rsl(trial.rsl({"required", "interactive", "optional",
@@ -212,7 +222,7 @@ Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
                   .is_ok());
   req->start();
   EXPECT_TRUE(req->commit().is_ok());
-  auto detector = duroc.watch(req->id(), chaos_heartbeats());
+  auto detector = trial.watch(req->id());
   sim::Rng rng(seed ^ 0xd00cbeef);
   trial.apply(schedule, rng);
   trial.grid->run_until(kHorizon);
@@ -307,20 +317,19 @@ TEST(ChaosDetector, QuietNetworkProducesNoVerdicts) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ChaosTrial trial(3, seed);
     core::GrabAllocator grab(*trial.mech);
-    grab.set_heartbeats(chaos_heartbeats());
     Outcome out;
     auto allocated = grab.allocate(
         trial.rsl({"required"}),
-        {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-         .on_done =
+        {.on_subjob = nullptr,
+         .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+         .on_terminal =
              [&](const util::Status& status) {
                ++out.terminals;
                out.ok = status.is_ok();
              }});
     ASSERT_TRUE(allocated.is_ok());
+    auto detector = trial.watch(allocated.value());
     trial.grid->run_until(kHorizon);
-    const core::HeartbeatDetector* detector = grab.detector(allocated.value());
-    ASSERT_NE(detector, nullptr);
     // No injected failures: the ensemble must succeed and the detector
     // must never have issued a verdict against a healthy subjob.
     EXPECT_EQ(out.terminals, 1);
@@ -335,24 +344,25 @@ TEST(ChaosDetector, SlowNodeIsNotKilledWhileTimeoutsStillExpire) {
   // verdict: slow is not dead.
   ChaosTrial trial(2, 99);
   core::GrabAllocator grab(*trial.mech);
-  grab.set_heartbeats(chaos_heartbeats());  // beat timeout 1 s
   trial.inject->slow_node(trial.grid->host("site2")->contact(),
                           200 * sim::kMillisecond, sim::kSecond,
                           30 * sim::kSecond);
   Outcome out;
   auto allocated = grab.allocate(
       trial.rsl({"required"}),
-      {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-       .on_done =
+      {.on_subjob = nullptr,
+       .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
            }});
   ASSERT_TRUE(allocated.is_ok());
+  auto detector = trial.watch(allocated.value());  // beat timeout 1 s
   trial.grid->run_until(kHorizon);
   EXPECT_EQ(out.terminals, 1);
   EXPECT_TRUE(out.ok);
-  EXPECT_EQ(grab.detector(allocated.value())->verdicts(), 0u);
+  EXPECT_EQ(detector->verdicts(), 0u);
 }
 
 TEST(ChaosDetector, PartitionedManagerAbortsFastInGrab) {
@@ -368,21 +378,22 @@ TEST(ChaosDetector, PartitionedManagerAbortsFastInGrab) {
   app::install_app(trial.grid->executables(), "slowsim", profile,
                    &trial.stats, 17);
   core::GrabAllocator grab(*trial.mech);
-  grab.set_heartbeats(chaos_heartbeats());
   std::vector<std::string> subs = {
       testbed::rsl_subjob("site1", 4, "slowsim", "required"),
       testbed::rsl_subjob("site2", 4, "slowsim", "required")};
   Outcome out;
   auto allocated = grab.allocate(
       testbed::rsl_multi(subs),
-      {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-       .on_done =
+      {.on_subjob = nullptr,
+       .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
              out.finished_at = trial.grid->engine().now();
            }});
   ASSERT_TRUE(allocated.is_ok());
+  auto detector = trial.watch(allocated.value());
   trial.inject->partition_between(trial.mech->endpoint().id(),
                                   trial.grid->host("site2")->contact(),
                                   5 * sim::kSecond, kHorizon);
@@ -390,7 +401,7 @@ TEST(ChaosDetector, PartitionedManagerAbortsFastInGrab) {
   EXPECT_EQ(out.terminals, 1);
   EXPECT_FALSE(out.ok);  // atomicity preserved: everything rolled back
   EXPECT_EQ(out.releases, 0);
-  EXPECT_GE(grab.detector(allocated.value())->verdicts(), 1u);
+  EXPECT_GE(detector->verdicts(), 1u);
   // Abort-fast: far earlier than the startup deadline.
   EXPECT_LT(out.finished_at, 30 * sim::kSecond);
   EXPECT_LT(out.finished_at, kStartupTimeout);
@@ -401,7 +412,6 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   // after release; the subjob reports kFailed while the request stays
   // released, and the ensemble runs to completion.
   ChaosTrial trial(2, 21);
-  core::DurocAllocator duroc(*trial.mech);
   Outcome out;
   bool degraded = false;
   core::CoallocationRequest* req = nullptr;
@@ -421,14 +431,14 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
     ++out.terminals;
     out.ok = status.is_ok();
   };
-  req = duroc.create_request(std::move(user));
+  req = trial.mech->create_request(std::move(user));
   std::vector<std::string> subs = {
       testbed::rsl_subjob("site1", 4, "sim", "required"),
       testbed::rsl_subjob("site2", 4, "sim", "optional")};
   ASSERT_TRUE(req->add_rsl(testbed::rsl_multi(subs)).is_ok());
   req->start();
   ASSERT_TRUE(req->commit().is_ok());
-  auto detector = duroc.watch(req->id(), chaos_heartbeats());
+  auto detector = trial.watch(req->id());
   // The apps release within ~1 s and run for 30 s; cut the optional
   // manager off well inside the run window.
   trial.inject->partition_between(trial.mech->endpoint().id(),
@@ -464,12 +474,13 @@ Outcome run_checkin_loss_trial(sim::Time resend_period, std::uint64_t seed) {
   Outcome out;
   auto allocated = grab.allocate(
       testbed::rsl_multi(subs),
-      {.on_started =
+      {.on_subjob = nullptr,
+       .on_released =
            [&](const core::RuntimeConfig&) {
              ++out.releases;
              out.released_at = trial.grid->engine().now();
            },
-       .on_done =
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();

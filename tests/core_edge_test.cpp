@@ -5,6 +5,7 @@
 
 #include "app/failure.hpp"
 #include "core/barrier_protocol.hpp"
+#include "core/monitor.hpp"
 #include "test_util.hpp"
 
 namespace grid {
@@ -103,7 +104,7 @@ TEST(CoallocationEdge, StaleIncarnationCheckinIsRejected) {
   ASSERT_TRUE(outcome.released);
   EXPECT_EQ(outcome.config.total_processes, 4);
   EXPECT_EQ(outcome.config.subjobs[0].contact, "host2");
-  auto view = req->subjob(handle.value());
+  auto view = req->subjob_brief(handle.value());
   ASSERT_TRUE(view.is_ok());
   EXPECT_EQ(view.value().checked_in, 4);
 }
@@ -255,7 +256,6 @@ TEST(CoallocationEdge, HeartbeatDetectsDeadHostEarly) {
   // every 10 s, the failure surfaces within ~half a minute.
   SmallGrid g(2, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 10 * sim::kMinute});
-  core::DurocAllocator duroc(*g.coallocator);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 5 * sim::kSecond;
@@ -267,12 +267,14 @@ TEST(CoallocationEdge, HeartbeatDetectsDeadHostEarly) {
     // Record only the root-cause failure; the abort marks the rest.
     if (s == SubjobState::kFailed && failure.is_ok()) failure = why;
   };
-  auto* req = duroc.create_request(cbs, config);
+  auto* req = g.coallocator->create_request(cbs, config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
-  auto detector = duroc.watch(req->id(), {.interval = 10 * sim::kSecond,
-                                          .beat_timeout = 5 * sim::kSecond,
-                                          .misses_to_dead = 2});
+  core::HeartbeatDetector detector(*g.coallocator, req->id(),
+                                   {.interval = 10 * sim::kSecond,
+                                    .beat_timeout = 5 * sim::kSecond,
+                                    .misses_to_dead = 2});
+  detector.start();
   // host2 dies while its application initializes.
   g.grid->engine().schedule_at(5 * sim::kSecond,
                                [&] { g.grid->host("host2")->crash(); });
@@ -280,7 +282,7 @@ TEST(CoallocationEdge, HeartbeatDetectsDeadHostEarly) {
   EXPECT_FALSE(outcome.released);
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
   EXPECT_EQ(failure.code(), util::ErrorCode::kUnavailable);
-  EXPECT_EQ(detector->verdicts(), 1u);
+  EXPECT_EQ(detector.verdicts(), 1u);
   // Detected by heartbeats in well under a minute, not at the 30 min
   // deadline.
   EXPECT_LT(g.grid->engine().now(), sim::kMinute);
@@ -291,17 +293,18 @@ TEST(CoallocationEdge, HeartbeatToleratesTransientLoss) {
   // within the allowed miss budget.
   SmallGrid g(1, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 2 * sim::kMinute});
-  core::DurocAllocator duroc(*g.coallocator);
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 2 * sim::kSecond;
   Outcome outcome;
-  auto* req = duroc.create_request(outcome.callbacks(), config);
+  auto* req = g.coallocator->create_request(outcome.callbacks(), config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
-  auto detector = duroc.watch(req->id(), {.interval = 10 * sim::kSecond,
-                                          .beat_timeout = 2 * sim::kSecond,
-                                          .misses_to_dead = 3});
+  core::HeartbeatDetector detector(*g.coallocator, req->id(),
+                                   {.interval = 10 * sim::kSecond,
+                                    .beat_timeout = 2 * sim::kSecond,
+                                    .misses_to_dead = 3});
+  detector.start();
   // One beat window of total loss (~12 s): at most 1-2 misses, then
   // recovery.
   app::FailureInjector chaos(g.grid->network());
@@ -309,8 +312,8 @@ TEST(CoallocationEdge, HeartbeatToleratesTransientLoss) {
   g.grid->run();
   EXPECT_TRUE(outcome.released);
   EXPECT_TRUE(outcome.status.is_ok());
-  EXPECT_GT(detector->beats_missed(), 0u);
-  EXPECT_EQ(detector->verdicts(), 0u);
+  EXPECT_GT(detector.beats_missed(), 0u);
+  EXPECT_EQ(detector.verdicts(), 0u);
 }
 
 TEST(CoallocationEdge, DestroyRequestMidFlightIsSafe) {
@@ -343,21 +346,123 @@ TEST(CoallocationEdge, RemovingLastLiveSubjobThenCommitAborts) {
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
 }
 
-TEST(CoallocationEdge, TotalsTrackEdits) {
+TEST(CoallocationEdge, HandlesAreDenseAcrossEdits) {
+  // Handles run 1..subjob_count() in insertion order: a removed slot stays
+  // (kDeleted), a substituted one keeps its handle, and adds append.
   SmallGrid g(3);
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks());
+  EXPECT_EQ(req->subjob_count(), 0u);
+  EXPECT_FALSE(req->subjob_brief(0).is_ok());
+  EXPECT_FALSE(req->subjob_brief(1).is_ok());
   auto a = req->add_subjob(make_job("host1", 4, SubjobStartType::kRequired));
   auto b =
       req->add_subjob(make_job("host2", 8, SubjobStartType::kInteractive));
-  EXPECT_EQ(req->live_subjob_count(), 2u);
-  EXPECT_EQ(req->total_live_processes(), 12);
-  req->remove_subjob(b.value());
-  EXPECT_EQ(req->live_subjob_count(), 1u);
-  EXPECT_EQ(req->total_live_processes(), 4);
-  req->substitute_subjob(a.value(),
-                         make_job("host3", 6, SubjobStartType::kRequired));
-  EXPECT_EQ(req->total_live_processes(), 6);
+  ASSERT_TRUE(a.is_ok() && b.is_ok());
+  EXPECT_EQ(a.value(), 1u);
+  EXPECT_EQ(b.value(), 2u);
+  ASSERT_TRUE(req->remove_subjob(b.value()).is_ok());
+  EXPECT_EQ(req->remove_subjob(b.value()).code(), util::ErrorCode::kNotFound);
+  ASSERT_TRUE(req->substitute_subjob(
+                     a.value(), make_job("host3", 6, SubjobStartType::kRequired))
+                  .is_ok());
+  auto c = req->add_subjob(make_job("host2", 2, SubjobStartType::kRequired));
+  ASSERT_TRUE(c.is_ok());
+  EXPECT_EQ(c.value(), 3u);
+  ASSERT_EQ(req->subjob_count(), 3u);
+  EXPECT_FALSE(req->subjob_brief(4).is_ok());
+  const char* contacts[] = {"host3", "host2", "host2"};
+  const std::int32_t counts[] = {6, 8, 2};
+  const SubjobState states[] = {SubjobState::kUnsubmitted,
+                                SubjobState::kDeleted,
+                                SubjobState::kUnsubmitted};
+  for (core::SubjobHandle h = 1; h <= req->subjob_count(); ++h) {
+    SCOPED_TRACE("handle " + std::to_string(h));
+    EXPECT_EQ(req->subjob_request(h).value().resource_manager_contact,
+              contacts[h - 1]);
+    EXPECT_EQ(req->subjob_brief(h).value().count, counts[h - 1]);
+    EXPECT_EQ(req->subjob_brief(h).value().state, states[h - 1]);
+  }
+  req->commit();
+  g.grid->run();
+  ASSERT_TRUE(outcome.released);
+  ASSERT_EQ(outcome.config.subjobs.size(), 2u);
+  EXPECT_EQ(outcome.config.subjobs[0].subjob, 1u);
+  EXPECT_EQ(outcome.config.subjobs[1].subjob, 3u);
+  EXPECT_EQ(outcome.config.total_processes, 8);
+}
+
+TEST(CoallocationEdge, RepairAddedWhileStartFailsASubjobIsSafe) {
+  // The first subjob names a contact no resolver knows, so start() fails
+  // it synchronously.  The agent repairs the request from the failure
+  // callback by adding subjobs, enough to move every slot; start() must
+  // go on without touching the moved slots, and the pipeline must still
+  // submit one subjob at a time (§4.2).
+  SmallGrid g(2);
+  Outcome outcome;
+  core::CoallocationRequest* req = nullptr;
+  auto cbs = outcome.callbacks();
+  int repairs = 0;
+  cbs.on_subjob = [&](core::SubjobHandle, SubjobState s,
+                      const util::Status& why) {
+    if (s != SubjobState::kFailed || repairs > 0) return;
+    ++repairs;
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(
+          req->add_subjob(make_job("host2", 1, SubjobStartType::kInteractive))
+              .is_ok());
+    }
+    // The status handed to the callback is still readable after the adds.
+    EXPECT_EQ(why.code(), util::ErrorCode::kNotFound);
+  };
+  req = g.coallocator->create_request(cbs);
+  ASSERT_TRUE(
+      req->add_subjob(make_job("nowhere", 2, SubjobStartType::kInteractive))
+          .is_ok());
+  ASSERT_TRUE(
+      req->add_subjob(make_job("host1", 2, SubjobStartType::kInteractive))
+          .is_ok());
+  req->start();
+  EXPECT_EQ(repairs, 1);
+  ASSERT_EQ(req->subjob_count(), 18u);
+  EXPECT_EQ(req->subjob_brief(1).value().state, SubjobState::kFailed);
+  int submitting = 0;
+  for (core::SubjobHandle h = 1; h <= req->subjob_count(); ++h) {
+    if (req->subjob_brief(h).value().state == SubjobState::kSubmitting) {
+      ++submitting;
+    }
+  }
+  EXPECT_EQ(submitting, 1);
+  ASSERT_TRUE(req->commit().is_ok());
+  g.grid->run();
+  ASSERT_TRUE(outcome.released);
+  EXPECT_TRUE(outcome.status.is_ok());
+  EXPECT_EQ(outcome.config.total_processes, 2 + 16);
+  EXPECT_EQ(req->subjob_brief(2).value().state, SubjobState::kDone);
+}
+
+TEST(CoallocationEdge, SynchronousFailureInsideCommitEndsOnce) {
+  // commit() starts the pipeline itself; a required subjob that fails
+  // there aborts the request before commit() returns.  The terminal
+  // callback fires once and commit() reports that it did not commit.
+  SmallGrid g(1);
+  Outcome outcome;
+  int terminals = 0;
+  auto cbs = outcome.callbacks();
+  auto chained = cbs.on_terminal;
+  cbs.on_terminal = [&, chained](const util::Status& s) {
+    ++terminals;
+    chained(s);
+  };
+  auto* req = g.coallocator->create_request(cbs);
+  req->add_subjob(make_job("nowhere", 2, SubjobStartType::kRequired));
+  req->add_subjob(make_job("host1", 2, SubjobStartType::kRequired));
+  EXPECT_EQ(req->commit().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(req->state(), RequestState::kAborted);
+  g.grid->run();
+  EXPECT_EQ(terminals, 1);
+  EXPECT_FALSE(outcome.released);
+  EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
 }
 
 TEST(CoallocationEdge, RequestsAreIsolated) {

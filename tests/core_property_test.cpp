@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -40,7 +41,9 @@ struct TrialResult {
   std::int64_t checkins_ok = 0;
   std::int64_t aborts = 0;
   bool required_failed_pre_release = false;
-  std::vector<core::SubjobView> views;
+  std::vector<std::pair<core::SubjobHandle,
+                        core::CoallocationRequest::SubjobBrief>>
+      views;
 };
 
 TrialResult run_trial(std::uint64_t seed) {
@@ -104,9 +107,9 @@ TrialResult run_trial(std::uint64_t seed) {
 
   // Detect "required failed before release".
   for (core::SubjobHandle h : handles) {
-    auto view = req->subjob(h);
+    auto view = req->subjob_brief(h);
     if (!view.is_ok()) continue;
-    result.views.push_back(view.value());
+    result.views.emplace_back(h, view.value());
     if (view.value().start_type == rsl::SubjobStartType::kRequired &&
         view.value().state == SubjobState::kFailed && !result.released) {
       result.required_failed_pre_release = true;
@@ -143,7 +146,7 @@ TEST_P(CoallocationProperty, InvariantsHoldUnderRandomFailures) {
         EXPECT_NE(layout.leader, net::kInvalidNode);
       }
       EXPECT_EQ(r.config.total_processes, expected_base);
-      for (const auto& v : r.views) {
+      for (const auto& [handle, v] : r.views) {
         if (v.start_type == rsl::SubjobStartType::kOptional) continue;
         if (v.state == SubjobState::kFailed ||
             v.state == SubjobState::kDeleted) {
@@ -151,7 +154,7 @@ TEST_P(CoallocationProperty, InvariantsHoldUnderRandomFailures) {
         }
         bool in_config = false;
         for (const auto& layout : r.config.subjobs) {
-          if (layout.subjob == v.handle) in_config = true;
+          if (layout.subjob == handle) in_config = true;
         }
         EXPECT_TRUE(in_config)
             << "live non-optional subjob missing from configuration";
@@ -230,12 +233,13 @@ TEST_P(GrabAtomicity, AllOrNothingUnderRandomFailures) {
     std::int32_t released_processes = -1;
     auto id = grab.allocate(
         std::move(subjobs),
-        {.on_started =
+        {.on_subjob = nullptr,
+         .on_released =
              [&](const core::RuntimeConfig& c) {
                started = true;
                released_processes = c.total_processes;
              },
-         .on_done = [&](const util::Status& s) { done = s; }},
+         .on_terminal = [&](const util::Status& s) { done = s; }},
         config);
     ASSERT_TRUE(id.is_ok());
     grid.run_until(sim::kHour);

@@ -99,21 +99,21 @@ TEST(Coallocation, EmptyRequestCannotCommit) {
   EXPECT_EQ(req->commit().code(), util::ErrorCode::kFailedPrecondition);
 }
 
-TEST(Coallocation, SubjobViewsTrackTimeline) {
+TEST(Coallocation, SubjobBriefsTrackTimeline) {
   SmallGrid g(1);
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks());
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
   g.grid->run();
-  auto handles = req->subjobs();
-  ASSERT_EQ(handles.size(), 1u);
-  auto view = req->subjob(handles[0]);
+  ASSERT_EQ(req->subjob_count(), 1u);
+  auto view = req->subjob_brief(1);
   ASSERT_TRUE(view.is_ok());
-  const core::SubjobView& v = view.value();
+  const core::CoallocationRequest::SubjobBrief& v = view.value();
   EXPECT_EQ(v.state, SubjobState::kDone);
   EXPECT_EQ(v.count, 4);
   EXPECT_EQ(v.checked_in, 4);
+  EXPECT_GE(v.submitted_at, 0);
   EXPECT_LE(v.submitted_at, v.accepted_at);
   EXPECT_LE(v.accepted_at, v.active_at);
   EXPECT_LE(v.active_at, v.checked_in_at);
@@ -214,9 +214,8 @@ TEST(Coallocation, BarrierDoesNotWaitForOptional) {
   EXPECT_EQ(outcome.config.total_processes, 4);
   // The optional subjob joins later, extending the configuration.
   g.grid->run();
-  auto handles = req->subjobs();
-  auto view = req->subjob(handles[1]);
-  ASSERT_TRUE(view.is_ok());
+  ASSERT_EQ(req->subjob_count(), 2u);
+  EXPECT_EQ(req->subjob_brief(2).value().state, SubjobState::kDone);
   EXPECT_EQ(req->runtime_config().total_processes, 8);
   EXPECT_EQ(req->runtime_config().subjobs.size(), 2u);
   EXPECT_EQ(req->runtime_config().subjobs[1].rank_base, 4);
@@ -369,9 +368,9 @@ TEST(Coallocation, EditsRejectedAfterCommit) {
                 .status()
                 .code(),
             util::ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(req->remove_subjob(req->subjobs()[0]).code(),
+  EXPECT_EQ(req->remove_subjob(1).code(),
             util::ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(req->substitute_subjob(req->subjobs()[0],
+  EXPECT_EQ(req->substitute_subjob(1,
                                    make_job("host2", 1,
                                             SubjobStartType::kRequired))
                 .code(),
@@ -396,7 +395,7 @@ TEST(Coallocation, RemoveSubjobCancelsItsJob) {
   g.grid->run();
   EXPECT_TRUE(outcome.released);
   EXPECT_EQ(outcome.config.total_processes, 4);
-  auto view = req->subjob(removable.value());
+  auto view = req->subjob_brief(removable.value());
   ASSERT_TRUE(view.is_ok());
   EXPECT_EQ(view.value().state, SubjobState::kDeleted);
 }
@@ -463,7 +462,7 @@ TEST(Coallocation, PostReleaseFailureIsMonitoringEventByDefault) {
   g.grid->run_until(sim::kMinute);
   ASSERT_TRUE(outcome.released);
   // Cancel host2's GRAM job out from under the computation.
-  auto view = req->subjob(req->subjobs()[1]);
+  auto view = req->subjob_brief(2);
   ASSERT_TRUE(view.is_ok());
   g.grid->host("host2")->gatekeeper();
   // Kill via scheduler-level wall clock: simulate by cancelling through
@@ -477,7 +476,7 @@ TEST(Coallocation, PostReleaseFailureIsMonitoringEventByDefault) {
   // The request is NOT aborted; the failure shows up as a subjob event.
   bool saw_post_release_failure = false;
   for (const auto& [h, s] : events) {
-    if (h == req->subjobs()[1] && s == SubjobState::kFailed) {
+    if (h == 2 && s == SubjobState::kFailed) {
       saw_post_release_failure = true;
     }
   }
@@ -492,11 +491,13 @@ TEST(Grab, AllocatesAtomically) {
   bool started = false;
   util::Status done(util::ErrorCode::kInternal, "unset");
   auto id = grab.allocate(g.rsl(8, "required"),
-                          {.on_started = [&](const core::RuntimeConfig& c) {
+                          {.on_subjob = nullptr,
+                           .on_released = [&](const core::RuntimeConfig& c) {
                              started = true;
                              EXPECT_EQ(c.total_processes, 24);
                            },
-                           .on_done = [&](const util::Status& s) { done = s; }});
+                           .on_terminal =
+                               [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok()) << id.status().to_string();
   g.grid->run();
   EXPECT_TRUE(started);
@@ -519,8 +520,9 @@ TEST(Grab, IgnoresStartTypesEverythingRequired) {
       testbed::rsl_subjob("host2", 4, "crasher", "optional"),
   });
   auto id = grab.allocate(
-      rsl, {.on_started = [&](const core::RuntimeConfig&) { started = true; },
-            .on_done = [&](const util::Status& s) { done = s; }});
+      rsl, {.on_subjob = nullptr,
+            .on_released = [&](const core::RuntimeConfig&) { started = true; },
+            .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok());
   g.grid->run();
   EXPECT_FALSE(started);
@@ -542,13 +544,61 @@ TEST(Grab, CancelRollsBack) {
   util::Status done;
   auto id = grab.allocate(
       g.rsl(4, "required"),
-      {.on_started = [](const core::RuntimeConfig&) {},
-       .on_done = [&](const util::Status& s) { done = s; }});
+      {.on_subjob = nullptr,
+       .on_released = [](const core::RuntimeConfig&) {},
+       .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok());
   g.grid->run_until(sim::kMinute);
   grab.cancel(id.value());
   g.grid->run();
   EXPECT_EQ(done.code(), util::ErrorCode::kAborted);
+}
+
+TEST(Grab, SynchronousFailureIsReportedOnce) {
+  // The first subjob names a contact no resolver knows, so it fails inside
+  // allocate().  The caller hears that once, through on_terminal, and
+  // still gets the id of the request that failed.
+  SmallGrid g(1);
+  core::GrabAllocator grab(*g.coallocator);
+  int terminals = 0;
+  util::Status done;
+  const std::string rsl = testbed::rsl_multi({
+      testbed::rsl_subjob("nowhere", 2, "app", "required"),
+      testbed::rsl_subjob("host1", 2, "app", "required"),
+  });
+  auto id = grab.allocate(rsl, {.on_subjob = nullptr,
+                                .on_released = nullptr,
+                                .on_terminal = [&](const util::Status& s) {
+                                  ++terminals;
+                                  done = s;
+                                }});
+  ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+  EXPECT_EQ(terminals, 1);
+  EXPECT_EQ(done.code(), util::ErrorCode::kAborted);
+  g.grid->run();
+  EXPECT_EQ(terminals, 1);
+  EXPECT_EQ(g.coallocator->find_request(id.value()), nullptr);
+  EXPECT_EQ(g.coallocator->request_count(), 0u);
+}
+
+TEST(Grab, FreesEveryRequestAfterItsTerminal) {
+  SmallGrid g(3);
+  core::GrabAllocator grab(*g.coallocator);
+  int ok = 0;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(grab.allocate(g.rsl(4, "required"),
+                              {.on_subjob = nullptr,
+                               .on_released = nullptr,
+                               .on_terminal =
+                                   [&](const util::Status& s) {
+                                     if (s.is_ok()) ++ok;
+                                   }})
+                    .is_ok());
+  }
+  EXPECT_EQ(g.coallocator->request_count(), 3u);
+  g.grid->run();
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(g.coallocator->request_count(), 0u);
 }
 
 // ---- agent strategies ------------------------------------------------------------------

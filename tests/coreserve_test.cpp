@@ -191,6 +191,33 @@ TEST_F(CoReserveFixture, ReservedJobOnPlainHostFailsAtSubmission) {
   EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
 }
 
+TEST_F(CoReserveFixture, FullReservationRefusesAnotherBoundJob) {
+  // The gatekeeper passes the RSL reservationId through to the scheduler,
+  // so any GRAM client can bind jobs to a window: once the window's count
+  // is taken, a further bound job is refused at submission.
+  auto r = grid.host("res1")->reservation_scheduler()->reserve(
+      sim::kHour, 2 * sim::kHour, 64);
+  ASSERT_TRUE(r.is_ok());
+  rsl::JobRequest j;
+  j.resource_manager_contact = "res1";
+  j.executable = "app";
+  j.count = 64;
+  j.reservation_id = r.value().id;
+  const std::string text = j.to_spec().to_string();
+  std::vector<util::Status> accepted;
+  for (int i = 0; i < 2; ++i) {
+    coallocator->gram().submit(
+        grid.host("res1")->contact(), text, 10 * sim::kSecond,
+        [&](util::Result<gram::JobId> id) { accepted.push_back(id.status()); },
+        nullptr);
+  }
+  grid.run_until(sim::kMinute);
+  ASSERT_EQ(accepted.size(), 2u);
+  EXPECT_TRUE(accepted[0].is_ok()) << accepted[0].to_string();
+  EXPECT_EQ(accepted[1].code(), util::ErrorCode::kResourceExhausted)
+      << accepted[1].to_string();
+}
+
 TEST_F(CoReserveFixture, CoReserveThenCoallocatePipeline) {
   // The full §5 pipeline: acquire a common window on three machines, bind
   // the subjobs to the reservations, and verify every subjob goes ACTIVE
@@ -233,8 +260,9 @@ TEST_F(CoReserveFixture, CoReserveThenCoallocatePipeline) {
   // Every subjob's processes started (ACTIVE) at the window, simultaneously.
   auto* req = coallocator->find_request(outcome.config.request);
   ASSERT_NE(req, nullptr);
-  for (core::SubjobHandle h : req->subjobs()) {
-    auto view = req->subjob(h);
+  ASSERT_EQ(req->subjob_count(), 3u);
+  for (core::SubjobHandle h = 1; h <= req->subjob_count(); ++h) {
+    auto view = req->subjob_brief(h);
     ASSERT_TRUE(view.is_ok());
     // active_at = window + exec_startup (1 ms in the fast model).
     EXPECT_NEAR(sim::to_seconds(view.value().active_at),

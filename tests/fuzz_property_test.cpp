@@ -5,6 +5,7 @@
 
 #include <map>
 #include <numeric>
+#include <utility>
 
 #include "config/gridmpi.hpp"
 #include "core/app_barrier.hpp"
@@ -43,6 +44,20 @@ TEST_P(LiveEditFuzz, RandomEditsThenCommitAlwaysResolves) {
                                      : rsl::SubjobStartType::kRequired;
       return j;
     };
+    // Live subjobs (neither failed nor deleted) and their processes.
+    auto live = [&] {
+      std::pair<std::size_t, std::int32_t> totals{0, 0};
+      for (core::SubjobHandle h = 1; h <= req->subjob_count(); ++h) {
+        const auto b = req->subjob_brief(h).value();
+        if (b.state == core::SubjobState::kFailed ||
+            b.state == core::SubjobState::kDeleted) {
+          continue;
+        }
+        ++totals.first;
+        totals.second += b.count;
+      }
+      return totals;
+    };
     for (int i = 0; i < 3; ++i) {
       auto added = req->add_subjob(random_job());
       ASSERT_TRUE(added.is_ok());
@@ -71,8 +86,7 @@ TEST_P(LiveEditFuzz, RandomEditsThenCommitAlwaysResolves) {
       });
     }
     g.grid->engine().schedule_at(4 * sim::kSecond, [&] {
-      if (req->state() == core::RequestState::kEditing &&
-          req->live_subjob_count() > 0) {
+      if (req->state() == core::RequestState::kEditing && live().first > 0) {
         req->commit();
       } else if (req->state() == core::RequestState::kEditing) {
         req->abort("nothing left");
@@ -83,37 +97,13 @@ TEST_P(LiveEditFuzz, RandomEditsThenCommitAlwaysResolves) {
     EXPECT_NE(req->state(), core::RequestState::kEditing);
     EXPECT_NE(req->state(), core::RequestState::kCommitted);
     if (outcome.released) {
-      EXPECT_EQ(outcome.config.total_processes,
-                req->total_live_processes());
+      EXPECT_EQ(outcome.config.total_processes, live().second);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveEditFuzz,
                          ::testing::Range<std::uint64_t>(1, 7));
-
-// ---- label lookup ------------------------------------------------------------------
-
-TEST(Labels, FindLabeledTracksEdits) {
-  SmallGrid g(2);
-  Outcome outcome;
-  auto* req = g.coallocator->create_request(outcome.callbacks());
-  ASSERT_TRUE(req->add_rsl(testbed::rsl_multi({
-                               testbed::rsl_subjob("host1", 1, "app",
-                                                   "required", "master"),
-                               testbed::rsl_subjob("host2", 4, "app",
-                                                   "interactive", "workers"),
-                           }))
-                  .is_ok());
-  const core::SubjobHandle master = req->find_labeled("master");
-  const core::SubjobHandle workers = req->find_labeled("workers");
-  EXPECT_NE(master, 0u);
-  EXPECT_NE(workers, 0u);
-  EXPECT_EQ(req->find_labeled("nope"), 0u);
-  ASSERT_TRUE(req->remove_subjob(workers).is_ok());
-  EXPECT_EQ(req->find_labeled("workers"), 0u);  // no longer live
-  EXPECT_EQ(req->find_labeled("master"), master);
-}
 
 // ---- gridmpi randomized traffic --------------------------------------------------
 

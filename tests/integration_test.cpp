@@ -97,14 +97,13 @@ TEST(Integration, Section2ScenarioReplaceThenDrop) {
         req->state() != RequestState::kEditing) {
       return;
     }
-    auto view = req->subjob(h);
-    if (!view.is_ok()) return;
-    if (view.value().contact == "site3" && replacements == 0) {
+    auto original = req->subjob_request(h);
+    if (!original.is_ok()) return;
+    if (original.value().resource_manager_contact == "site3" &&
+        replacements == 0) {
       // Failure #1: machine down.  Replace it with the dynamically
       // located spare (site6).
       ++replacements;
-      auto original = req->subjob_request(h);
-      ASSERT_TRUE(original.is_ok());
       rsl::JobRequest r = original.take();
       r.resource_manager_contact = "site6";
       ASSERT_TRUE(req->substitute_subjob(h, std::move(r)).is_ok());
@@ -183,10 +182,10 @@ TEST(Integration, SfExpressScaleRun) {
                       const util::Status&) {
     if (s == SubjobState::kFailed && !repaired &&
         req->state() == RequestState::kEditing) {
-      auto view = req->subjob(h);
-      if (view.is_ok() && view.value().contact == "super7") {
+      auto original = req->subjob_request(h);
+      if (original.is_ok() &&
+          original.value().resource_manager_contact == "super7") {
         repaired = true;
-        auto original = req->subjob_request(h);
         rsl::JobRequest r = original.take();
         r.resource_manager_contact = "spare";
         r.executable = "sf";

@@ -2,6 +2,7 @@
 // reservations), the queue-wait predictors, and the information service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -524,6 +525,45 @@ TEST(ReservationScheduler, BestEffortBackfillsBesideActiveWindow) {
       {201, 20 * sim::kSecond},  // only after the window closes
   };
   EXPECT_EQ(starts, want);
+}
+
+TEST(ReservationScheduler, BoundJobsNeverExceedTheReservation) {
+  // Three 64-processor jobs bound to one 64-processor window of a
+  // 64-processor machine: only the first may be admitted, or the window's
+  // opening would start them all at once.
+  sim::Engine e;
+  ReservationScheduler s(e, 64);
+  auto r = s.reserve(10 * sim::kSecond, 100 * sim::kSecond, 64);
+  ASSERT_TRUE(r.is_ok());
+  const ReservationId rid = r.value().id;
+  Events ev;
+  std::int32_t peak_busy = 0;
+  auto record = [&](JobId) {
+    peak_busy = std::max(peak_busy, s.busy_processors());
+  };
+  ASSERT_TRUE(
+      s.submit_reserved(job(1, 64, 5 * sim::kSecond), rid, record, ev.on_end())
+          .is_ok());
+  EXPECT_EQ(
+      s.submit_reserved(job(2, 64, 5 * sim::kSecond), rid, record, ev.on_end())
+          .code(),
+      util::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(
+      s.submit_reserved(job(3, 1, 5 * sim::kSecond), rid, record, ev.on_end())
+          .code(),
+      util::ErrorCode::kResourceExhausted);
+  // Once job 1 has ended (t=15), the window's processors are free again.
+  e.schedule_at(20 * sim::kSecond, [&] {
+    EXPECT_EQ(s.submit_reserved(job(4, 64, 5 * sim::kSecond), rid, record,
+                                ev.on_end())
+                  .code(),
+              util::ErrorCode::kOk);
+  });
+  e.run();
+  EXPECT_EQ(peak_busy, 64);
+  const std::vector<std::pair<JobId, EndReason>> want{
+      {1, EndReason::kCompleted}, {4, EndReason::kCompleted}};
+  EXPECT_EQ(ev.ended, want);
 }
 
 TEST(ReservationScheduler, AdmissionConsidersRunningWork) {

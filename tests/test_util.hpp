@@ -7,7 +7,7 @@
 #include <string>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "core/grab.hpp"
 #include "testbed/grid.hpp"
 
