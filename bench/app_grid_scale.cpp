@@ -18,8 +18,9 @@
 //      diurnal background arrivals, a sustained stream of mixed
 //      atomic/interactive co-allocation transactions.  The scenario is
 //      deterministic (the committed JSON carries its event counts and an
-//      order-sensitive fingerprint); wall-clock throughput and peak RSS
-//      are measured around it.
+//      order-sensitive fingerprint); wall-clock throughput, peak RSS and
+//      the heap allocations it makes (a sim::AllocGuard count, in total
+//      and per attempted transaction) are measured around it.
 //
 // Writes BENCH_scale.json (override with argv[1]); --quick shrinks both
 // measurements to ctest size and gates the shape.
@@ -36,6 +37,7 @@
 #include "net/rpc.hpp"
 #include "sched/batch.hpp"
 #include "sched/infoservice.hpp"
+#include "simkit/allocguard.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 #include "testbed/scale.hpp"
@@ -169,9 +171,15 @@ int main(int argc, char** argv) {
       quick ? testbed::ScaleSpec::quick() : testbed::ScaleSpec{};
   testbed::ScaleScenario scenario(spec);
   const auto t0 = std::chrono::steady_clock::now();
+  const sim::AllocGuard alloc_guard;
   const testbed::ScaleMetrics m = scenario.run();
+  const std::uint64_t allocations = alloc_guard.allocations();
   const double wall_s = seconds_since(t0);
   const double rss_mb = peak_rss_mb();
+  const double allocations_per_txn =
+      m.txn_attempted > 0 ? static_cast<double>(allocations) /
+                                static_cast<double>(m.txn_attempted)
+                          : 0.0;
 
   const double sim_days = static_cast<double>(m.simulated) /
                           static_cast<double>(testbed::kSimDay);
@@ -201,6 +209,9 @@ int main(int argc, char** argv) {
   table.add_row({"snapshots_skipped",
                  std::to_string(m.info.snapshots_skipped)});
   table.add_row({"events_executed", std::to_string(m.events_executed)});
+  table.add_row({"heap_allocations", std::to_string(allocations)});
+  table.add_row({"heap_allocations_per_txn",
+                 testbed::Table::num(allocations_per_txn, 1)});
   table.add_row({"wall_s", testbed::Table::num(wall_s, 2)});
   table.add_row({"wall_per_simday_s", testbed::Table::num(wall_per_simday_s, 2)});
   table.add_row({"events_per_sec", testbed::Table::num(events_per_sec / 1e6, 2) + "M"});
@@ -244,6 +255,8 @@ int main(int argc, char** argv) {
         "    \"snapshots_skipped\": %llu,\n"
         "    \"events_executed\": %llu,\n"
         "    \"fingerprint\": \"0x%016llx\",\n"
+        "    \"heap_allocations\": %llu,\n"
+        "    \"heap_allocations_per_txn\": %.1f,\n"
         "    \"wall_s\": %.2f,\n"
         "    \"wall_per_simday_s\": %.2f,\n"
         "    \"events_per_sec\": %.0f,\n"
@@ -266,7 +279,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(m.info.snapshots_refreshed),
         static_cast<unsigned long long>(m.info.snapshots_skipped),
         static_cast<unsigned long long>(m.events_executed),
-        static_cast<unsigned long long>(m.fingerprint), wall_s,
+        static_cast<unsigned long long>(m.fingerprint),
+        static_cast<unsigned long long>(allocations), allocations_per_txn,
+        wall_s,
         wall_per_simday_s, events_per_sec, rss_mb);
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path);

@@ -98,7 +98,7 @@ int main() {
              .on_terminal = nullptr});
         std::printf("submitting DUROC request bound to the reservations:\n");
         for (auto& j : jobs) {
-          std::printf("  %s\n", j.to_spec().to_string().c_str());
+          std::printf("  %s\n", j.to_rsl().c_str());
           req->add_subjob(std::move(j));
         }
         req->commit();

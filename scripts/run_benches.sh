@@ -4,7 +4,8 @@
 # ablation, and diffs each fresh
 # BENCH_*.json
 # against its committed baseline, warning when any throughput figure
-# regressed by more than 20% or peak RSS grew by more than 5%.
+# regressed by more than 20%, peak RSS grew by more than 5% or a heap
+# allocation count rose at all.
 #
 # Usage: scripts/run_benches.sh
 # Exit code: non-zero if a bench itself fails its shape check; regressions
@@ -58,7 +59,7 @@ diff_json() {
     return 0
   fi
   echo
-  echo "== regression check vs committed $baseline (warn at >20%, RSS >5%) =="
+  echo "== regression check vs committed $baseline (warn at >20%, RSS >5%, any allocation rise) =="
   python3 - "$baseline" "$fresh" <<'PY'
 import json, sys
 
@@ -85,6 +86,10 @@ for name, bv, fv in rows:
         # Memory: larger is worse, and it repeats within about 1% between
         # runs, so a tighter band than throughput's still never flakes.
         regressed = delta > 0.05
+    elif "alloc" in name.rsplit(".", 1)[-1]:
+        # Heap-allocation counts: larger is worse, and a count repeats
+        # exactly on one toolchain, so any rise is a real change.
+        regressed = delta > 0
     elif name.endswith(("_s", "workers", "_us", "_mb", "threads")):
         # Skip wall-clock seconds, per-query microseconds and machine
         # shape, where smaller is better or the value is machine-relative.

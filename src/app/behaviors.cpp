@@ -1,6 +1,7 @@
 #include "app/behaviors.hpp"
 
 #include <charconv>
+#include <memory>
 
 namespace grid::app {
 
@@ -63,7 +64,7 @@ void CoallocatedProcess::start(gram::ProcessApi& api) {
 }
 
 void CoallocatedProcess::enter_barrier(bool ok, const std::string& message) {
-  barrier_ = std::make_unique<core::BarrierClient>(*api_);
+  barrier_.emplace(*api_);
   barrier_->set_checkin_resend(profile_.checkin_resend);
   if (!barrier_->configured()) {
     // Started directly under GRAM (no co-allocator): behave as a plain job.
@@ -94,16 +95,15 @@ void CoallocatedProcess::enter_barrier(bool ok, const std::string& message) {
   }
   barrier_->enter(
       ok, message,
-      [this](const core::ReleaseInfo& info) {
+      [this](const core::ReleaseView& release) {
         if (stats_ != nullptr) {
           ++stats_->releases;
           BarrierRecord rec;
-          rec.host = api_->host_name();
           rec.subjob = subjob_;
-          rec.rank = info.global_rank;
+          rec.rank = release.global_rank();
           rec.entered_at = barrier_->entered_at();
           rec.released_at = barrier_->released_at();
-          stats_->records.push_back(std::move(rec));
+          stats_->records.push_back(rec);
         }
         if (profile_.run_time > 0) {
           run_event_ = api_->engine().schedule_after(profile_.run_time, [this] {

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +54,6 @@ struct StartupProfile {
 
 /// One process's recorded barrier timings.
 struct BarrierRecord {
-  std::string host;
   std::uint64_t subjob = 0;  // SubjobHandle, 0 if unconfigured
   std::int32_t rank = 0;
   sim::Time entered_at = -1;
@@ -96,7 +95,7 @@ class CoallocatedProcess final : public gram::ProcessBehavior {
   BarrierStats* stats_;
   sim::Rng rng_;
   gram::ProcessApi* api_ = nullptr;
-  std::unique_ptr<core::BarrierClient> barrier_;
+  std::optional<core::BarrierClient> barrier_;
   sim::EventId init_event_;
   sim::EventId run_event_;
   std::uint64_t subjob_ = 0;

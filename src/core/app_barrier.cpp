@@ -1,6 +1,7 @@
 #include "core/app_barrier.hpp"
 
 #include <charconv>
+#include <limits>
 
 namespace grid::core {
 namespace {
@@ -18,13 +19,19 @@ std::uint64_t parse_u64(const std::string& s) {
 
 BarrierClient::BarrierClient(gram::ProcessApi& api)
     : api_(&api), endpoint_(api.network(), {}) {
-  contact_ = static_cast<net::NodeId>(parse_u64(api.getenv(env::kContact)));
+  // A contact that does not fit a node id names no node: truncating it
+  // would alias another one, so the client stays unconfigured.
+  const std::uint64_t contact = parse_u64(api.getenv(env::kContact));
+  if (contact <= std::numeric_limits<net::NodeId>::max()) {
+    contact_ = static_cast<net::NodeId>(contact);
+  }
   request_ = parse_u64(api.getenv(env::kRequest));
   subjob_ = parse_u64(api.getenv(env::kSubjob));
   endpoint_.register_notify(
       kNotifyRelease, [this](net::NodeId, util::Reader& payload) {
-        ReleaseMessage msg = ReleaseMessage::decode(payload);
-        if (!payload.ok() || msg.request != request_) return;
+        const RequestId request = payload.u64();
+        const ReleaseView release(payload);
+        if (!payload.ok() || request != request_) return;
         if (released_at_ >= 0) return;  // duplicate release
         released_at_ = endpoint_.engine().now();
         settled_ = true;
@@ -32,7 +39,7 @@ BarrierClient::BarrierClient(gram::ProcessApi& api)
         if (on_release_) {
           auto cb = std::move(on_release_);
           on_abort_ = nullptr;
-          cb(msg.info);
+          cb(release);
         }
       });
   endpoint_.register_notify(

@@ -31,12 +31,13 @@ class GRID_HOT BarrierClient {
   ~BarrierClient();
 
   /// True when the process was started under a co-allocator (the contact
-  /// environment is present and well-formed).
+  /// environment is present, well-formed and fits a node id).
   bool configured() const { return contact_ != net::kInvalidNode; }
 
-  // Bound once per barrier at registration, never per message.
+  // Bound once per barrier at registration, never per message.  The view
+  // is valid only during the call (runtime.hpp).
   // gridlint: allow(hot-function)
-  using ReleaseFn = std::function<void(const ReleaseInfo&)>;
+  using ReleaseFn = std::function<void(const ReleaseView&)>;
   // gridlint: allow(hot-function) — same registration-time shape
   using AbortFn = std::function<void(const std::string& reason)>;
 

@@ -108,6 +108,31 @@ ReleaseInfo ReleaseInfo::decode(util::Reader& r) {
   return i;
 }
 
+ReleaseView::ReleaseView(util::Reader& r) : encoding_(r) {
+  // The field order of ReleaseInfo::decode, skipping what is not kept.
+  r.u64();
+  r.i32();
+  const std::uint64_t n = r.varint();
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    r.u64();
+    r.i32();
+    r.i32();
+    r.i32();
+    r.u32();
+    r.str_view();
+  }
+  r.i32();
+  r.i32();
+  global_rank_ = r.i32();
+  const std::uint64_t members = r.varint();
+  for (std::uint64_t k = 0; k < members && r.ok(); ++k) r.u32();
+}
+
+ReleaseInfo ReleaseView::info() const {
+  util::Reader r = encoding_;
+  return ReleaseInfo::decode(r);
+}
+
 void CheckinMessage::encode(util::Writer& w) const {
   w.reserve(34 + message.size());
   w.u64(request);
@@ -127,18 +152,6 @@ CheckinMessage CheckinMessage::decode(util::Reader& r) {
   m.ok = r.boolean();
   const std::string_view msg = r.str_view();
   m.message.assign(msg.begin(), msg.end());
-  return m;
-}
-
-void ReleaseMessage::encode(util::Writer& w) const {
-  w.u64(request);
-  info.encode(w);
-}
-
-ReleaseMessage ReleaseMessage::decode(util::Reader& r) {
-  ReleaseMessage m;
-  m.request = r.u64();
-  m.info = ReleaseInfo::decode(r);
   return m;
 }
 

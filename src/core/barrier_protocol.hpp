@@ -46,13 +46,9 @@ struct GRID_HOT CheckinMessage {
   static CheckinMessage decode(util::Reader& r);
 };
 
-struct ReleaseMessage {
-  RequestId request = 0;
-  ReleaseInfo info;
-
-  void encode(util::Writer& w) const;
-  static ReleaseMessage decode(util::Reader& r);
-};
+// A release (kNotifyRelease) is the request id (u64) followed by the
+// process's ReleaseInfo encoding; the process reads it in place with a
+// ReleaseView.
 
 struct AbortMessage {
   RequestId request = 0;

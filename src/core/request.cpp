@@ -1,6 +1,6 @@
 #include "core/request.hpp"
 
-#include <algorithm>
+#include <charconv>
 
 #include "core/coallocator.hpp"
 #include "rsl/parser.hpp"
@@ -8,20 +8,11 @@
 namespace grid::core {
 namespace {
 
-/// Strips any pre-existing barrier environment and injects this request's
-/// coordinates, as DUROC did with its contact environment variables.
-void inject_barrier_env(rsl::JobRequest& job, net::NodeId contact,
-                        RequestId request, SubjobHandle handle) {
-  std::erase_if(job.environment, [](const auto& kv) {
-    return kv.first == env::kContact || kv.first == env::kRequest ||
-           kv.first == env::kSubjob;
-  });
-  job.environment.emplace_back(std::string(env::kContact),
-                               std::to_string(contact));
-  job.environment.emplace_back(std::string(env::kRequest),
-                               std::to_string(request));
-  job.environment.emplace_back(std::string(env::kSubjob),
-                               std::to_string(handle));
+/// Writes `v` in decimal into `buf` and returns the digits.
+template <std::size_t N>
+std::string_view decimal(char (&buf)[N], std::uint64_t v) {
+  const char* end = std::to_chars(buf, buf + N, v).ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
 }
 
 }  // namespace
@@ -181,13 +172,23 @@ void CoallocationRequest::pump_submissions() {
     sj->state = SubjobState::kSubmitting;
     sj->submitted_at = owner_->engine().now();
     arm_timeout(*sj);
-    rsl::JobRequest to_send = sj->request;
-    inject_barrier_env(to_send, owner_->endpoint().id(), id_, handle);
+    // The subjob's environment carries this request's coordinates (any
+    // earlier entries of those names dropped), as DUROC did with its
+    // contact environment variables.
+    char contact[24];
+    char request[24];
+    char subjob[24];
+    const rsl::EnvVar barrier_env[] = {
+        {env::kContact, decimal(contact, owner_->endpoint().id())},
+        {env::kRequest, decimal(request, id_)},
+        {env::kSubjob, decimal(subjob, handle)},
+    };
+    std::string rsl = sj->request.to_rsl(barrier_env);
     const std::uint32_t inc = sj->incarnation;
     notify_subjob(*sj);  // may move every slot: `sj` is not read again
     submission_in_flight_ = true;
     owner_->gram().submit(
-        gatekeeper.value(), to_send.to_spec().to_string(), config_.rpc_timeout,
+        gatekeeper.value(), std::move(rsl), config_.rpc_timeout,
         [this, handle, inc, alive = alive_, client = &owner_->gram(),
          gatekeeper = gatekeeper.value(),
          timeout = config_.rpc_timeout](util::Result<gram::JobId> result) {
@@ -426,7 +427,8 @@ void CoallocationRequest::send_release(const Subjob& sj, std::int32_t rank) {
     }
   }
   if (layout == nullptr) return;
-  // The bytes of ReleaseMessage::encode, written straight from the table.
+  // The release: the request id, then this process's ReleaseInfo, written
+  // straight from the table.
   util::Writer w;
   w.u64(id_);
   ReleaseInfo::encode(w, config_table_, layout->index, rank,

@@ -60,4 +60,25 @@ struct ReleaseInfo {
   static ReleaseInfo decode(util::Reader& r);
 };
 
+/// A release payload read in place.  Reading walks the whole encoding, so
+/// a payload ReleaseInfo::decode would reject leaves the reader failed, but
+/// keeps only what every process reads: the layout stays in the payload and
+/// a release allocates nothing.  A view is valid while its payload is,
+/// i.e. inside the release handler; a consumer that keeps the layout copies
+/// it out with info().
+class ReleaseView {
+ public:
+  /// Reads one ReleaseInfo encoding from `r`.
+  explicit ReleaseView(util::Reader& r);
+
+  std::int32_t global_rank() const { return global_rank_; }
+
+  /// Decodes the whole release into owned storage.
+  ReleaseInfo info() const;
+
+ private:
+  util::Reader encoding_;  // positioned at the encoding's first byte
+  std::int32_t global_rank_ = 0;
+};
+
 }  // namespace grid::core

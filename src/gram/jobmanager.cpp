@@ -3,6 +3,7 @@
 #include "gram/gatekeeper.hpp"
 #include "gram/protocol.hpp"
 #include "sched/reservation.hpp"
+#include "simkit/check.hpp"
 
 namespace grid::gram {
 
@@ -142,16 +143,18 @@ void JobManager::on_scheduler_start() {
 
 void JobManager::exec_processes() {
   if (is_terminal(state_)) return;
-  // Exec one process per allocated processor.
+  // Exec one process per allocated processor.  Behaviours hold their
+  // ProcessApi by reference, so the vector is sized once and never grows.
+  GRID_CHECK(processes_.empty(), "a job's processes are exec'd once");
   processes_.reserve(static_cast<std::size_t>(request_.count));
   for (std::int32_t rank = 0; rank < request_.count; ++rank) {
-    processes_.push_back(std::make_unique<Process>(*this, rank));
+    processes_.emplace_back(*this, rank);
   }
   live_ = request_.count;
   transition(JobState::kActive);
-  for (auto& p : processes_) {
+  for (Process& p : processes_) {
     if (failing_ || is_terminal(state_)) break;
-    if (auto st = p->exec(); !st.is_ok()) {
+    if (auto st = p.exec(); !st.is_ok()) {
       // Executable missing or broken: the job fails at exec time.
       --live_;
       failing_ = true;
@@ -193,9 +196,9 @@ void JobManager::on_process_exit(std::int32_t rank, bool ok,
 }
 
 void JobManager::terminate_processes() {
-  for (auto& p : processes_) {
-    if (p->alive()) {
-      p->terminate();
+  for (Process& p : processes_) {
+    if (p.alive()) {
+      p.terminate();
       --live_;
     }
   }
@@ -239,8 +242,8 @@ void JobManager::cancel() {
 
 void JobManager::crash() {
   // The host died: no callbacks, no scheduler bookkeeping — just vanish.
-  for (auto& p : processes_) {
-    if (p->alive()) p->terminate();
+  for (Process& p : processes_) {
+    if (p.alive()) p.terminate();
   }
   live_ = 0;
   if (!is_terminal(state_)) gatekeeper_->job_ended(id_);

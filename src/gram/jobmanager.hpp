@@ -10,7 +10,6 @@
 //  * push PENDING / ACTIVE / DONE / FAILED callbacks to the client contact.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,7 +76,7 @@ class JobManager {
   sim::Time exec_startup_;
 
   JobState state_ = JobState::kUnsubmitted;
-  std::vector<std::unique_ptr<Process>> processes_;
+  std::vector<Process> processes_;  // sized once at exec; never grows
   std::int32_t live_ = 0;
   bool scheduler_job_live_ = false;
   bool failing_ = false;  // re-entrancy guard while killing processes

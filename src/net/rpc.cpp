@@ -13,6 +13,31 @@ Endpoint::TeardownReport& teardown_report_slot() {
   GRID_SHARD_LOCAL thread_local Endpoint::TeardownReport report;
   return report;
 }
+
+/// The handler registered for `key` in a registration table, or nullptr.
+template <typename Table>
+auto* find_handler(Table& table, std::uint32_t key) {
+  decltype(&table.front().fn) found = nullptr;
+  for (auto& r : table) {
+    if (r.key == key) {
+      found = &r.fn;
+      break;
+    }
+  }
+  return found;
+}
+
+/// Registers `fn` for `key`; re-registering a key replaces its handler.
+template <typename Table, typename Fn>
+void add_handler(Table& table, std::uint32_t key, Fn fn) {
+  if (auto* existing = find_handler(table, key)) {
+    *existing = std::move(fn);
+    return;
+  }
+  if (table.empty()) table.reserve(2);
+  table.push_back({key, std::move(fn)});
+}
+
 }  // namespace
 
 const Endpoint::TeardownReport& Endpoint::last_teardown_report() {
@@ -175,7 +200,7 @@ void Endpoint::fail_call(std::uint64_t call_id, util::ErrorCode code,
 }
 
 void Endpoint::register_method(std::uint32_t method, MethodHandler handler) {
-  methods_[method] = std::move(handler);  // IdSlab::operator[]: replace-on-re-register
+  add_handler(methods_, method, std::move(handler));
 }
 
 void Endpoint::respond(NodeId caller, std::uint64_t call_id,
@@ -217,7 +242,7 @@ void Endpoint::notify_frame(NodeId dst, sim::Payload frame) {
 }
 
 void Endpoint::register_notify(std::uint32_t kind, NotifyHandler handler) {
-  notifies_[kind] = std::move(handler);
+  add_handler(notifies_, kind, std::move(handler));
 }
 
 void Endpoint::handle_message(const Message& msg) {
@@ -231,7 +256,7 @@ void Endpoint::handle_message(const Message& msg) {
       // for the duration of the handler, no copy.
       const auto args = r.blob_view();
       if (!r.ok()) return;  // malformed frame: drop
-      MethodHandler* handler = methods_.find(method);
+      MethodHandler* handler = find_handler(methods_, method);
       if (handler == nullptr) {
         respond_error(msg.src, call_id, util::ErrorCode::kNotFound,
                       "unknown method " + std::to_string(method));
@@ -272,7 +297,7 @@ void Endpoint::handle_message(const Message& msg) {
       const std::uint32_t kind = r.u32();
       const auto payload = r.blob_view();
       if (!r.ok()) return;
-      NotifyHandler* handler = notifies_.find(kind);
+      NotifyHandler* handler = find_handler(notifies_, kind);
       if (handler == nullptr) return;
       util::Reader payload_reader(payload.data(), payload.size());
       (*handler)(msg.src, payload_reader);

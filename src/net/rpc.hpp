@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/retry.hpp"
@@ -196,11 +197,20 @@ class GRID_HOT Endpoint : public Node {
   std::uint64_t next_call_id_ = 1;
   sim::IdSlab<PendingCall> pending_;
   sim::IdSlab<RetryingCall> retrying_;
-  // Registration tables keyed by method/notify kind.  IdSlab instead of
-  // unordered_map: the lookup runs on every delivered frame, and slab
-  // storage is deterministic and allocation-free once warm.
-  sim::IdSlab<MethodHandler> methods_;
-  sim::IdSlab<NotifyHandler> notifies_;
+
+  /// Registration tables: an endpoint registers a handful of kinds, so a
+  /// vector searched linearly on every delivered frame beats any index.
+  /// The first registration reserves room for two (a process's barrier
+  /// endpoint registers exactly two), so most endpoints allocate once.  A
+  /// handler may register another: the table may then move under it, so
+  /// a handler reads none of its captures after such a call.
+  template <typename Fn>
+  struct Registered {
+    std::uint32_t key;
+    Fn fn;
+  };
+  std::vector<Registered<MethodHandler>> methods_;
+  std::vector<Registered<NotifyHandler>> notifies_;
 };
 
 }  // namespace grid::net

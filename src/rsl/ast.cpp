@@ -6,7 +6,7 @@
 namespace grid::rsl {
 namespace {
 
-bool needs_quoting(const std::string& text) {
+bool needs_quoting(std::string_view text) {
   if (text.empty()) return true;
   for (char c : text) {
     switch (c) {
@@ -30,23 +30,10 @@ bool needs_quoting(const std::string& text) {
   return false;
 }
 
-void print_quoted(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    if (c == '"') out += '"';  // doubled quote escapes
-    out += c;
-  }
-  out += '"';
-}
-
 void print_value(std::string& out, const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kLiteral:
-      if (needs_quoting(v.text())) {
-        print_quoted(out, v.text());
-      } else {
-        out += v.text();
-      }
+      print_literal(out, v.text());
       return;
     case Value::Kind::kVariable:
       out += "$(";
@@ -85,6 +72,30 @@ std::string to_string(Op op) {
       return ">=";
   }
   return "?";
+}
+
+void print_literal(std::string& out, std::string_view text) {
+  if (!needs_quoting(text)) {
+    out += text;
+    return;
+  }
+  out += '"';
+  for (char c : text) {
+    if (c == '"') out += '"';  // doubled quote escapes
+    out += c;
+  }
+  out += '"';
+}
+
+void print_relation(std::string& out, const Relation& r) {
+  print_relation(out, r.attribute, r.op, [&] {
+    bool first = true;
+    for (const Value& v : r.values) {
+      if (!first) out += ' ';
+      first = false;
+      print_value(out, v);
+    }
+  });
 }
 
 std::string canonical_attribute(std::string_view name) {
@@ -195,19 +206,9 @@ const Relation* Spec::find_relation(std::string_view attribute) const {
 
 void Spec::print(std::string& out) const {
   switch (kind_) {
-    case Kind::kRelation: {
-      out += '(';
-      out += relation_.attribute;
-      out += grid::rsl::to_string(relation_.op);
-      bool first = true;
-      for (const Value& v : relation_.values) {
-        if (!first) out += ' ';
-        first = false;
-        print_value(out, v);
-      }
-      out += ')';
+    case Kind::kRelation:
+      print_relation(out, relation_);
       return;
-    }
     case Kind::kMulti:
     case Kind::kConj:
     case Kind::kDisj: {

@@ -23,6 +23,23 @@ std::string to_string(Op op);
 /// Canonical form of an attribute name: lowercase, underscores removed.
 std::string canonical_attribute(std::string_view name);
 
+/// Appends `text` as an RSL literal: bare when the lexer reads it back
+/// whole, otherwise double-quoted with each embedded quote doubled.
+void print_literal(std::string& out, std::string_view text);
+
+/// Appends one relation, `(attribute<op>...)`, whose space-separated values
+/// `print_values` appends.  Spec::to_string and JobRequest::to_rsl print
+/// every relation through this, which keeps their texts byte-identical.
+template <typename PrintValues>
+void print_relation(std::string& out, std::string_view attribute, Op op,
+                    PrintValues&& print_values) {
+  out += '(';
+  out += attribute;
+  out += to_string(op);
+  print_values();
+  out += ')';
+}
+
 /// A value in a relation: a literal string, a parenthesized list of values,
 /// or an unresolved $(NAME) variable reference.
 class Value {
@@ -71,6 +88,9 @@ struct Relation {
 
   bool operator==(const Relation& other) const;
 };
+
+/// Appends `r` in canonical form.
+void print_relation(std::string& out, const Relation& r);
 
 /// A node in the specification tree.
 class Spec {

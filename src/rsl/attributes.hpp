@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "rsl/ast.hpp"
@@ -58,6 +60,9 @@ enum class JobType {
 std::string to_string(JobType t);
 util::Result<JobType> parse_job_type(std::string_view text);
 
+/// An environment entry set at print time: (NAME, value).
+using EnvVar = std::pair<std::string_view, std::string_view>;
+
 /// A fully-typed subjob description.
 struct JobRequest {
   std::string resource_manager_contact;  // required
@@ -86,8 +91,15 @@ struct JobRequest {
   static util::Result<JobRequest> from_spec(const Spec& conj);
 
   /// Rebuilds an equivalent conjunction spec (canonical attribute order,
-  /// extras appended last).
+  /// extras appended last).  Programs print with to_rsl(); this tree is the
+  /// reference the tests hold that print to.
   Spec to_spec() const;
+
+  /// The canonical text of this request, printed without building a tree:
+  /// the bytes to_spec().to_string() writes for a copy whose environment
+  /// first drops every entry named in `set_env` and then appends
+  /// `set_env`'s entries in order.
+  std::string to_rsl(std::span<const EnvVar> set_env = {}) const;
 
   bool operator==(const JobRequest& other) const = default;
 };

@@ -18,6 +18,8 @@ namespace grid::rsl {
 
 class Lexer {
  public:
+  /// Views `source`, which must outlive the lexer (a parse() call keeps
+  /// its text alive for the call).
   explicit Lexer(std::string_view source);
 
   /// Returns the next token, advancing the cursor.
@@ -35,7 +37,7 @@ class Lexer {
   char cur() const { return src_[pos_]; }
   bool eof() const { return pos_ >= src_.size(); }
 
-  std::string src_;
+  std::string_view src_;
   std::size_t pos_ = 0;
   bool has_peek_ = false;
   Token peek_;

@@ -141,14 +141,6 @@ class GRID_HOT IdSlab {
     return *slots_[slot].value;
   }
 
-  /// Find-or-default-construct, `unordered_map::operator[]` shape (requires
-  /// a default-constructible T).  Registration-table idiom:
-  /// `table[id] = handler;` replaces any previous entry for `id`.
-  T& operator[](std::uint64_t id) {
-    if (T* existing = find(id)) return *existing;
-    return emplace(id, T{});
-  }
-
   T* find(std::uint64_t id) {
     const std::uint32_t slot = index_.find(id);
     if (slot == IdMap::kNotFound) return nullptr;

@@ -213,9 +213,9 @@ class MpiApp final : public gram::ProcessBehavior {
     barrier_ = std::make_unique<core::BarrierClient>(api);
     barrier_->enter(
         true, "",
-        [this](const core::ReleaseInfo& info) {
+        [this](const core::ReleaseView& release) {
           comm_ = std::make_unique<cfg::Communicator>(barrier_->endpoint(),
-                                                      info);
+                                                      release.info());
           comm_->init([this] { world_->mark_ready(comm_.get()); });
         },
         [this](const std::string&) { api_->exit(true, "aborted"); });

@@ -166,7 +166,7 @@ TEST_F(CoReserveFixture, ReservationIdRslRoundTrip) {
   j.executable = "app";
   j.count = 8;
   j.reservation_id = 42;
-  const std::string text = j.to_spec().to_string();
+  const std::string text = j.to_rsl();
   EXPECT_NE(text.find("reservationid=42"), std::string::npos);
   auto spec = rsl::parse(text);
   ASSERT_TRUE(spec.is_ok());
@@ -203,7 +203,7 @@ TEST_F(CoReserveFixture, FullReservationRefusesAnotherBoundJob) {
   j.executable = "app";
   j.count = 64;
   j.reservation_id = r.value().id;
-  const std::string text = j.to_spec().to_string();
+  const std::string text = j.to_rsl();
   std::vector<util::Status> accepted;
   for (int i = 0; i < 2; ++i) {
     coallocator->gram().submit(

@@ -125,9 +125,9 @@ class FuzzMpiApp final : public gram::ProcessBehavior {
     api_ = &api;
     barrier_ = std::make_unique<core::BarrierClient>(api);
     barrier_->enter(true, "",
-                    [this](const core::ReleaseInfo& info) {
+                    [this](const core::ReleaseView& release) {
                       comm_ = std::make_unique<cfg::Communicator>(
-                          barrier_->endpoint(), info);
+                          barrier_->endpoint(), release.info());
                       comm_->init([this] { world_->mark(comm_.get()); });
                     },
                     [this](const std::string&) { api_->exit(true, ""); });

@@ -424,6 +424,22 @@ TEST_F(GramFixture, ArgumentsAndEnvironmentReachProcesses) {
   EXPECT_EQ(seen.host, "rm1");
 }
 
+// A GRID_DUROC_CONTACT that does not fit a node id names no co-allocator:
+// the app runs as a plain job and ends DONE without checking in.  Cut to
+// 32 bits, 4294967297 would be node 1, where both processes would check in
+// and wait for a release that never comes, leaving the job ACTIVE.
+TEST_F(GramFixture, OutOfRangeDurocContactRunsAsPlainJob) {
+  std::vector<gram::JobState> states;
+  client_->submit(
+      rm1(), rsl(2) + "(environment=(GRID_DUROC_CONTACT 4294967297))",
+      10 * sim::kSecond, [](util::Result<gram::JobId>) {},
+      [&](const gram::JobStateChange& c) { states.push_back(c.state); });
+  grid_.run();
+  ASSERT_FALSE(states.empty());
+  EXPECT_EQ(states.back(), gram::JobState::kDone);
+  EXPECT_EQ(stats_.checkins_ok, 0);
+}
+
 TEST_F(GramFixture, MaxWallTimeEnforcedFromRsl) {
   app::StartupProfile forever;
   forever.run_time = sim::kHour;

@@ -462,6 +462,40 @@ TEST_F(RpcFixture, NotifyDispatchesByKind) {
   EXPECT_EQ(hits, 1);
 }
 
+// Re-registering a kind replaces its handler.
+TEST_F(RpcFixture, ReRegisteringAKindReplacesItsHandler) {
+  int first = 0;
+  int second = 0;
+  server.register_notify(9, [&](net::NodeId, util::Reader&) { ++first; });
+  server.register_notify(9, [&](net::NodeId, util::Reader&) { ++second; });
+  client.notify(server.id(), 9, {});
+  engine.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+// A handler may register further kinds, as gridmpi does from inside the
+// barrier release; the table then moves under the running handler, so it
+// reads its captures before registering.
+TEST_F(RpcFixture, HandlerMayRegisterMoreKinds) {
+  int hits = 0;
+  server.register_notify(1, [this, &hits](net::NodeId, util::Reader&) {
+    net::Endpoint& ep = server;
+    int& count = hits;
+    for (std::uint32_t kind = 2; kind <= 8; ++kind) {
+      ep.register_notify(kind,
+                         [&count](net::NodeId, util::Reader&) { ++count; });
+    }
+  });
+  client.notify(server.id(), 1, {});
+  engine.run();
+  for (std::uint32_t kind = 1; kind <= 8; ++kind) {
+    client.notify(server.id(), kind, {});
+  }
+  engine.run();
+  EXPECT_EQ(hits, 7);
+}
+
 TEST_F(RpcFixture, CrashDropsPendingCallsSilently) {
   server.register_method(1, [](net::NodeId, std::uint64_t, util::Reader&) {});
   int calls = 0;

@@ -2,6 +2,8 @@
 // attributes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rsl/attributes.hpp"
 #include "rsl/lexer.hpp"
 #include "rsl/parser.hpp"
@@ -300,6 +302,79 @@ TEST_P(PrintParseProperty, RoundTrips) {
     auto reparsed = parse_job_requests(multi.value());
     ASSERT_TRUE(reparsed.is_ok()) << text;
     EXPECT_EQ(reparsed.value(), jobs) << text;
+  }
+}
+
+// Property: JobRequest::to_rsl writes exactly the bytes of the tree print
+// it replaced: to_spec().to_string() of a copy whose environment dropped
+// the set names and then appended the set entries.  The requests fill
+// every field, with text that needs quoting, environment entries that the
+// set overrides, reservation ids past INT64_MAX and extras of every value
+// kind.
+TEST_P(PrintParseProperty, ToRslMatchesTreePrint) {
+  sim::Rng rng(GetParam() * 104729);
+  const auto text = [&rng] {
+    static const char alphabet[] = "abXY09._-/ ()&=\"'$";
+    std::string s;
+    const auto len = rng.uniform_int(0, 6);
+    for (std::int64_t i = 0; i < len; ++i) {
+      s += alphabet[rng.uniform_int(0, sizeof(alphabet) - 2)];
+    }
+    return s;
+  };
+  const std::string names[] = {"A", "B", "GRID_DUROC_CONTACT", "x y"};
+  for (int trial = 0; trial < 50; ++trial) {
+    JobRequest j;
+    j.resource_manager_contact = text();
+    j.executable = text();
+    j.count = static_cast<std::int32_t>(rng.uniform_int(1, 1'000'000));
+    for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+      j.arguments.push_back(text());
+    }
+    for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+      j.environment.emplace_back(names[rng.uniform_int(0, 3)], text());
+    }
+    if (rng.chance(0.5)) j.directory = text();
+    if (rng.chance(0.5)) j.stdout_path = text();
+    if (rng.chance(0.5)) j.stderr_path = text();
+    if (rng.chance(0.5)) {
+      j.max_wall_time = rng.uniform_int(1, 10'000) * sim::kMinute;
+    }
+    j.job_type = static_cast<JobType>(rng.uniform_int(0, 2));
+    j.start_type = static_cast<SubjobStartType>(rng.uniform_int(0, 2));
+    if (rng.chance(0.5)) j.label = text();
+    if (rng.chance(0.5)) {
+      j.reservation_id = rng.chance(0.5)
+                             ? static_cast<std::uint64_t>(rng.uniform_int(1, 99))
+                             : ~std::uint64_t{0} - 5;
+    }
+    for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+      Relation r;
+      r.attribute = "extra" + std::to_string(n);
+      r.op = static_cast<Op>(rng.uniform_int(0, 5));
+      r.values.push_back(random_value(rng, 2));
+      j.extras.push_back(std::move(r));
+    }
+    std::vector<std::string> set_values;
+    for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+      set_values.push_back(text());
+    }
+    std::vector<EnvVar> set_env;
+    for (std::size_t i = 0; i < set_values.size(); ++i) {
+      set_env.emplace_back(names[(i + 2) % 4], set_values[i]);
+    }
+
+    JobRequest edited = j;
+    std::erase_if(edited.environment, [&set_env](const auto& kv) {
+      return std::any_of(set_env.begin(), set_env.end(),
+                         [&kv](const EnvVar& e) { return e.first == kv.first; });
+    });
+    for (const EnvVar& e : set_env) {
+      edited.environment.emplace_back(std::string(e.first),
+                                      std::string(e.second));
+    }
+    EXPECT_EQ(j.to_rsl(set_env), edited.to_spec().to_string());
+    EXPECT_EQ(j.to_rsl(), j.to_spec().to_string());
   }
 }
 

@@ -929,16 +929,6 @@ TEST(Result, TakeMovesValue) {
 }
 
 
-TEST(IdSlab, OperatorIndexFindsOrDefaultConstructs) {
-  sim::IdSlab<int> slab;
-  slab[7] = 41;          // default-constructs, then assigns
-  EXPECT_EQ(slab.size(), 1u);
-  slab[7] = 42;          // finds the existing entry: replace, not grow
-  EXPECT_EQ(slab.size(), 1u);
-  ASSERT_NE(slab.find(7), nullptr);
-  EXPECT_EQ(*slab.find(7), 42);
-}
-
 TEST(IdSlab, ForEachVisitsSlotOrderNotInsertionOrder) {
   // The determinism contract: iteration order is a pure function of the
   // emplace/erase history.  Erasing id 2 vacates slot 1; the next emplace

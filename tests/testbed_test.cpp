@@ -104,9 +104,9 @@ TEST(Testbed, RslHelpersEmitParseableRequests) {
 
 TEST(AppBehavior, BarrierStatsAggregates) {
   app::BarrierStats stats;
-  stats.records.push_back({"h", 1, 0, 10 * sim::kSecond, 14 * sim::kSecond});
-  stats.records.push_back({"h", 1, 1, 10 * sim::kSecond, 18 * sim::kSecond});
-  stats.records.push_back({"h", 1, 2, -1, -1});  // never released
+  stats.records.push_back({1, 0, 10 * sim::kSecond, 14 * sim::kSecond});
+  stats.records.push_back({1, 1, 10 * sim::kSecond, 18 * sim::kSecond});
+  stats.records.push_back({1, 2, -1, -1});  // never released
   auto samples = stats.wait_samples();
   EXPECT_EQ(samples.count(), 2u);
   EXPECT_DOUBLE_EQ(samples.min(), 4.0);
