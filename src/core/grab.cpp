@@ -9,9 +9,7 @@ namespace grid::core {
 util::Result<RequestId> GrabAllocator::allocate(
     const std::string& rsl_text, RequestCallbacks callbacks,
     std::optional<RequestConfig> config) {
-  auto spec = rsl::parse_multi_request(rsl_text);
-  if (!spec.is_ok()) return spec.status();
-  auto jobs = rsl::parse_job_requests(spec.value());
+  auto jobs = rsl::parse_multi_request(rsl_text);
   if (!jobs.is_ok()) return jobs.status();
   return allocate(jobs.take(), std::move(callbacks), config);
 }

@@ -61,9 +61,7 @@ util::Result<SubjobHandle> CoallocationRequest::add_subjob(
 }
 
 util::Status CoallocationRequest::add_rsl(const std::string& rsl_text) {
-  auto spec = rsl::parse_multi_request(rsl_text);
-  if (!spec.is_ok()) return spec.status();
-  auto jobs = rsl::parse_job_requests(spec.value());
+  auto jobs = rsl::parse_multi_request(rsl_text);
   if (!jobs.is_ok()) return jobs.status();
   for (rsl::JobRequest& j : jobs.value()) {
     if (auto added = add_subjob(std::move(j)); !added.is_ok()) {

@@ -127,13 +127,7 @@ void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
 
 void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
                             JobRequestArgs request, std::string local_user) {
-  auto spec = rsl::parse(request.rsl);
-  if (!spec.is_ok()) {
-    endpoint_.respond_error(caller, call_id, spec.status().code(),
-                            "bad RSL: " + spec.status().message());
-    return;
-  }
-  auto job_request = rsl::JobRequest::from_spec(spec.value());
+  auto job_request = rsl::parse_job_request(request.rsl);
   if (!job_request.is_ok()) {
     endpoint_.respond_error(caller, call_id, job_request.status().code(),
                             "bad RSL: " + job_request.status().message());

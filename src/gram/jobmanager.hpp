@@ -52,7 +52,6 @@ class JobManager {
   JobId id() const { return id_; }
   JobState state() const { return state_; }
   const rsl::JobRequest& request() const { return request_; }
-  std::int32_t live_processes() const { return live_; }
 
  private:
   class Process;

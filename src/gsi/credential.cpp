@@ -76,23 +76,11 @@ util::Status CertificateAuthority::verify(const Credential& cred,
     return {util::ErrorCode::kPermissionDenied,
             "credential expired for '" + cred.subject + "'"};
   }
-  if (revoked_.contains(cred.subject)) {
-    return {util::ErrorCode::kPermissionDenied,
-            "credential revoked for '" + cred.subject + "'"};
-  }
   return util::Status::ok();
-}
-
-void CertificateAuthority::revoke(std::string_view subject) {
-  revoked_.insert(std::string(subject));
 }
 
 void GridMap::add(std::string subject, std::string local_user) {
   map_[std::move(subject)] = std::move(local_user);
-}
-
-void GridMap::remove(std::string_view subject) {
-  map_.erase(std::string(subject));
 }
 
 util::Result<std::string> GridMap::lookup(std::string_view subject) const {

@@ -12,7 +12,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "simkit/codec.hpp"
 #include "simkit/status.hpp"
@@ -47,15 +46,11 @@ class CertificateAuthority {
   /// Verifies issuer, signature, and expiry against `now`.
   util::Status verify(const Credential& cred, sim::Time now) const;
 
-  /// Revokes a subject; subsequent verification fails.
-  void revoke(std::string_view subject);
-
  private:
   std::uint64_t digest(const Credential& cred) const;
 
   std::string name_;
   std::uint64_t secret_;
-  std::unordered_set<std::string> revoked_;
 };
 
 /// Maps grid subjects to local accounts (the Globus "gridmap" file).
@@ -64,7 +59,6 @@ class CertificateAuthority {
 class GridMap {
  public:
   void add(std::string subject, std::string local_user);
-  void remove(std::string_view subject);
 
   /// The local account for a subject, or an error if unmapped.
   util::Result<std::string> lookup(std::string_view subject) const;

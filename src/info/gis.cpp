@@ -3,37 +3,6 @@
 #include <memory>
 
 namespace grid::info {
-namespace {
-
-/// The ordered gather behind both fan-outs: issues `fetch(i, done)` for
-/// i = 0..n-1 (so requests leave in contact order and run concurrently)
-/// and fires `on_done` once with result i in slot i.
-template <typename T, typename Fetch>
-void gather(std::size_t n, Fetch fetch,
-            std::function<void(std::vector<util::Result<T>>)> on_done) {
-  if (n == 0) {
-    on_done({});
-    return;
-  }
-  struct Gather {
-    std::vector<util::Result<T>> results;
-    std::size_t pending = 0;
-    std::function<void(std::vector<util::Result<T>>)> on_done;
-  };
-  auto g = std::make_shared<Gather>();
-  g->results.assign(
-      n, util::Result<T>(util::Status(util::ErrorCode::kInternal, "pending")));
-  g->pending = n;
-  g->on_done = std::move(on_done);
-  for (std::size_t i = 0; i < n; ++i) {
-    fetch(i, [g, i](util::Result<T> result) {
-      g->results[i] = std::move(result);
-      if (--g->pending == 0) g->on_done(std::move(g->results));
-    });
-  }
-}
-
-}  // namespace
 
 void encode_snapshot(util::Writer& w, const sched::QueueSnapshot& snap) {
   w.i64(snap.taken_at);
@@ -82,6 +51,72 @@ sched::QueueSummary decode_summary(util::Reader& r) {
   s.queued_work = r.i64();
   return s;
 }
+
+namespace {
+
+util::Result<sched::QueueSnapshot> snapshot_reply(const util::Status& status,
+                                                  util::Reader& reply) {
+  if (!status.is_ok()) return status;
+  sched::QueueSnapshot snap = decode_snapshot(reply);
+  if (!reply.ok()) {
+    return util::Status(util::ErrorCode::kInternal, "malformed snapshot");
+  }
+  return snap;
+}
+
+util::Result<sched::QueueSummary> summary_reply(const util::Status& status,
+                                                util::Reader& reply) {
+  if (!status.is_ok()) return status;
+  sched::QueueSummary summary = decode_summary(reply);
+  if (!reply.ok()) {
+    return util::Status(util::ErrorCode::kInternal, "malformed summary");
+  }
+  return summary;
+}
+
+sim::Payload contact_args(const std::string& contact) {
+  util::Writer w;
+  w.str(contact);
+  return w.take();
+}
+
+/// The ordered gather behind both fan-outs: calls `method` once per
+/// contact, in contact order, so the calls run concurrently; decodes reply
+/// i with `decode` into slot i; and fires `on_done` once.  The per-call
+/// callback fits the endpoint's inline ResponseFn, so a fan-out allocates
+/// nothing per candidate.
+template <typename T>
+void gather(net::Endpoint& endpoint, net::NodeId server, std::uint32_t method,
+            const std::vector<std::string>& contacts, sim::Time timeout,
+            util::Result<T> (*decode)(const util::Status&, util::Reader&),
+            std::function<void(std::vector<util::Result<T>>)> on_done) {
+  if (contacts.empty()) {
+    on_done({});
+    return;
+  }
+  struct Gather {
+    std::vector<util::Result<T>> results;
+    std::size_t pending = 0;
+    util::Result<T> (*decode)(const util::Status&, util::Reader&);
+    std::function<void(std::vector<util::Result<T>>)> on_done;
+  };
+  auto g = std::make_shared<Gather>();
+  g->results.assign(
+      contacts.size(),
+      util::Result<T>(util::Status(util::ErrorCode::kInternal, "pending")));
+  g->pending = contacts.size();
+  g->decode = decode;
+  g->on_done = std::move(on_done);
+  for (std::size_t i = 0; i < contacts.size(); ++i) {
+    endpoint.call(server, method, contact_args(contacts[i]), timeout,
+                  [g, i](const util::Status& status, util::Reader& reply) {
+                    g->results[i] = g->decode(status, reply);
+                    if (--g->pending == 0) g->on_done(std::move(g->results));
+                  });
+  }
+}
+
+}  // namespace
 
 GisServer::GisServer(net::Network& network,
                      sched::LoadInformationService& service,
@@ -191,43 +226,19 @@ GisClient::GisClient(net::Endpoint& endpoint, net::NodeId server)
 
 void GisClient::query(const std::string& contact, sim::Time timeout,
                       SnapshotFn on_done) {
-  util::Writer w;
-  w.str(contact);
-  endpoint_->call(server_, kMethodQuery, w.take(), timeout,
+  endpoint_->call(server_, kMethodQuery, contact_args(contact), timeout,
                   [on_done = std::move(on_done)](const util::Status& status,
                                                  util::Reader& reply) {
-                    if (!status.is_ok()) {
-                      on_done(status);
-                      return;
-                    }
-                    sched::QueueSnapshot snap = decode_snapshot(reply);
-                    if (!reply.ok()) {
-                      on_done(util::Status(util::ErrorCode::kInternal,
-                                           "malformed snapshot"));
-                      return;
-                    }
-                    on_done(std::move(snap));
+                    on_done(snapshot_reply(status, reply));
                   });
 }
 
 void GisClient::query_summary(const std::string& contact, sim::Time timeout,
                               SummaryFn on_done) {
-  util::Writer w;
-  w.str(contact);
-  endpoint_->call(server_, kMethodQuerySummary, w.take(), timeout,
+  endpoint_->call(server_, kMethodQuerySummary, contact_args(contact), timeout,
                   [on_done = std::move(on_done)](const util::Status& status,
                                                  util::Reader& reply) {
-                    if (!status.is_ok()) {
-                      on_done(status);
-                      return;
-                    }
-                    sched::QueueSummary summary = decode_summary(reply);
-                    if (!reply.ok()) {
-                      on_done(util::Status(util::ErrorCode::kInternal,
-                                           "malformed summary"));
-                      return;
-                    }
-                    on_done(summary);
+                    on_done(summary_reply(status, reply));
                   });
 }
 
@@ -258,24 +269,16 @@ void GisClient::query_many(
     std::vector<std::string> contacts, sim::Time timeout,
     std::function<void(std::vector<util::Result<sched::QueueSnapshot>>)>
         on_done) {
-  gather<sched::QueueSnapshot>(
-      contacts.size(),
-      [&](std::size_t i, SnapshotFn done) {
-        query(contacts[i], timeout, std::move(done));
-      },
-      std::move(on_done));
+  gather(*endpoint_, server_, kMethodQuery, contacts, timeout, &snapshot_reply,
+         std::move(on_done));
 }
 
 void GisClient::query_many_summaries(
     std::vector<std::string> contacts, sim::Time timeout,
     std::function<void(std::vector<util::Result<sched::QueueSummary>>)>
         on_done) {
-  gather<sched::QueueSummary>(
-      contacts.size(),
-      [&](std::size_t i, SummaryFn done) {
-        query_summary(contacts[i], timeout, std::move(done));
-      },
-      std::move(on_done));
+  gather(*endpoint_, server_, kMethodQuerySummary, contacts, timeout,
+         &summary_reply, std::move(on_done));
 }
 
 }  // namespace grid::info

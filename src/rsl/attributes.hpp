@@ -1,11 +1,10 @@
-// Typed view of a subjob specification.
+// Typed subjob specification.
 //
-// Maps between the untyped RSL relation set and the attributes the resource
-// management architecture defines (paper [6] §4 and Fig. 1 of this paper):
-// resourceManagerContact, count, executable, arguments, environment,
-// subjobStartType, label, ...  Unknown attributes are preserved verbatim so
-// co-allocators can pass application-specific relations through to local
-// managers.
+// The attributes the resource management architecture defines (paper [6]
+// §4 and Fig. 1 of this paper): resourceManagerContact, count, executable,
+// arguments, environment, subjobStartType, label, ...  A subjob is a
+// JobRequest from the RSL text it arrives as (rsl/parser.hpp) to the job
+// manager that runs it; to_rsl() prints it back.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +15,12 @@
 #include <utility>
 #include <vector>
 
-#include "rsl/ast.hpp"
-#include "simkit/status.hpp"
 #include "simkit/time.hpp"
 
 namespace grid::rsl {
 
-/// Canonical names of the well-known attributes.
+/// The attributes a subjob may name, in canonical form (lowercase, no
+/// underscores) and in to_rsl()'s order.
 namespace attr {
 inline constexpr std::string_view kResourceManagerContact =
     "resourcemanagercontact";
@@ -48,7 +46,6 @@ enum class SubjobStartType {
 };
 
 std::string to_string(SubjobStartType t);
-util::Result<SubjobStartType> parse_start_type(std::string_view text);
 
 /// Job process arrangement requested from the local manager.
 enum class JobType {
@@ -58,7 +55,6 @@ enum class JobType {
 };
 
 std::string to_string(JobType t);
-util::Result<JobType> parse_job_type(std::string_view text);
 
 /// An environment entry set at print time: (NAME, value).
 using EnvVar = std::pair<std::string_view, std::string_view>;
@@ -81,30 +77,15 @@ struct JobRequest {
   /// target resource manager (paper §5 co-reservation); 0 = best effort.
   std::uint64_t reservation_id = 0;
 
-  /// Relations with attributes this layer does not interpret, preserved in
-  /// order for pass-through to the local resource manager.
-  std::vector<Relation> extras;
-
-  /// Extracts a typed request from a conjunction spec.  Fails on missing
-  /// required attributes, non-'=' operators on known attributes, malformed
-  /// counts, or unknown enum values.
-  static util::Result<JobRequest> from_spec(const Spec& conj);
-
-  /// Rebuilds an equivalent conjunction spec (canonical attribute order,
-  /// extras appended last).  Programs print with to_rsl(); this tree is the
-  /// reference the tests hold that print to.
-  Spec to_spec() const;
-
-  /// The canonical text of this request, printed without building a tree:
-  /// the bytes to_spec().to_string() writes for a copy whose environment
-  /// first drops every entry named in `set_env` and then appends
-  /// `set_env`'s entries in order.
+  /// The canonical text of this request: a '&' conjunction of one relation
+  /// per attribute in `attr`'s order, leaving out empty strings and lists,
+  /// an unset wall time, the default job type and reservation 0.  The
+  /// environment printed is this one less every entry named in `set_env`,
+  /// followed by `set_env`'s entries in order.  parse_job_request() reads
+  /// the text back to an equal request.
   std::string to_rsl(std::span<const EnvVar> set_env = {}) const;
 
   bool operator==(const JobRequest& other) const = default;
 };
-
-/// Parses a '+' multi-request into typed subjob descriptions.
-util::Result<std::vector<JobRequest>> parse_job_requests(const Spec& multi);
 
 }  // namespace grid::rsl

@@ -1,39 +1,41 @@
-// RSL parser: text -> Spec tree.
+// RSL parser: ground-RSL text -> JobRequest.
 //
-// Grammar (after the Globus RSL v1.0 grammar, restricted to the constructs
-// the resource management architecture defines):
+// Co-allocators and GRAM consume ground RSL (paper Fig. 1): a '+'
+// multi-request of subjob conjunctions whose relations name the attributes
+// in rsl::attr.  The grammar is fixed, so the parser reads it in one pass
+// without recursing and writes straight into JobRequest fields:
 //
-//   request   := spec
-//   spec      := ('+' | '&' | '|') group+         combinator over groups
-//              | group+                           implicit conjunction
-//   group     := '(' spec-or-rel ')'
-//   spec-or-rel := spec | relation
-//   relation  := attribute op value+
-//   op        := '=' | '!=' | '<' | '<=' | '>' | '>='
-//   value     := literal | $(NAME) | '(' value+ ')'
+//   multi-request := '+' ('(' conjunction ')')+
+//   conjunction   := '&'? ('(' relation ')')+
+//   relation      := attribute '=' value+
+//   value         := literal | '(' literal literal ')'   environment entries
 //
-// Attribute names are canonicalized (lowercase, underscores stripped).
+// Attribute names are case-insensitive with underscores ignored
+// ("resource_manager_contact" == "resourceManagerContact").  A literal is
+// unquoted (any run of bare characters) or quoted with ' or ", a doubled
+// quote standing for itself.  Whitespace and "(*" ... "*)" comments may
+// separate any two tokens.
 #pragma once
 
 #include <string_view>
+#include <vector>
 
-#include "rsl/ast.hpp"
+#include "rsl/attributes.hpp"
 #include "simkit/status.hpp"
 
 namespace grid::rsl {
 
-/// Deepest nesting of '(' that parse() accepts, groups and value lists
-/// counted together.  The parser recurses once per level and gatekeepers
-/// parse every job request as it arrives from the network, so deeper input
-/// is rejected rather than allowed to overflow the stack.
-inline constexpr int kMaxNestingDepth = 64;
+/// Parses one subjob conjunction, as a gatekeeper receives it.  Every error
+/// is kInvalidArgument; syntax errors carry a byte offset and a
+/// description, e.g. "offset 17: expected ')'".
+util::Result<JobRequest> parse_job_request(std::string_view text);
 
-/// Parses a complete RSL request.  Errors (kInvalidArgument) carry a byte
-/// offset and a description, e.g. "offset 17: expected ')'".
-util::Result<Spec> parse(std::string_view source);
+/// Parses a '+' multi-request, the form co-allocators accept.
+util::Result<std::vector<JobRequest>> parse_multi_request(
+    std::string_view text);
 
-/// Parses and requires the result to be a multi-request ('+' at top level),
-/// the form DUROC accepts (paper Fig. 1).
-util::Result<Spec> parse_multi_request(std::string_view source);
+/// True for the characters an unquoted literal may hold: anything but
+/// whitespace, ( ) & + | = < > ! " ' $.  to_rsl() quotes any other text.
+bool is_bare_char(char c);
 
 }  // namespace grid::rsl

@@ -3,6 +3,8 @@
 // co-reserve-then-co-allocate pipeline via the reservationId attribute.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/coreserver.hpp"
 #include "rsl/parser.hpp"
 #include "test_util.hpp"
@@ -161,19 +163,36 @@ TEST_F(CoReserveFixture, CoReserverUnknownContactFails) {
 }
 
 TEST_F(CoReserveFixture, ReservationIdRslRoundTrip) {
-  rsl::JobRequest j;
-  j.resource_manager_contact = "res1";
-  j.executable = "app";
-  j.count = 8;
-  j.reservation_id = 42;
-  const std::string text = j.to_rsl();
-  EXPECT_NE(text.find("reservationid=42"), std::string::npos);
-  auto spec = rsl::parse(text);
-  ASSERT_TRUE(spec.is_ok());
-  auto back = rsl::JobRequest::from_spec(spec.value());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().reservation_id, 42u);
-  EXPECT_EQ(back.value(), j);
+  // Reservation ids are unsigned 64-bit, as build_requests reads them off
+  // the wire.  Each prints and parses back whole, and the gatekeeper hands
+  // it to the scheduler, which holds none of these reservations.
+  constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  const std::uint64_t ids[] = {1, 42, kInt64Max, kInt64Max + 1,
+                               std::numeric_limits<std::uint64_t>::max()};
+  std::vector<util::Status> submitted;
+  for (const std::uint64_t id : ids) {
+    rsl::JobRequest j;
+    j.resource_manager_contact = "res1";
+    j.executable = "app";
+    j.count = 8;
+    j.reservation_id = id;
+    const std::string text = j.to_rsl();
+    EXPECT_NE(text.find("(reservationid=" + std::to_string(id) + ")"),
+              std::string::npos)
+        << text;
+    auto back = rsl::parse_job_request(text);
+    ASSERT_TRUE(back.is_ok()) << text << ": " << back.status().to_string();
+    EXPECT_EQ(back.value(), j);
+    coallocator->gram().submit(
+        grid.host("res1")->contact(), text, 10 * sim::kSecond,
+        [&](util::Result<gram::JobId> r) { submitted.push_back(r.status()); },
+        nullptr);
+  }
+  grid.run_until(sim::kMinute);
+  ASSERT_EQ(submitted.size(), std::size(ids));
+  for (const util::Status& status : submitted) {
+    EXPECT_EQ(status.code(), util::ErrorCode::kNotFound) << status.to_string();
+  }
 }
 
 TEST_F(CoReserveFixture, ReservedJobOnPlainHostFailsAtSubmission) {

@@ -54,13 +54,6 @@ TEST(Credential, DifferentCaSecretsProduceDifferentSignatures) {
   EXPECT_FALSE(a.verify(b.issue("/CN=x", 10), 0).is_ok());
 }
 
-TEST(Credential, RevocationRejects) {
-  CertificateAuthority ca("/CN=CA", 1234);
-  const Credential c = ca.issue("/CN=alice", 100);
-  ca.revoke("/CN=alice");
-  EXPECT_FALSE(ca.verify(c, 0).is_ok());
-}
-
 TEST(Credential, CodecRoundTrip) {
   CertificateAuthority ca("/CN=CA", 99);
   const Credential c = ca.issue("/CN=bob", 42);
@@ -71,15 +64,13 @@ TEST(Credential, CodecRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(GridMap, LookupAndRemoval) {
+TEST(GridMap, Lookup) {
   GridMap gm;
   gm.add("/CN=alice", "alice");
   auto hit = gm.lookup("/CN=alice");
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value(), "alice");
   EXPECT_FALSE(gm.lookup("/CN=bob").is_ok());
-  gm.remove("/CN=alice");
-  EXPECT_FALSE(gm.lookup("/CN=alice").is_ok());
 }
 
 // ---- handshake -----------------------------------------------------------------
@@ -154,18 +145,6 @@ TEST_F(GsiFixture, UnmappedSubjectDenied) {
   EXPECT_FALSE(got.is_ok());
   EXPECT_EQ(got.status().code(), util::ErrorCode::kPermissionDenied);
   EXPECT_EQ(server.session_count(), 0u);
-}
-
-TEST_F(GsiFixture, RevokedClientDenied) {
-  ServerContext server = make_server();
-  const Credential cred = ca.issue("/CN=alice", sim::kTimeNever / 2);
-  ca.revoke("/CN=alice");
-  ClientContext client(client_ep, ca, cred);
-  util::Result<Session> got{util::Status(util::ErrorCode::kInternal, "unset")};
-  client.authenticate(server_ep.id(), 10 * sim::kSecond,
-                      [&](util::Result<Session> s) { got = std::move(s); });
-  engine.run();
-  EXPECT_FALSE(got.is_ok());
 }
 
 TEST_F(GsiFixture, ForgedCredentialDenied) {

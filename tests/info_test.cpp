@@ -5,6 +5,7 @@
 #include "info/broker.hpp"
 #include "info/gis.hpp"
 #include "sched/batch.hpp"
+#include "simkit/allocguard.hpp"
 #include "test_util.hpp"
 
 namespace grid {
@@ -216,6 +217,45 @@ TEST_F(GisFixture, QueryManyEmptyCompletesImmediately) {
         done = true;
       });
   EXPECT_TRUE(done);
+}
+
+TEST(GisFanOut, AllocatesNothingPerCandidate) {
+  // A broker fans out over every candidate for every request, so the
+  // fan-out's cost must not grow with the candidate count: each call's
+  // callback stays inside the endpoint's inline ResponseFn.
+  sim::Engine engine;
+  net::Network network(engine);
+  sched::LoadInformationService service(engine, 10 * sim::kSecond);
+  std::vector<std::unique_ptr<sched::BatchScheduler>> machines;
+  std::vector<std::string> contacts;
+  for (int i = 0; i < 24; ++i) {
+    machines.push_back(std::make_unique<sched::BatchScheduler>(engine, 64));
+    contacts.push_back("rm" + std::to_string(i));
+    service.register_resource(contacts.back(), machines.back().get());
+  }
+  service.publish_now();
+  info::GisServer server(network, service);
+  net::Endpoint endpoint(network, "broker");
+  info::GisClient client(endpoint, server.contact());
+  const auto fan_out = [&](std::size_t n) {
+    std::vector<std::string> some(
+        contacts.begin(), contacts.begin() + static_cast<std::ptrdiff_t>(n));
+    std::size_t ok = 0;
+    sim::AllocGuard guard;
+    client.query_many_summaries(
+        std::move(some), sim::kSecond,
+        [&](std::vector<util::Result<sched::QueueSummary>> results) {
+          for (const auto& r : results) ok += r.is_ok() ? 1 : 0;
+        });
+    engine.run();
+    const std::uint64_t allocations = guard.allocations();
+    EXPECT_EQ(ok, n);
+    return allocations;
+  };
+  for (int i = 0; i < 4; ++i) fan_out(24);  // tables and pools reach capacity
+  const std::uint64_t eight = fan_out(8);
+  const std::uint64_t twenty_four = fan_out(24);
+  EXPECT_LE(twenty_four, eight) << "8 candidates: " << eight;
 }
 
 // ---- summary-first, shared snapshots, and the reply-payload cache ---------

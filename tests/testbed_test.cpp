@@ -90,10 +90,8 @@ TEST(Testbed, RslHelpersEmitParseableRequests) {
   const std::string text = testbed::rsl_multi(
       {testbed::rsl_subjob("h1", 4, "exe", "interactive", "workers"),
        testbed::rsl_subjob("h2", 1, "exe")});
-  auto spec = rsl::parse_multi_request(text);
-  ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
-  auto jobs = rsl::parse_job_requests(spec.value());
-  ASSERT_TRUE(jobs.is_ok());
+  auto jobs = rsl::parse_multi_request(text);
+  ASSERT_TRUE(jobs.is_ok()) << jobs.status().to_string();
   ASSERT_EQ(jobs.value().size(), 2u);
   EXPECT_EQ(jobs.value()[0].label, "workers");
   EXPECT_EQ(jobs.value()[0].start_type, rsl::SubjobStartType::kInteractive);
