@@ -72,7 +72,6 @@ GisProbe probe_gis(std::size_t depth, int queries) {
   testbed::Host& host =
       g.add_host("rm0", 256, testbed::SchedulerKind::kBackfill);
   sched::BatchScheduler* batch = host.batch_scheduler();
-  batch->set_history_capacity(0);
   // Saturate the machine with owner-controlled jobs that never finish,
   // then hold `depth` jobs in the queue — the published snapshot carries
   // the full queued-job list.

@@ -47,7 +47,7 @@ int main() {
   {
     const sim::Time t0 = grid.engine().now();
     nis_client.initgroups("bench", 60 * sim::kSecond,
-                          [&](util::Result<std::vector<std::string>> groups) {
+                          [&](const util::Status& groups) {
                             if (groups.is_ok()) {
                               initgroups_time = grid.engine().now() - t0;
                             }

@@ -80,17 +80,19 @@ void Communicator::maybe_broadcast_table() {
       leader_tables_received_ < runtime_.subjob_count()) {
     return;
   }
-  // Stage 3: assemble the global table and push it to our members.
-  std::vector<net::NodeId> table(
-      static_cast<std::size_t>(runtime_.total_processes()),
-      net::kInvalidNode);
+  // Stage 3: assemble the global table from the addresses the leaders
+  // sent and push it to our members.  Every rank must get an address: the
+  // layout must place the subjobs back to back from rank 0, and the
+  // addresses must add up to the world size.  Otherwise stay
+  // uninitialized.
+  std::vector<net::NodeId> table;
   for (std::int32_t s = 0; s < runtime_.subjob_count(); ++s) {
+    if (static_cast<std::size_t>(runtime_.rank_base(s)) != table.size()) return;
     const auto& nodes = leader_tables_[static_cast<std::size_t>(s)];
-    const std::int32_t base = runtime_.rank_base(s);
-    for (std::size_t r = 0; r < nodes.size(); ++r) {
-      const std::size_t g = static_cast<std::size_t>(base) + r;
-      if (g < table.size()) table[g] = nodes[r];
-    }
+    table.insert(table.end(), nodes.begin(), nodes.end());
+  }
+  if (table.size() != static_cast<std::size_t>(runtime_.total_processes())) {
+    return;
   }
   util::Writer w;
   w.u8(kFullTable);

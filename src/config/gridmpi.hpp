@@ -36,7 +36,9 @@ class Communicator {
   /// Runs the bootstrap address exchange.  `on_ready` fires when this rank
   /// holds the full rank -> address table.  A release whose subjob index
   /// lies outside its layout, or whose total_processes is negative, leaves
-  /// the communicator uninitialized.
+  /// the communicator uninitialized.  So does, on a leader, a layout whose
+  /// rank bases do not run back to back from 0 over the member tables the
+  /// leaders sent, or whose total_processes differs from their sum.
   void init(std::function<void()> on_ready);
   bool initialized() const { return initialized_; }
 

@@ -48,10 +48,4 @@ util::Result<RequestId> GrabAllocator::allocate(
   return *id;
 }
 
-void GrabAllocator::cancel(RequestId id) {
-  if (CoallocationRequest* request = mech_->find_request(id)) {
-    request->kill();
-  }
-}
-
 }  // namespace grid::core

@@ -47,9 +47,6 @@ class GRID_HOT GrabAllocator {
       std::vector<rsl::JobRequest> subjobs, RequestCallbacks callbacks,
       std::optional<RequestConfig> config = std::nullopt);
 
-  /// Rolls back / kills an allocation.
-  void cancel(RequestId id);
-
  private:
   Coallocator* mech_;
 };

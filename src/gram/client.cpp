@@ -162,27 +162,6 @@ void Client::cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
                   });
 }
 
-void Client::status(net::NodeId gatekeeper, JobId job, sim::Time timeout,
-                    std::function<void(util::Result<JobState>)> on_done) {
-  util::Writer w;
-  w.u64(job);
-  idempotent_call(gatekeeper, kMethodJobStatus, w.take(), timeout,
-                  [on_done = std::move(on_done)](const util::Status& status,
-                                                 util::Reader& reply) {
-                    if (!status.is_ok()) {
-                      on_done(status);
-                      return;
-                    }
-                    const auto state = static_cast<JobState>(reply.u8());
-                    if (!reply.ok()) {
-                      on_done(util::Status(util::ErrorCode::kInternal,
-                                           "malformed status reply"));
-                      return;
-                    }
-                    on_done(state);
-                  });
-}
-
 void Client::reserve(
     net::NodeId gatekeeper, sim::Time start, sim::Time end,
     std::int32_t count, sim::Time timeout,

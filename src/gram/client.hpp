@@ -1,4 +1,4 @@
-// GRAM client library: submit / cancel / status against remote gatekeepers.
+// GRAM client library: submit / cancel / reserve against remote gatekeepers.
 //
 // Each submission performs its own GSI handshake ("each with its inherent
 // authentication and protocol overhead", §4.2) and then the job-request
@@ -36,8 +36,8 @@ class Client {
   using StateFn = std::function<void(const JobStateChange&)>;
   using DoneFn = std::function<void(util::Status)>;
 
-  /// Opts this client into fault-tolerant RPC.  Idempotent verbs (status,
-  /// cancel, reservation cancel) are re-issued on timeout on the schedule
+  /// Opts this client into fault-tolerant RPC.  Idempotent verbs (cancel,
+  /// reservation cancel) are re-issued on timeout on the schedule
   /// of net/retry.hpp, with `policy`'s jitter seed; their own `timeout`
   /// then gives way to kRetryAttemptTimeout per attempt.  submit() and
   /// reserve() retry only their pre-ack phase (the GSI handshake) — the
@@ -58,10 +58,6 @@ class Client {
   /// Cancels a job previously accepted by `gatekeeper`.
   void cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
               DoneFn on_done);
-
-  /// Queries a job's server-side state.
-  void status(net::NodeId gatekeeper, JobId job, sim::Time timeout,
-              std::function<void(util::Result<JobState>)> on_done);
 
   /// An acquired advance reservation as seen by the client.
   struct ReservationHandle {

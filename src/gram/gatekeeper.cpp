@@ -38,11 +38,6 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
         handle_job_cancel(caller, call_id, args);
       });
   endpoint_.register_method(
-      kMethodJobStatus,
-      [this](net::NodeId caller, std::uint64_t call_id, util::Reader& args) {
-        handle_job_status(caller, call_id, args);
-      });
-  endpoint_.register_method(
       kMethodPing,
       [this](net::NodeId caller, std::uint64_t call_id, util::Reader&) {
         endpoint_.respond(caller, call_id, {});
@@ -107,12 +102,12 @@ void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
   // the local user's supplementary groups before spawning the job manager.
   nis_.initgroups(
       local_user, kNisTimeout,
-      [this, caller, call_id, request = std::move(request), local_user](
-          util::Result<std::vector<std::string>> groups) mutable {
+      [this, caller, call_id, request = std::move(request),
+       local_user](const util::Status& groups) mutable {
         if (!groups.is_ok()) {
-          endpoint_.respond_error(
-              caller, call_id, util::ErrorCode::kUnavailable,
-              "initgroups failed: " + groups.status().message());
+          endpoint_.respond_error(caller, call_id,
+                                  util::ErrorCode::kUnavailable,
+                                  "initgroups failed: " + groups.message());
           return;
         }
         // Miscellaneous processing (request parsing, job manager setup).
@@ -171,26 +166,6 @@ void Gatekeeper::handle_job_cancel(net::NodeId caller, std::uint64_t call_id,
   }
   if (JobManager* manager = live_job(id)) manager->cancel();
   endpoint_.respond(caller, call_id, {});
-}
-
-void Gatekeeper::handle_job_status(net::NodeId caller, std::uint64_t call_id,
-                                   util::Reader& args) {
-  reap_finished();
-  const JobId id = args.u64();
-  if (!args.ok()) {
-    endpoint_.respond_error(caller, call_id, util::ErrorCode::kInvalidArgument,
-                            "malformed status request");
-    return;
-  }
-  auto state = job_state(id);
-  if (!state.is_ok()) {
-    endpoint_.respond_error(caller, call_id, state.status().code(),
-                            state.status().message());
-    return;
-  }
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(state.value()));
-  endpoint_.respond(caller, call_id, w.take());
 }
 
 void Gatekeeper::handle_reserve(net::NodeId caller, std::uint64_t call_id,

@@ -13,8 +13,8 @@
 //
 // A finished job's manager is reaped lazily: the next job RPC after its
 // terminal instant destroys it and keeps only its final state (one byte),
-// so job_state(), status and cancel answer exactly as they did while the
-// manager lived.
+// so job_state() and cancel answer exactly as they did while the manager
+// lived.
 #pragma once
 
 #include <memory>
@@ -90,8 +90,6 @@ class Gatekeeper {
   void handle_job_request(net::NodeId caller, std::uint64_t call_id,
                           util::Reader& args);
   void handle_job_cancel(net::NodeId caller, std::uint64_t call_id,
-                         util::Reader& args);
-  void handle_job_status(net::NodeId caller, std::uint64_t call_id,
                          util::Reader& args);
   void handle_reserve(net::NodeId caller, std::uint64_t call_id,
                       util::Reader& args);

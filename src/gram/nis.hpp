@@ -63,12 +63,14 @@ class NisClient {
  public:
   NisClient(net::Endpoint& endpoint, net::NodeId server);
 
-  using DoneFn =
-      std::function<void(util::Result<std::vector<std::string>> groups)>;
+  using DoneFn = std::function<void(const util::Status& status)>;
 
-  /// Resolves the supplementary groups of `user`.  `timeout` bounds the
-  /// lookup; a crashed NIS server therefore hangs the gatekeeper only for
-  /// `timeout`, another real-world failure mode the co-allocator sees.
+  /// Resolves the supplementary groups of `user` and reports only whether
+  /// that worked: the caller sets the groups up, it never reads them.  The
+  /// reply is still checked in full, and a malformed one is kInternal.
+  /// `timeout` bounds the lookup; a crashed NIS server therefore hangs the
+  /// gatekeeper only for `timeout`, another real-world failure mode the
+  /// co-allocator sees.
   void initgroups(const std::string& user, sim::Time timeout, DoneFn on_done);
 
  private:

@@ -19,7 +19,7 @@ namespace grid::gram {
 enum Method : std::uint32_t {
   kMethodJobRequest = 0x201,
   kMethodJobCancel = 0x202,
-  kMethodJobStatus = 0x203,
+  // 0x203 is retired: it was the job-status query.
   kMethodPing = 0x204,
   // Advance reservation extension (paper §5 / ref [13]): only answered by
   // gatekeepers whose local scheduler supports reservations.

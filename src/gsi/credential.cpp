@@ -84,7 +84,7 @@ void GridMap::add(std::string subject, std::string local_user) {
 }
 
 util::Result<std::string> GridMap::lookup(std::string_view subject) const {
-  auto it = map_.find(std::string(subject));
+  auto it = map_.find(subject);
   if (it == map_.end()) {
     return util::Status(util::ErrorCode::kPermissionDenied,
                         "subject '" + std::string(subject) +

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -60,11 +61,19 @@ class GridMap {
  public:
   void add(std::string subject, std::string local_user);
 
-  /// The local account for a subject, or an error if unmapped.
+  /// The local account for a subject, or an error if unmapped.  A hit
+  /// copies no key: the map hashes and compares the view itself.
   util::Result<std::string> lookup(std::string_view subject) const;
 
  private:
-  std::unordered_map<std::string, std::string> map_;
+  struct SubjectHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view subject) const {
+      return std::hash<std::string_view>{}(subject);
+    }
+  };
+  std::unordered_map<std::string, std::string, SubjectHash, std::equal_to<>>
+      map_;
 };
 
 }  // namespace grid::gsi

@@ -152,8 +152,7 @@ void GisServer::handle_query(net::NodeId caller, std::uint64_t call_id,
     return;
   }
   // Resolve the contact to its interned id at arrival; the deferred service
-  // body then runs string-free (registration changes while the query is in
-  // flight are re-checked against the id at service time).
+  // body then runs string-free.
   const auto id = service_->resolve(contact);
   endpoint_.engine().schedule_after(query_cost_, [this, caller, call_id, id] {
     serve_query(caller, call_id, id);

@@ -96,14 +96,6 @@ std::uint64_t Endpoint::call(NodeId dst, std::uint32_t method,
   return call_id;
 }
 
-bool Endpoint::cancel_call(std::uint64_t call_id) {
-  PendingCall* pc = pending_.find(call_id);
-  if (pc == nullptr) return false;
-  engine().cancel(pc->timeout_event);
-  pending_.erase(call_id);
-  return true;
-}
-
 std::uint64_t Endpoint::retrying_call(NodeId dst, std::uint32_t method,
                                       sim::Payload args,
                                       const RetryPolicy& policy,
@@ -119,37 +111,24 @@ std::uint64_t Endpoint::retrying_call(NodeId dst, std::uint32_t method,
   return ticket;
 }
 
-bool Endpoint::cancel_retrying_call(std::uint64_t ticket) {
-  RetryingCall* rc = retrying_.find(ticket);
-  if (rc == nullptr) return false;
-  engine().cancel(rc->backoff_event);
-  if (rc->inner_call != 0) cancel_call(rc->inner_call);
-  retrying_.erase(ticket);
-  return true;
-}
-
 void Endpoint::issue_attempt(std::uint64_t ticket) {
   RetryingCall* rc = retrying_.find(ticket);
   if (rc == nullptr) return;
   ++rc->attempt;
   if (rc->attempt > 1) ++network_->mutable_stats().rpc_retries;
   // The frozen args buffer is shared into the attempt; call() only reads
-  // it (copying into the frame), so re-sends never re-encode.  Note the
-  // inner call lives in pending_, a different slab than retrying_, so
-  // `rc` stays valid across the call.
-  rc->inner_call =
-      call(rc->dst, rc->method, rc->args.share(), kRetryAttemptTimeout,
-           [this, ticket](const util::Status& status, util::Reader& result) {
-             on_attempt_response(ticket, status, result);
-           });
+  // it (copying into the frame), so re-sends never re-encode.
+  call(rc->dst, rc->method, rc->args.share(), kRetryAttemptTimeout,
+       [this, ticket](const util::Status& status, util::Reader& result) {
+         on_attempt_response(ticket, status, result);
+       });
 }
 
 void Endpoint::on_attempt_response(std::uint64_t ticket,
                                    const util::Status& status,
                                    util::Reader& result) {
   RetryingCall* rc = retrying_.find(ticket);
-  if (rc == nullptr) return;  // cancelled mid-flight
-  rc->inner_call = 0;
+  if (rc == nullptr) return;  // dropped with the endpoint's calls
   if (status.code() != util::ErrorCode::kTimeout) {
     // Success or a definitive (non-retryable) error: deliver it.
     if (status.is_ok() && rc->attempt > 1) {
@@ -270,7 +249,7 @@ void Endpoint::handle_message(const Message& msg) {
       const std::uint64_t call_id = r.varint();
       const bool ok = r.boolean();
       PendingCall* pc = pending_.find(call_id);
-      if (pc == nullptr) return;  // late or cancelled: ignore
+      if (pc == nullptr) return;  // late or dropped: ignore
       ResponseFn fn = std::move(pc->on_response);
       engine().cancel(pc->timeout_event);
       pending_.erase(call_id);

@@ -66,15 +66,11 @@ class GRID_HOT Endpoint : public Node {
                            void(const util::Status& status,
                                 util::Reader& result)>;
 
-  /// Issues a call.  `timeout` <= 0 means no timeout.  Returns a call id
-  /// usable with cancel_call().  The callback fires exactly once unless the
-  /// call is cancelled or this endpoint crashes first.
+  /// Issues a call.  `timeout` <= 0 means no timeout.  Returns the call
+  /// id.  The callback fires exactly once unless this endpoint crashes
+  /// first.
   std::uint64_t call(NodeId dst, std::uint32_t method, sim::Payload args,
                      sim::Time timeout, ResponseFn on_response);
-
-  /// Abandons a pending call; its callback will not fire.  Returns true if
-  /// the call was still pending.
-  bool cancel_call(std::uint64_t call_id);
 
   /// Issues a call that is transparently re-issued on kTimeout, following
   /// the retry schedule of net/retry.hpp with `policy`'s jitter seed.  ONLY
@@ -82,16 +78,13 @@ class GRID_HOT Endpoint : public Node {
   /// the request on the server.  The callback fires exactly once — with
   /// the first non-timeout outcome, or with a single kTimeout error once
   /// the attempts are exhausted.
-  /// Returns a ticket usable with cancel_retrying_call(); the ticket id
-  /// space is shared with plain call ids.  The frozen args buffer is
-  /// share()d into each attempt, so retries re-send without re-encoding.
+  /// Returns the call's ticket.  A ticket takes a plain call id, and it
+  /// keys the call's jitter stream, so both show on the wire.  The frozen
+  /// args buffer is share()d into each attempt, so retries re-send without
+  /// re-encoding.
   std::uint64_t retrying_call(NodeId dst, std::uint32_t method,
                               sim::Payload args, const RetryPolicy& policy,
                               ResponseFn on_response);
-
-  /// Abandons a retrying call between or during attempts; its callback
-  /// will not fire.  Returns true if the operation was still pending.
-  bool cancel_retrying_call(std::uint64_t ticket);
 
   std::size_t pending_calls() const { return pending_.size(); }
   std::size_t pending_retrying_calls() const { return retrying_.size(); }
@@ -162,16 +155,15 @@ class GRID_HOT Endpoint : public Node {
   };
 
   /// One retrying operation: the frozen request, its schedule, and the
-  /// currently in-flight attempt (or the backoff timer between attempts).
+  /// backoff timer between attempts.
   struct RetryingCall {
     NodeId dst = kInvalidNode;
     std::uint32_t method = 0;
     sim::Payload args;
     RetrySchedule schedule;
     ResponseFn on_response;
-    int attempt = 0;               // attempts issued so far
-    std::uint64_t inner_call = 0;  // pending call id of the live attempt
-    sim::EventId backoff_event;    // pending timer between attempts
+    int attempt = 0;             // attempts issued so far
+    sim::EventId backoff_event;  // pending timer between attempts
 
     RetryingCall(const RetryPolicy& policy, std::uint64_t stream)
         : schedule(policy, stream) {}

@@ -6,24 +6,6 @@
 
 namespace grid::sched {
 
-std::int64_t QueueSnapshot::queued_work() const {
-  std::int64_t total = 0;
-  for (const QueuedJobInfo& j : queued) {
-    total += static_cast<std::int64_t>(j.count) * j.estimated_runtime;
-  }
-  return total;
-}
-
-QueueSummary summarize(const QueueSnapshot& snapshot) {
-  QueueSummary s;
-  s.taken_at = snapshot.taken_at;
-  s.total_processors = snapshot.total_processors;
-  s.busy_processors = snapshot.busy_processors;
-  s.queue_length = static_cast<std::uint32_t>(snapshot.queued.size());
-  s.queued_work = snapshot.queued_work();
-  return s;
-}
-
 BatchScheduler::BatchScheduler(sim::Engine& engine, std::int32_t processors,
                                Backfill backfill)
     : engine_(&engine),
@@ -32,35 +14,26 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, std::int32_t processors,
       backfill_(backfill),
       profile_(processors) {}
 
+void BatchScheduler::set_history_capacity(std::size_t cap) {
+  if (cap != 0) {
+    sim::check_fail(__FILE__, __LINE__,
+                    "BatchScheduler keeps no wait history: capacity must be 0");
+  }
+}
+
 util::Status BatchScheduler::submit(const JobDescriptor& job, StartFn on_start,
                                     EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (job.count > total_) {
-    return {util::ErrorCode::kResourceExhausted,
-            "job needs " + std::to_string(job.count) + " processors, machine has " +
-                std::to_string(total_)};
-  }
-  if (job.id == 0) {
-    return {util::ErrorCode::kInvalidArgument, "job id 0 is reserved"};
-  }
-  if (running_.find(job.id) != nullptr ||
-      queued_ids_.find(job.id) != sim::IdMap::kNotFound) {
-    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
-  }
+  util::Status admitted = admit(job, total_, [this](JobId id) {
+    return running_.find(id) != nullptr ||
+           queued_ids_.find(id) != sim::IdMap::kNotFound;
+  });
+  if (!admitted.is_ok()) return admitted;
   Queued q;
   q.desc = job;
   q.on_start = std::move(on_start);
   q.on_end = std::move(on_end);
   q.seq = next_seq_++;
   q.submitted_at = engine_->now();
-  q.queue_length_at_submit = static_cast<std::int32_t>(queue_.size());
-  // The integral only feeds wait_history(), which never shrinks: a job
-  // submitted into a full history is never recorded.
-  if (history_.size() < history_capacity_) {
-    q.queued_work_at_submit = current_queued_work();
-  }
   const bool was_blocked = !queue_.empty();
   queue_.push_back(std::move(q));
   queued_ids_.insert(job.id, 1);
@@ -130,31 +103,6 @@ void BatchScheduler::submit_fast_path() {
     }
   }
   scheduling_ = false;
-}
-
-std::int64_t BatchScheduler::current_queued_work() const {
-  // Queued work is maintained incrementally; the remaining work of running
-  // jobs (which also delays newcomers) is an integral over the profile,
-  // with never-ending occupancies excluded the way the seed scan skipped
-  // unknown estimated ends.
-  return queued_work_ +
-         profile_.busy_work_after(engine_->now(), unknown_busy_);
-}
-
-sim::Time BatchScheduler::estimated_end(const JobDescriptor& d,
-                                        sim::Time started) const {
-  sim::Time length = 0;
-  if (d.estimated_runtime > 0) {
-    length = d.estimated_runtime;
-  } else if (d.runtime > 0) {
-    length = d.runtime;
-  } else if (d.max_wall_time > 0) {
-    length = d.max_wall_time;
-  } else {
-    return sim::kTimeNever;
-  }
-  if (length >= sim::kTimeNever - started) return sim::kTimeNever;
-  return started + length;
 }
 
 void BatchScheduler::try_schedule() {
@@ -231,31 +179,19 @@ void BatchScheduler::start(Queued&& q) {
   ++version_;
   queued_work_ -=
       static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
+  const sim::Time now = engine_->now();
+  const sim::Time length = planned_length(q.desc);
   Running r;
   r.desc = q.desc;
   r.on_end = std::move(q.on_end);
-  r.started_at = engine_->now();
-  r.est_end = estimated_end(r.desc, r.started_at);
+  // A job that plans no length occupies the profile forever.
+  r.est_end = length > 0 ? planned_end(now, length) : sim::kTimeNever;
   const JobId id = q.desc.id;
   queued_ids_.erase(id);
-  if (history_.size() < history_capacity_) {
-    history_.push_back(WaitObservation{q.submitted_at, r.started_at,
-                                       q.desc.count, q.queue_length_at_submit,
-                                       q.queued_work_at_submit});
-  }
-  profile_.reserve(r.started_at, r.est_end, r.desc.count);
-  if (r.est_end == sim::kTimeNever) unknown_busy_ += r.desc.count;
+  profile_.reserve(now, r.est_end, r.desc.count);
   Running& slot = running_.emplace(id, std::move(r));
-  if (slot.desc.runtime > 0) {
-    slot.runtime_event = engine_->schedule_after(
-        slot.desc.runtime,
-        [this, id] { end_running(id, EndReason::kCompleted); });
-  }
-  if (slot.desc.max_wall_time > 0) {
-    slot.wall_event = engine_->schedule_after(slot.desc.max_wall_time, [this, id] {
-      end_running(id, EndReason::kWallTimeExceeded);
-    });
-  }
+  slot.timers.arm(*engine_, slot.desc,
+                  [this, id](EndReason why) { end_running(id, why); });
   if (q.on_start) q.on_start(id);
 }
 
@@ -264,8 +200,7 @@ void BatchScheduler::end_running(JobId id, EndReason reason) {
   if (found == nullptr) return;
   Running r = std::move(*found);
   running_.erase(id);
-  engine_->cancel(r.runtime_event);
-  engine_->cancel(r.wall_event);
+  r.timers.cancel(*engine_);
   free_ += r.desc.count;
   ++state_gen_;
   ++version_;
@@ -276,7 +211,6 @@ void BatchScheduler::end_running(JobId id, EndReason reason) {
     // ran past its estimate has no tail left to return.
     profile_.release(now, r.est_end, r.desc.count);
   }
-  if (r.est_end == sim::kTimeNever) unknown_busy_ -= r.desc.count;
   if (r.on_end) r.on_end(id, reason);
   try_schedule();
 }

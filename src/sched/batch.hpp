@@ -55,25 +55,11 @@ class BatchScheduler final : public LocalScheduler {
     return backfill_ == Backfill::kEasy ? "easy-backfill" : "fcfs";
   }
 
-  /// Caps the wait-history vector (`wait_history()`): recording stops once
-  /// it holds `cap` observations.  Default is unlimited; sustained-load
-  /// scenarios set a cap (or 0) so a million-job day does not accrete an
-  /// unbounded observation log.  Set it before the first submit: a submit
-  /// into a full history skips the queued-work integral its observation
-  /// would carry.
-  void set_history_capacity(std::size_t cap) { history_capacity_ = cap; }
-
-  /// Virtual-time wait statistics of started jobs, for predictor training.
-  struct WaitObservation {
-    sim::Time submitted_at = 0;
-    sim::Time started_at = 0;
-    std::int32_t count = 0;
-    std::int32_t queue_length_at_submit = 0;
-    std::int64_t queued_work_at_submit = 0;  // processor-ns ahead of the job
-  };
-  const std::vector<WaitObservation>& wait_history() const {
-    return history_;
-  }
+  /// `cap` exists only for gridbench/harness.cpp, which passes 0 and
+  /// changes only together with the benchmark; the next benchmark change
+  /// deletes this function.  The scheduler keeps no wait history, so any
+  /// other value aborts in every build.
+  void set_history_capacity(std::size_t cap);
 
   /// The free-slot profile the backfill decisions read (tests/benches).
   const Profile& profile() const { return profile_; }
@@ -85,16 +71,12 @@ class BatchScheduler final : public LocalScheduler {
     EndFn on_end;
     std::uint64_t seq = 0;  // submission sequence number
     sim::Time submitted_at = 0;
-    std::int32_t queue_length_at_submit = 0;
-    std::int64_t queued_work_at_submit = 0;
   };
   struct Running {
     JobDescriptor desc;
     EndFn on_end;
-    sim::Time started_at = 0;
     sim::Time est_end = 0;  // profile occupancy end fixed at start time
-    sim::EventId runtime_event;
-    sim::EventId wall_event;
+    RunTimers timers;
   };
 
   /// Full scheduling pass: FCFS holds, then one EASY scan of the queue.
@@ -109,10 +91,6 @@ class BatchScheduler final : public LocalScheduler {
   void submit_fast_path();
   void start(Queued&& q);
   void end_running(JobId id, EndReason reason);
-  /// Estimated completion if started at `started` (kTimeNever when
-  /// unknown); saturates instead of overflowing.
-  sim::Time estimated_end(const JobDescriptor& d, sim::Time started) const;
-  std::int64_t current_queued_work() const;
   /// Called where a queued job that may predate the mark leaves the queue:
   /// the FCFS head start, the backfill start and cancel.
   void journal_departure(const Queued& q);
@@ -134,10 +112,7 @@ class BatchScheduler final : public LocalScheduler {
   sim::IdSlab<Running> running_;
   sim::IdMap queued_ids_;  // queued job ids (duplicate/cancel lookups)
   Profile profile_;        // future free processors from running jobs
-  std::int32_t unknown_busy_ = 0;  // running procs occupying to kTimeNever
-  std::int64_t queued_work_ = 0;   // sum of count*estimate over the queue
-  std::vector<WaitObservation> history_;
-  std::size_t history_capacity_ = static_cast<std::size_t>(-1);
+  std::int64_t queued_work_ = 0;  // sum of count*estimate over the queue
   bool scheduling_ = false;  // re-entrancy guard for try_schedule
   std::uint64_t state_gen_ = 0;  // bumped by end_running (re-entrant ends)
   std::uint64_t version_ = 1;    // dirty-flag counter (0 = untracked)

@@ -11,12 +11,10 @@ ForkScheduler::ForkScheduler(sim::Engine& engine,
 
 util::Status ForkScheduler::submit(const JobDescriptor& job, StartFn on_start,
                                    EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (jobs_.find(job.id) != nullptr) {
-    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
-  }
+  util::Status admitted = admit(job, kTimeshared, [this](JobId id) {
+    return jobs_.find(id) != nullptr;
+  });
+  if (!admitted.is_ok()) return admitted;
   Running r;
   r.desc = job;
   r.on_end = std::move(on_end);
@@ -36,15 +34,8 @@ void ForkScheduler::start_job(JobId id, StartFn on_start) {
   r.started = true;
   running_count_ += r.desc.count;
   ++version_;
-  if (r.desc.runtime > 0) {
-    r.runtime_event = engine_->schedule_after(
-        r.desc.runtime, [this, id] { end_job(id, EndReason::kCompleted); });
-  }
-  if (r.desc.max_wall_time > 0) {
-    r.wall_event = engine_->schedule_after(r.desc.max_wall_time, [this, id] {
-      end_job(id, EndReason::kWallTimeExceeded);
-    });
-  }
+  r.timers.arm(*engine_, r.desc,
+               [this, id](EndReason why) { end_job(id, why); });
   if (on_start) on_start(id);
 }
 
@@ -54,8 +45,7 @@ void ForkScheduler::end_job(JobId id, EndReason reason) {
   Running r = std::move(*found);
   jobs_.erase(id);
   engine_->cancel(r.start_event);
-  engine_->cancel(r.runtime_event);
-  engine_->cancel(r.wall_event);
+  r.timers.cancel(*engine_);
   if (r.started) running_count_ -= r.desc.count;
   ++version_;
   if (r.on_end) r.on_end(id, reason);

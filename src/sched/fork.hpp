@@ -39,8 +39,7 @@ class ForkScheduler final : public LocalScheduler {
     JobDescriptor desc;
     EndFn on_end;
     sim::EventId start_event;
-    sim::EventId runtime_event;
-    sim::EventId wall_event;
+    RunTimers timers;
     bool started = false;
   };
 

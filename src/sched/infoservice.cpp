@@ -18,35 +18,14 @@ LoadInformationService::~LoadInformationService() { stop(); }
 
 void LoadInformationService::register_resource(std::string contact,
                                                const LocalScheduler* sched) {
-  ContactId id = 0;
-  auto it = intern_.find(contact);
-  if (it != intern_.end()) {
-    id = it->second;
-  } else {
-    entries_.emplace_back();
-    id = static_cast<ContactId>(entries_.size());
-    intern_.emplace(std::move(contact), id);
-  }
-  Entry& e = entries_[id - 1];
-  if (!e.registered) ++registered_count_;
-  e.registered = true;
-  e.sched = sched;
-  e.published = false;
-  if (sched != nullptr) {
-    e.published_at = engine_->now();
-    refresh(e, sched->version());
-  }
-}
-
-void LoadInformationService::unregister_resource(const std::string& contact) {
-  auto it = intern_.find(contact);
-  if (it == intern_.end()) return;
+  GRID_CHECK(sched != nullptr, "register_resource without a scheduler");
+  const auto [it, added] = intern_.try_emplace(
+      std::move(contact), static_cast<ContactId>(entries_.size() + 1));
+  if (added) entries_.emplace_back();
   Entry& e = entries_[it->second - 1];
-  if (!e.registered) return;
-  e.registered = false;
-  e.sched = nullptr;  // may be destroyed after unregistration
-  --registered_count_;
-  // e.snap stays alive for holders of previously returned SnapshotRefs.
+  e.sched = sched;
+  e.published_at = engine_->now();
+  refresh(e, sched->version());
 }
 
 void LoadInformationService::start() {
@@ -74,7 +53,6 @@ void LoadInformationService::refresh(Entry& e, std::uint64_t version) {
   e.sched->mark_published();
   e.snap.reset();  // rebuilt by the round's first snapshot_ref()
   e.published_version = ++next_published_version_;
-  e.published = true;
   ++stats_.snapshots_refreshed;
 }
 
@@ -84,10 +62,9 @@ void LoadInformationService::publish_now() {
   ++stats_.publish_rounds;
   const sim::Time now = engine_->now();
   for (Entry& e : entries_) {
-    if (!e.registered || e.sched == nullptr) continue;
     e.published_at = now;  // the round ran, even if the content held still
     const std::uint64_t v = e.sched->version();
-    if (e.published && v != 0 && v == e.sched_version) {
+    if (v != 0 && v == e.sched_version) {
       ++stats_.snapshots_skipped;  // dirty flag clean: the last mark holds
       continue;
     }
@@ -116,13 +93,9 @@ util::Result<LoadInformationService::SnapshotRef>
 LoadInformationService::snapshot_ref(ContactId id) const {
   ++stats_.queries;
   const Entry* e = entry(id);
-  if (e == nullptr || !e->registered) {
+  if (e == nullptr) {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
-  }
-  if (!e->published) {
-    ++stats_.misses;
-    return util::small_status(util::ErrorCode::kNotFound, "unpublished");
   }
   if (e->snap == nullptr) {
     // The summary carries the same taken_at and processor counts that a
@@ -141,26 +114,22 @@ util::Result<QueueSummary> LoadInformationService::summary(
     ContactId id) const {
   ++stats_.queries;
   const Entry* e = entry(id);
-  if (e == nullptr || !e->registered) {
+  if (e == nullptr) {
     ++stats_.misses;
     return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
-  }
-  if (!e->published) {
-    ++stats_.misses;
-    return util::small_status(util::ErrorCode::kNotFound, "unpublished");
   }
   return e->summary;
 }
 
 std::uint64_t LoadInformationService::published_version(ContactId id) const {
   const Entry* e = entry(id);
-  if (e == nullptr || !e->registered || !e->published) return 0;
+  if (e == nullptr) return 0;
   return e->published_version;
 }
 
 sim::Time LoadInformationService::staleness(ContactId id) const {
   const Entry* e = entry(id);
-  if (e == nullptr || !e->registered || !e->published) return sim::kTimeNever;
+  if (e == nullptr) return sim::kTimeNever;
   return engine_->now() - e->published_at;
 }
 

@@ -37,8 +37,7 @@ namespace grid::sched {
 class LoadInformationService {
  public:
   /// Dense interned contact handle; 0 is invalid.  Ids are stable for the
-  /// service's lifetime (unregistering tombstones the slot, re-registering
-  /// the same contact revives it).
+  /// service's lifetime.
   using ContactId = std::uint32_t;
 
   /// Shared immutable published snapshot.  Holders may keep the reference
@@ -62,13 +61,13 @@ class LoadInformationService {
   LoadInformationService(const LoadInformationService&) = delete;
   LoadInformationService& operator=(const LoadInformationService&) = delete;
 
-  /// Registers a resource under its manager contact string.  The scheduler
-  /// must outlive the service.  Re-registering a known contact revives its
-  /// ContactId.  A scheduler has one publisher: register it with one
-  /// service under one contact, since its publication hooks answer only
-  /// its latest mark (checked builds abort on a query for an older one).
+  /// Registers a resource under its manager contact string and publishes
+  /// it.  The scheduler must outlive the service.  Registering a known
+  /// contact again swaps in `sched` under the same ContactId.  A scheduler
+  /// has one publisher: register it with one service under one contact,
+  /// since its publication hooks answer only its latest mark (checked
+  /// builds abort on a query for an older one).
   void register_resource(std::string contact, const LocalScheduler* sched);
-  void unregister_resource(const std::string& contact);
 
   /// Begins periodic publication (idempotent).
   void start();
@@ -84,8 +83,7 @@ class LoadInformationService {
   ContactId resolve(const std::string& contact) const;
 
   /// Most recently published snapshot: built on the round's first call,
-  /// shared (no copy) after that.  kNotFound for invalid / unregistered /
-  /// never-published ids.
+  /// shared (no copy) after that.  kNotFound for invalid ids.
   util::Result<SnapshotRef> snapshot_ref(ContactId id) const;
 
   /// Aggregate-only published view — O(1) data regardless of queue depth.
@@ -94,14 +92,12 @@ class LoadInformationService {
   /// Version of the published content: moves exactly when a publish round
   /// actually refreshed this resource's snapshot, so consumers can cache
   /// derived artifacts (e.g. encoded reply payloads) keyed on it.
-  /// 0 means "don't cache" (unknown id, unregistered, or unpublished).
+  /// 0 means "don't cache" (unknown id).
   std::uint64_t published_version(ContactId id) const;
 
-  /// Age of the published snapshot (kTimeNever for invalid / unregistered
-  /// / never-published ids).
+  /// Age of the published snapshot (kTimeNever for invalid ids).
   sim::Time staleness(ContactId id) const;
 
-  std::size_t resource_count() const { return registered_count_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -112,8 +108,6 @@ class LoadInformationService {
     std::uint64_t sched_version = 0;      // scheduler version at last refresh
     std::uint64_t published_version = 0;  // bumped on every content refresh
     sim::Time published_at = 0;           // last publish round touching this
-    bool published = false;
-    bool registered = false;
   };
 
   void tick();
@@ -127,7 +121,6 @@ class LoadInformationService {
   sim::EventId tick_event_;
   std::vector<Entry> entries_;  // indexed by ContactId - 1
   std::unordered_map<std::string, ContactId> intern_;
-  std::size_t registered_count_ = 0;
   std::uint64_t next_published_version_ = 0;
   mutable Stats stats_;
 };

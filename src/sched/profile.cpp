@@ -109,27 +109,6 @@ std::int32_t Profile::min_free_over(sim::Time from, sim::Time to) const {
   return best;
 }
 
-std::int64_t Profile::busy_work_after(sim::Time from,
-                                      std::int32_t exclude_busy) const {
-  std::int64_t work = 0;
-  const std::size_t first = index_of(from);
-  for (std::size_t i = first; i + 1 < intervals_.size(); ++i) {
-    const std::int32_t busy = capacity_ - intervals_[i].free;
-    if (busy == exclude_busy) continue;
-    GRID_CHECK(busy >= exclude_busy,
-               "busy_work_after: exclude_busy exceeds busy");
-    const sim::Time s = std::max(from, intervals_[i].start);
-    const sim::Time e = intervals_[i + 1].start;
-    if (e <= s) continue;
-    work += static_cast<std::int64_t>(busy - exclude_busy) * (e - s);
-  }
-  // The last interval extends forever; its busy share must be exactly the
-  // excluded never-ending occupancies or the integral would diverge.
-  GRID_CHECK(capacity_ - intervals_.back().free <= exclude_busy,
-             "busy_work_after: unbounded tail occupancy");
-  return work;
-}
-
 void Profile::advance_to(sim::Time t) {
   const std::size_t i = index_of(t);
   if (i == 0) return;

@@ -79,15 +79,6 @@ class Profile {
   /// Minimum free count over [from, to); from < to required.
   std::int32_t min_free_over(sim::Time from, sim::Time to) const;
 
-  /// Integral of (busy(t) - exclude_busy) dt from `from` onward, where
-  /// busy = capacity - free.  Intervals where busy == exclude_busy
-  /// contribute nothing, which is how never-ending occupancies (busy all
-  /// the way to kTimeNever) are kept out of the sum: pass their total
-  /// count as exclude_busy.  Requires busy >= exclude_busy wherever the
-  /// integrand is evaluated (audited under GRID_CHECKED).
-  std::int64_t busy_work_after(sim::Time from,
-                               std::int32_t exclude_busy) const;
-
   /// Forgets breakpoints strictly before `t` (keeps the interval covering
   /// t as the new head).  Amortizes the interval list to O(live
   /// occupancies) over a long run; queries before `t` then report the

@@ -39,24 +39,9 @@ util::Status ReferenceBackfill::submit(const JobDescriptor& job,
   q.on_start = std::move(on_start);
   q.on_end = std::move(on_end);
   q.submitted_at = engine_->now();
-  q.queue_length_at_submit = static_cast<std::int32_t>(queue_.size());
-  q.queued_work_at_submit = current_queued_work();
   queue_.push_back(std::move(q));
   try_schedule();
   return util::Status::ok();
-}
-
-std::int64_t ReferenceBackfill::current_queued_work() const {
-  const sim::Time now = engine_->now();
-  std::int64_t total = 0;
-  for (const Queued& q : queue_) {
-    total += static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
-  }
-  running_.for_each([&](JobId, const Running& r) {
-    if (r.est_end == sim::kTimeNever || r.est_end <= now) return;
-    total += static_cast<std::int64_t>(r.desc.count) * (r.est_end - now);
-  });
-  return total;
 }
 
 sim::Time ReferenceBackfill::estimated_end(const JobDescriptor& d,
@@ -159,9 +144,6 @@ void ReferenceBackfill::start(Queued&& q) {
   r.started_at = engine_->now();
   r.est_end = estimated_end(r.desc, r.started_at);
   const JobId id = q.desc.id;
-  history_.push_back(BatchScheduler::WaitObservation{
-      q.submitted_at, r.started_at, q.desc.count, q.queue_length_at_submit,
-      q.queued_work_at_submit});
   Running& slot = running_.emplace(id, std::move(r));
   if (slot.desc.runtime > 0) {
     slot.runtime_event = engine_->schedule_after(

@@ -49,20 +49,12 @@ class ReferenceBackfill final : public LocalScheduler {
                                         : "reference-fcfs";
   }
 
-  /// Same observation record as the production path, so differential tests
-  /// can compare the bookkeeping (queued work, queue lengths) verbatim.
-  const std::vector<BatchScheduler::WaitObservation>& wait_history() const {
-    return history_;
-  }
-
  private:
   struct Queued {
     JobDescriptor desc;
     StartFn on_start;
     EndFn on_end;
     sim::Time submitted_at = 0;
-    std::int32_t queue_length_at_submit = 0;
-    std::int64_t queued_work_at_submit = 0;
   };
   struct Running {
     JobDescriptor desc;
@@ -77,7 +69,6 @@ class ReferenceBackfill final : public LocalScheduler {
   void start(Queued&& q);
   void end_running(JobId id, EndReason reason);
   sim::Time estimated_end(const JobDescriptor& d, sim::Time started) const;
-  std::int64_t current_queued_work() const;
 
   sim::Engine* engine_;
   std::int32_t total_;
@@ -85,7 +76,6 @@ class ReferenceBackfill final : public LocalScheduler {
   Backfill backfill_;
   std::deque<Queued> queue_;
   sim::IdSlab<Running> running_;
-  std::vector<BatchScheduler::WaitObservation> history_;
   bool scheduling_ = false;
 };
 

@@ -5,8 +5,14 @@
 namespace grid::sched {
 namespace {
 
-/// Assumed runtime of a job that gives no estimate, runtime or wall time.
+/// Assumed run length of a job that plans none.
 constexpr sim::Time kDefaultEstimate = sim::kHour;
+
+/// When a best-effort job started at `now` is planned to end.
+sim::Time estimated_end(const JobDescriptor& d, sim::Time now) {
+  const sim::Time length = planned_length(d);
+  return planned_end(now, length > 0 ? length : kDefaultEstimate);
+}
 
 }  // namespace
 
@@ -14,17 +20,6 @@ ReservationScheduler::ReservationScheduler(sim::Engine& engine,
                                            std::int32_t processors)
     : engine_(&engine), total_(processors), res_(processors),
       commit_(processors) {}
-
-sim::Time ReservationScheduler::job_estimate(const JobDescriptor& d) const {
-  if (d.estimated_runtime > 0) return d.estimated_runtime;
-  if (d.runtime > 0) return d.runtime;
-  if (d.max_wall_time > 0) return d.max_wall_time;
-  return kDefaultEstimate;
-}
-
-sim::Time ReservationScheduler::horizon(sim::Time now, sim::Time length) const {
-  return length >= sim::kTimeNever - now ? sim::kTimeNever : now + length;
-}
 
 std::int32_t ReservationScheduler::reserved_at(sim::Time t) const {
   // Public bookkeeping query, exact for any t including the past; the
@@ -99,10 +94,36 @@ bool ReservationScheduler::cancel_reservation(ReservationId id) {
   return true;
 }
 
+util::Status ReservationScheduler::admit_job(const JobDescriptor& job) const {
+  return admit(job, total_, [this](JobId id) {
+    return running_.find(id) != nullptr ||
+           std::any_of(queue_.begin(), queue_.end(),
+                       [id](const Queued& q) { return q.desc.id == id; });
+  });
+}
+
+void ReservationScheduler::enqueue(const JobDescriptor& job,
+                                   ReservationId reservation, StartFn on_start,
+                                   EndFn on_end) {
+  Queued q;
+  q.desc = job;
+  q.on_start = std::move(on_start);
+  q.on_end = std::move(on_end);
+  q.submitted_at = engine_->now();
+  q.reservation = reservation;
+  queued_work_ +=
+      static_cast<std::int64_t>(job.count) * job.estimated_runtime;
+  queue_.push_back(std::move(q));
+  ++version_;
+  try_schedule();
+}
+
 util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
                                                    ReservationId rid,
                                                    StartFn on_start,
                                                    EndFn on_end) {
+  util::Status admitted = admit_job(job);
+  if (!admitted.is_ok()) return admitted;
   auto it = std::find_if(reservations_.begin(), reservations_.end(),
                          [rid](const Reservation& r) { return r.id == rid; });
   if (it == reservations_.end()) {
@@ -121,38 +142,15 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
     return {util::ErrorCode::kResourceExhausted,
             "job exceeds reservation capacity"};
   }
-  Queued q;
-  q.desc = job;
-  q.on_start = std::move(on_start);
-  q.on_end = std::move(on_end);
-  q.submitted_at = engine_->now();
-  q.reservation = rid;
-  queued_work_ +=
-      static_cast<std::int64_t>(job.count) * job.estimated_runtime;
-  queue_.push_back(std::move(q));
-  ++version_;
-  try_schedule();
+  enqueue(job, rid, std::move(on_start), std::move(on_end));
   return util::Status::ok();
 }
 
 util::Status ReservationScheduler::submit(const JobDescriptor& job,
                                           StartFn on_start, EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (job.count > total_) {
-    return {util::ErrorCode::kResourceExhausted, "job exceeds machine size"};
-  }
-  Queued q;
-  q.desc = job;
-  q.on_start = std::move(on_start);
-  q.on_end = std::move(on_end);
-  q.submitted_at = engine_->now();
-  queued_work_ +=
-      static_cast<std::int64_t>(job.count) * job.estimated_runtime;
-  queue_.push_back(std::move(q));
-  ++version_;
-  try_schedule();
+  util::Status admitted = admit_job(job);
+  if (!admitted.is_ok()) return admitted;
+  enqueue(job, 0, std::move(on_start), std::move(on_end));
   return util::Status::ok();
 }
 
@@ -203,8 +201,7 @@ void ReservationScheduler::try_schedule() {
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       Queued& q = queue_[i];
       if (q.reservation != 0) continue;
-      const sim::Time est = job_estimate(q.desc);
-      const sim::Time until = horizon(now, est);
+      const sim::Time until = estimated_end(q.desc, now);
       const std::int32_t reserved_peak =
           until > now ? total_ - res_.min_free_over(now, until)
                       : total_ - res_.free_at(now);
@@ -228,27 +225,19 @@ void ReservationScheduler::start(Queued&& q) {
   Running r;
   r.desc = q.desc;
   r.on_end = std::move(q.on_end);
-  r.started_at = engine_->now();
   r.reservation = q.reservation;
   if (q.reservation == 0) {
     // A best-effort job commits its estimated tail so reservation
     // admission sees it; reserved jobs are accounted by their window.
+    const sim::Time now = engine_->now();
     busy_best_ += q.desc.count;
-    r.est_end = horizon(r.started_at, job_estimate(r.desc));
-    commit_.reserve(r.started_at, r.est_end, r.desc.count);
+    r.est_end = estimated_end(r.desc, now);
+    commit_.reserve(now, r.est_end, r.desc.count);
   }
   const JobId id = q.desc.id;
   Running& slot = running_.emplace(id, std::move(r));
-  if (slot.desc.runtime > 0) {
-    slot.runtime_event = engine_->schedule_after(
-        slot.desc.runtime,
-        [this, id] { end_running(id, EndReason::kCompleted); });
-  }
-  if (slot.desc.max_wall_time > 0) {
-    slot.wall_event = engine_->schedule_after(slot.desc.max_wall_time, [this, id] {
-      end_running(id, EndReason::kWallTimeExceeded);
-    });
-  }
+  slot.timers.arm(*engine_, slot.desc,
+                  [this, id](EndReason why) { end_running(id, why); });
   if (q.on_start) q.on_start(id);
 }
 
@@ -257,8 +246,7 @@ void ReservationScheduler::end_running(JobId id, EndReason reason) {
   if (found == nullptr) return;
   Running r = std::move(*found);
   running_.erase(id);
-  engine_->cancel(r.runtime_event);
-  engine_->cancel(r.wall_event);
+  r.timers.cancel(*engine_);
   busy_ -= r.desc.count;
   ++version_;
   if (r.reservation == 0) {

@@ -41,8 +41,8 @@ struct Reservation {
 
 class ReservationScheduler final : public LocalScheduler {
  public:
-  /// Jobs without estimates are assumed to run an hour when checked
-  /// against reservation windows.
+  /// Jobs that plan no length (planned_length() 0) are assumed to run an
+  /// hour when checked against reservation windows.
   ReservationScheduler(sim::Engine& engine, std::int32_t processors);
 
   // ---- reservations ------------------------------------------------------
@@ -57,9 +57,9 @@ class ReservationScheduler final : public LocalScheduler {
 
   /// Submits a job bound to a reservation; it starts at the window start
   /// (immediately if the window is open) and is killed at window end if
-  /// still running.  The job's count, plus the counts of the jobs already
-  /// bound to the reservation and still queued or running, must fit the
-  /// reservation (kResourceExhausted otherwise).
+  /// still running.  The job must pass admit(), and its count, plus the
+  /// counts of the jobs already bound to the reservation and still queued
+  /// or running, must fit the reservation (kResourceExhausted otherwise).
   util::Status submit_reserved(const JobDescriptor& job, ReservationId rid,
                                StartFn on_start, EndFn on_end);
 
@@ -94,19 +94,19 @@ class ReservationScheduler final : public LocalScheduler {
   struct Running {
     JobDescriptor desc;
     EndFn on_end;
-    sim::Time started_at = 0;
     sim::Time est_end = 0;  // commit-profile occupancy end (best-effort)
     ReservationId reservation = 0;
-    sim::EventId runtime_event;
-    sim::EventId wall_event;
+    RunTimers timers;
   };
 
+  /// admit() for either entry point; a held id is one queued or running.
+  util::Status admit_job(const JobDescriptor& job) const;
+  /// Queues an admitted job (`reservation` 0 = best-effort).
+  void enqueue(const JobDescriptor& job, ReservationId reservation,
+               StartFn on_start, EndFn on_end);
   void try_schedule();
   void start(Queued&& q);
   void end_running(JobId id, EndReason reason);
-  sim::Time job_estimate(const JobDescriptor& d) const;
-  /// `now + length` saturated at the end of time.
-  sim::Time horizon(sim::Time now, sim::Time length) const;
 
   sim::Engine* engine_;
   std::int32_t total_;

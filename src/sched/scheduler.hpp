@@ -6,15 +6,23 @@
 // start callback.  Jobs either self-complete after `runtime` (synthetic
 // background load) or run until the owner calls complete() (application
 // jobs whose lifetime the simulation controls).
+//
+// The batch, reservation and fork schedulers differ only in policy.  They
+// share one job lifecycle: admit() decides every submit, planned_length()
+// is the run length a decision plans with, and RunTimers ends a running
+// job by itself.  ReferenceBackfill keeps its own copies, as an oracle
+// must.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "simkit/check.hpp"
 #include "simkit/engine.hpp"
+#include "simkit/inplace_function.hpp"
 #include "simkit/status.hpp"
 #include "simkit/time.hpp"
 
@@ -80,6 +88,63 @@ struct QueueSummary {
 /// Derives the aggregate view from a full snapshot (O(queue depth); the
 /// concrete schedulers override summary() with O(1) incremental state).
 QueueSummary summarize(const QueueSnapshot& snapshot);
+
+// ---- the shared job lifecycle ----------------------------------------------
+
+/// The `machine` size of a timeshared scheduler: no count is too large.
+inline constexpr std::int32_t kTimeshared =
+    std::numeric_limits<std::int32_t>::max();
+
+/// Answers whether a scheduler already holds a job id, queued or running.
+using HoldsFn = sim::InplaceFunction<16, bool(JobId)>;
+
+/// The admission rule of every scheduler, checked in this order: a count
+/// below 1 is kInvalidArgument, a count above `machine` processors is
+/// kResourceExhausted, id 0 is kInvalidArgument, and so is an id that
+/// `holds` reports held.  `holds` is asked only about nonzero ids.
+util::Status admit(const JobDescriptor& job, std::int32_t machine,
+                   HoldsFn holds);
+
+/// The run length a scheduling decision plans with: the estimate, else the
+/// runtime, else the wall limit, else 0 (the job plans none).
+inline sim::Time planned_length(const JobDescriptor& job) {
+  if (job.estimated_runtime > 0) return job.estimated_runtime;
+  if (job.runtime > 0) return job.runtime;
+  return job.max_wall_time > 0 ? job.max_wall_time : 0;
+}
+
+/// `start + length`, saturating at kTimeNever.
+inline sim::Time planned_end(sim::Time start, sim::Time length) {
+  return length >= sim::kTimeNever - start ? sim::kTimeNever : start + length;
+}
+
+/// The two timers that end a running job by themselves: self-completion
+/// after `runtime` and the kill at `max_wall_time`.  A zero duration arms
+/// no timer.
+struct RunTimers {
+  sim::EventId completion;
+  sim::EventId wall;
+
+  /// Arms the timers `job` asks for, completion first, as the job starts.
+  /// A firing timer calls `end(EndReason)`.
+  template <typename End>
+  void arm(sim::Engine& engine, const JobDescriptor& job, End end) {
+    if (job.runtime > 0) {
+      completion = engine.schedule_after(
+          job.runtime, [end] { end(EndReason::kCompleted); });
+    }
+    if (job.max_wall_time > 0) {
+      wall = engine.schedule_after(
+          job.max_wall_time, [end] { end(EndReason::kWallTimeExceeded); });
+    }
+  }
+
+  /// Disarms both; the job ended some other way, or is ending now.
+  void cancel(sim::Engine& engine) const {
+    engine.cancel(completion);
+    engine.cancel(wall);
+  }
+};
 
 class LocalScheduler {
  public:

@@ -55,7 +55,8 @@ class Host {
   sched::LocalScheduler& scheduler() { return *scheduler_; }
 
   /// The concrete scheduler, when the experiment needs policy-specific
-  /// operations (reservations, wait history); nullptr on kind mismatch.
+  /// operations (reservations, the free-slot profile); nullptr on kind
+  /// mismatch.
   sched::BatchScheduler* batch_scheduler();
   sched::ReservationScheduler* reservation_scheduler();
 

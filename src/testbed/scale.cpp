@@ -53,13 +53,7 @@ ScaleScenario::ScaleScenario(ScaleSpec spec)
                    : policy < 9 ? SchedulerKind::kFcfs
                                 : SchedulerKind::kFork;
     hs.cost_scale = shape_rng.uniform(0.5, 2.0);
-    Host& h = grid_.add_host(hs);
-    if (auto* batch = h.batch_scheduler()) {
-      // A day of open-loop arrivals would otherwise accumulate O(1M) wait
-      // observations nobody reads; the scenario keeps none.
-      batch->set_history_capacity(0);
-    }
-    hosts_.push_back(&h);
+    hosts_.push_back(&grid_.add_host(hs));
   }
 
   app::StartupProfile profile;
@@ -82,7 +76,8 @@ ScaleScenario::ScaleScenario(ScaleSpec spec)
       grid_.network(), *service_, 1 * sim::kMillisecond);
   gis_server_->set_contacts(std::move(contacts));
   gis_server_->set_payload_cache(spec_.gis_payload_cache);
-  app::install_app(grid_.executables(), "scale_app", profile, &barrier_stats_,
+  // Nothing reads per-process barrier waits here, so none are recorded.
+  app::install_app(grid_.executables(), "scale_app", profile, nullptr,
                    spec_.seed ^ 0xab91ULL);
 
   core::RequestConfig config;

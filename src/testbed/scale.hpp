@@ -134,7 +134,6 @@ class ScaleScenario {
   std::vector<Host*> hosts_;  // creation order
   std::unique_ptr<sched::LoadInformationService> service_;
   std::unique_ptr<info::GisServer> gis_server_;
-  app::BarrierStats barrier_stats_;
   sched::AggregateWorkPredictor predictor_;
   std::vector<Agent> agents_;
 

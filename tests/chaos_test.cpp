@@ -194,7 +194,9 @@ Outcome run_grab_trial(Schedule schedule, std::uint64_t seed) {
     // The request survived the horizon (e.g. waiting out a timeout that
     // message loss keeps extending); the control operation must still
     // produce exactly one terminal callback.
-    grab.cancel(allocated.value());
+    if (auto* request = trial.mech->find_request(allocated.value())) {
+      request->kill();
+    }
     trial.grid->run_until(kHorizon + 2 * sim::kMinute);
   }
   return out;

@@ -187,6 +187,37 @@ TEST(GridMpi, NegativeTotalProcessesLeavesUninitialized) {
   EXPECT_FALSE(ready);
 }
 
+// A leader builds the rank table from the member addresses the leaders
+// sent, never from total_processes: a release that counts 3 processes in
+// one 2-process subjob, or that starts its ranks at 1, leaves a rank with
+// no address, so both communicators stay uninitialized.
+TEST(GridMpi, LayoutThatDisagreesWithTheTablesLeavesUninitialized) {
+  for (const auto& [total, base] : {std::pair{3, 0}, std::pair{2, 1}}) {
+    SCOPED_TRACE("total_processes " + std::to_string(total) + ", rank base " +
+                 std::to_string(base));
+    sim::Engine engine;
+    net::Network network{engine};
+    net::Endpoint leader_ep{network, "leader"};
+    net::Endpoint member_ep{network, "member"};
+    core::ReleaseInfo info;
+    info.config.total_processes = total;
+    info.config.subjobs = {{1, 0, 2, base, leader_ep.id(), "a"}};
+    info.subjob_members = {leader_ep.id(), member_ep.id()};
+    info.global_rank = base;
+    cfg::Communicator leader(leader_ep, info);
+    info.local_rank = 1;
+    info.global_rank = base + 1;
+    cfg::Communicator member(member_ep, info);
+    bool ready = false;
+    leader.init([&ready] { ready = true; });
+    member.init([&ready] { ready = true; });
+    engine.run();
+    EXPECT_FALSE(leader.initialized());
+    EXPECT_FALSE(member.initialized());
+    EXPECT_FALSE(ready);
+  }
+}
+
 // ---- gridmpi over a real co-allocation ---------------------------------------
 
 /// Shared driver: each MpiApp process registers its communicator here once

@@ -537,7 +537,7 @@ TEST(Grab, RejectsEmptyAndBadRequests) {
   EXPECT_FALSE(grab.allocate("+(&(count=2))", {}).is_ok());  // no exe/contact
 }
 
-TEST(Grab, CancelRollsBack) {
+TEST(Grab, KillRollsBack) {
   SmallGrid g(2, testbed::CostModel::fast(),
               app::StartupProfile{.run_time = sim::kHour});
   core::GrabAllocator grab(*g.coallocator);
@@ -549,7 +549,9 @@ TEST(Grab, CancelRollsBack) {
        .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok());
   g.grid->run_until(sim::kMinute);
-  grab.cancel(id.value());
+  core::CoallocationRequest* request = g.coallocator->find_request(id.value());
+  ASSERT_NE(request, nullptr);
+  request->kill();
   g.grid->run();
   EXPECT_EQ(done.code(), util::ErrorCode::kAborted);
 }

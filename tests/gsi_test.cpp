@@ -9,6 +9,7 @@
 #include "gsi/protocol.hpp"
 #include "net/network.hpp"
 #include "net/rpc.hpp"
+#include "simkit/allocguard.hpp"
 
 namespace grid::gsi {
 namespace {
@@ -71,6 +72,18 @@ TEST(GridMap, Lookup) {
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value(), "alice");
   EXPECT_FALSE(gm.lookup("/CN=bob").is_ok());
+}
+
+// Every GSI handshake looks its peer up twice; a hit copies no key.
+TEST(GridMap, LookupAllocatesNothingForTheKey) {
+  GridMap gm;
+  const std::string subject = "/O=Grid/OU=Simulated/CN=Forty-char users";
+  ASSERT_EQ(subject.size(), 40u);
+  gm.add(subject, "alice");
+  sim::AllocGuard guard;
+  const util::Result<std::string> hit = gm.lookup(subject);
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_TRUE(hit.is_ok());
 }
 
 // ---- handshake -----------------------------------------------------------------

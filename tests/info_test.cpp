@@ -322,23 +322,7 @@ TEST_F(GisFixture, PayloadCacheServesSharedFramesUntilRepublish) {
   EXPECT_EQ(server->cache_stats().hits, 2u);
 }
 
-TEST_F(GisFixture, UnregisterWhileQueryInFlightReturnsNotFound) {
-  util::Status status;
-  bool done = false;
-  client->query("busy", sim::kSecond,
-                [&](util::Result<sched::QueueSnapshot> r) {
-                  status = r.status();
-                  done = true;
-                });
-  // The query is on the wire; the resource drops out of the directory
-  // before the server's deferred lookup runs.
-  service->unregister_resource("busy");
-  engine->run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(status.code(), util::ErrorCode::kNotFound);
-}
-
-TEST_F(GisFixture, SharedSnapshotSurvivesRepublishAndUnregister) {
+TEST_F(GisFixture, SharedSnapshotSurvivesRepublish) {
   const auto id = service->resolve("busy");
   ASSERT_NE(id, 0u);
   auto ref = service->snapshot_ref(id);
@@ -360,11 +344,6 @@ TEST_F(GisFixture, SharedSnapshotSurvivesRepublishAndUnregister) {
   EXPECT_NE(fresh.value().get(), held.get());
   EXPECT_EQ(fresh.value()->queued.size(), 1u);
   EXPECT_TRUE(held->queued.empty());
-  // Unregistration tombstones the entry without touching the held ref.
-  service->unregister_resource("busy");
-  EXPECT_FALSE(service->snapshot_ref(id).is_ok());
-  EXPECT_EQ(held->busy_processors, 64);
-  EXPECT_EQ(service->resource_count(), 1u);
 }
 
 TEST_F(GisFixture, DirtyFlagRepublishSkipsUnchangedQueues) {

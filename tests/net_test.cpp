@@ -432,21 +432,6 @@ TEST_F(RpcFixture, LateResponseAfterTimeoutIsIgnored) {
   EXPECT_EQ(calls, 1);  // only the timeout fires
 }
 
-TEST_F(RpcFixture, CancelPreventsCallback) {
-  server.register_method(
-      1, [&](net::NodeId caller, std::uint64_t id, util::Reader&) {
-        server.respond(caller, id, {});
-      });
-  int calls = 0;
-  const auto id = client.call(
-      server.id(), 1, {}, 0,
-      [&](const util::Status&, util::Reader&) { ++calls; });
-  EXPECT_TRUE(client.cancel_call(id));
-  EXPECT_FALSE(client.cancel_call(id));
-  engine.run();
-  EXPECT_EQ(calls, 0);
-}
-
 TEST_F(RpcFixture, NotifyDispatchesByKind) {
   int hits = 0;
   server.register_notify(9, [&](net::NodeId src, util::Reader& payload) {

@@ -163,24 +163,6 @@ TEST_F(RetryRpcFixture, LateReplyOfEarlierAttemptIsIgnored) {
   EXPECT_EQ(callbacks, 1);
 }
 
-TEST_F(RetryRpcFixture, CancelDuringBackoffPreventsCallbackAndAttempts) {
-  serve_after(1000);
-  int callbacks = 0;
-  const auto ticket = client.retrying_call(
-      server.id(), 1, {}, policy,
-      [&](const util::Status&, util::Reader&) { ++callbacks; });
-  // 3.1 s is inside the first backoff window (timeout at 3 s, then at
-  // least 0.16 s).
-  engine.schedule_after(3100 * sim::kMillisecond, [&] {
-    EXPECT_TRUE(client.cancel_retrying_call(ticket));
-    EXPECT_FALSE(client.cancel_retrying_call(ticket));
-  });
-  engine.run();
-  EXPECT_EQ(callbacks, 0);
-  EXPECT_EQ(requests, 1);  // the queued second attempt never fired
-  EXPECT_EQ(client.pending_retrying_calls(), 0u);
-}
-
 TEST_F(RetryRpcFixture, ClientCrashDropsRetryingCalls) {
   serve_after(1000);
   int callbacks = 0;

@@ -5,9 +5,9 @@
 // implementation — runs both event loops to completion, and the main
 // thread asserts that every observable is identical: submit verdicts,
 // start order and start times, end order/times/reasons, cancel results,
-// the wait-observation history (queue lengths and queued work at submit,
-// which checks the O(1) bookkeeping against the oracle's O(n) rescans),
-// and the final queue.  Workloads mix widths, estimate error (over, under,
+// the summary after every submit (queue length and queued work, which
+// checks the O(1) bookkeeping against the oracle's O(n) rescans), and the
+// final queue.  Workloads mix widths, estimate error (over, under,
 // absent), zero runtimes, wall-time kills, cancels of queued and running
 // jobs, and duplicate submissions.
 //
@@ -113,24 +113,25 @@ struct EndRec {
   bool operator==(const EndRec&) const = default;
 };
 
+/// The summary fields a scheduler maintains itself.
+struct SummaryRec {
+  std::int32_t busy = 0;
+  std::uint32_t queue_length = 0;
+  std::int64_t queued_work = 0;
+
+  bool operator==(const SummaryRec&) const = default;
+};
+
 struct Transcript {
   std::vector<bool> accepted;
   std::vector<StartRec> starts;
   std::vector<EndRec> ends;
   std::vector<bool> cancel_results;
-  std::vector<BatchScheduler::WaitObservation> waits;
+  std::vector<SummaryRec> summaries;  // one per submit, after it
   std::vector<JobId> final_queue;
   std::int32_t final_busy = 0;
   bool profile_ok = true;  // BatchScheduler worlds audit their profile
 };
-
-bool operator==(const BatchScheduler::WaitObservation& a,
-                const BatchScheduler::WaitObservation& b) {
-  return a.submitted_at == b.submitted_at && a.started_at == b.started_at &&
-         a.count == b.count &&
-         a.queue_length_at_submit == b.queue_length_at_submit &&
-         a.queued_work_at_submit == b.queued_work_at_submit;
-}
 
 template <typename Sched>
 Transcript run_world(const Workload& w, Backfill mode) {
@@ -147,6 +148,9 @@ Transcript run_world(const Workload& w, Backfill mode) {
             t.ends.push_back(EndRec{id, eng.now(), static_cast<int>(r)});
           });
       t.accepted.push_back(st.is_ok());
+      const QueueSummary sum = sched.summary();
+      t.summaries.push_back(
+          SummaryRec{sum.busy_processors, sum.queue_length, sum.queued_work});
     });
     if (j.cancel_at > 0) {
       eng.schedule_at(j.cancel_at, [&w, &sched, &t, i] {
@@ -155,7 +159,6 @@ Transcript run_world(const Workload& w, Backfill mode) {
     }
   }
   eng.run();
-  t.waits = sched.wait_history();
   const QueueSnapshot s = sched.snapshot();
   for (const QueuedJobInfo& q : s.queued) t.final_queue.push_back(q.id);
   t.final_busy = sched.busy_processors();
@@ -184,14 +187,14 @@ void expect_equal(const Transcript& fast, const Transcript& oracle,
     ASSERT_EQ(fast.ends[i], oracle.ends[i]) << "end #" << i;
   }
   EXPECT_EQ(fast.cancel_results, oracle.cancel_results);
-  ASSERT_EQ(fast.waits.size(), oracle.waits.size());
-  for (std::size_t i = 0; i < fast.waits.size(); ++i) {
-    ASSERT_TRUE(fast.waits[i] == oracle.waits[i])
-        << "wait observation #" << i << " diverged: queued_work "
-        << fast.waits[i].queued_work_at_submit << " vs "
-        << oracle.waits[i].queued_work_at_submit << ", queue_length "
-        << fast.waits[i].queue_length_at_submit << " vs "
-        << oracle.waits[i].queue_length_at_submit;
+  ASSERT_EQ(fast.summaries.size(), oracle.summaries.size());
+  for (std::size_t i = 0; i < fast.summaries.size(); ++i) {
+    ASSERT_EQ(fast.summaries[i], oracle.summaries[i])
+        << "summary after submit #" << i << " diverged: queued_work "
+        << fast.summaries[i].queued_work << " vs "
+        << oracle.summaries[i].queued_work << ", queue_length "
+        << fast.summaries[i].queue_length << " vs "
+        << oracle.summaries[i].queue_length;
   }
   EXPECT_EQ(fast.final_queue, oracle.final_queue);
   EXPECT_EQ(fast.final_busy, oracle.final_busy);

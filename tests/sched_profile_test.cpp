@@ -5,8 +5,7 @@
 //   - structural invariants after every mutation (sorted, coalesced,
 //     0 <= free <= capacity), via the always-available invariants_ok();
 //   - queries against a naive model that keeps the raw occupancy list and
-//     answers by linear scan (free_at, min_free_over, earliest_fit,
-//     busy_work_after);
+//     answers by linear scan (free_at, min_free_over, earliest_fit);
 //   - incremental == rebuilt-from-scratch: after any interleaving of
 //     reserves and releases, the canonical interval list equals a fresh
 //     Profile fed only the surviving occupancies.
@@ -73,17 +72,6 @@ class NaiveProfile {
       if (fits) return t;
     }
     return sim::kTimeNever;
-  }
-
-  std::int64_t busy_work_after(sim::Time from) const {
-    std::int64_t work = 0;
-    for (const Occupancy& o : occ_) {
-      const sim::Time s = std::max(from, o.start);
-      if (o.end > s) {
-        work += static_cast<std::int64_t>(o.count) * (o.end - s);
-      }
-    }
-    return work;
   }
 
  private:
@@ -243,37 +231,6 @@ TEST(Profile, IncrementalEqualsRebuildFromScratch) {
           << "seed " << seed << " step " << step;
     }
   }
-}
-
-TEST(Profile, BusyWorkMatchesNaiveIntegral) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    sim::Rng rng(0xb0a7ULL + seed);
-    const std::int32_t capacity = 64;
-    Profile p(capacity);
-    NaiveProfile model(capacity);
-    for (int step = 0; step < 50; ++step) {
-      Occupancy o;
-      o.start = rng.uniform_time(0, 5000);
-      o.end = o.start + rng.uniform_time(1, 4000);  // bounded ends only
-      o.count = static_cast<std::int32_t>(rng.uniform_int(1, 8));
-      if (model.min_free_over(o.start, o.end) < o.count) continue;
-      p.reserve(o.start, o.end, o.count);
-      model.add(o);
-      const sim::Time from = rng.uniform_time(0, 8000);
-      ASSERT_EQ(p.busy_work_after(from, 0), model.busy_work_after(from))
-          << "seed " << seed << " step " << step << " from=" << from;
-    }
-  }
-}
-
-TEST(Profile, BusyWorkExcludesNeverEndingOccupancies) {
-  Profile p(16);
-  p.reserve(0, sim::kTimeNever, 3);  // a job with no usable estimate
-  p.reserve(10, 30, 5);
-  // exclude_busy = 3 keeps the unbounded occupancy out of the integral.
-  EXPECT_EQ(p.busy_work_after(0, 3), 5 * 20);
-  EXPECT_EQ(p.busy_work_after(20, 3), 5 * 10);
-  EXPECT_EQ(p.busy_work_after(30, 3), 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,20 @@ JobDescriptor job(JobId id, std::int32_t count, sim::Time runtime = 0,
 }
 
 struct Events {
+  Events() = default;
+  /// Also records the virtual time of each start.
+  explicit Events(const sim::Engine& engine) : clock(&engine) {}
+
+  const sim::Engine* clock = nullptr;
   std::vector<JobId> started;
+  std::vector<sim::Time> started_at;  // parallel to `started`, with a clock
   std::vector<std::pair<JobId, EndReason>> ended;
 
   LocalScheduler::StartFn on_start() {
-    return [this](JobId id) { started.push_back(id); };
+    return [this](JobId id) {
+      started.push_back(id);
+      if (clock != nullptr) started_at.push_back(clock->now());
+    };
   }
   LocalScheduler::EndFn on_end() {
     return [this](JobId id, EndReason r) { ended.emplace_back(id, r); };
@@ -99,15 +109,6 @@ TEST(ForkScheduler, CancelBeforeStart) {
   EXPECT_EQ(ev.ended[0].second, EndReason::kCancelled);
 }
 
-TEST(ForkScheduler, RejectsBadDescriptors) {
-  sim::Engine e;
-  ForkScheduler s(e, 0);
-  Events ev;
-  EXPECT_FALSE(s.submit(job(1, 0), ev.on_start(), ev.on_end()).is_ok());
-  ASSERT_TRUE(s.submit(job(2, 1), ev.on_start(), ev.on_end()).is_ok());
-  EXPECT_FALSE(s.submit(job(2, 1), ev.on_start(), ev.on_end()).is_ok());
-}
-
 // ---- FCFS batch ----------------------------------------------------------------
 
 TEST(BatchScheduler, RunsJobsFcfsWithinCapacity) {
@@ -124,14 +125,6 @@ TEST(BatchScheduler, RunsJobsFcfsWithinCapacity) {
   // When job 1 ends, jobs 2 and 3 both fit (6 + 4 = 10) and start together.
   EXPECT_EQ(ev.started, (std::vector<JobId>{1, 2, 3}));
   EXPECT_EQ(e.now(), 20 * sim::kSecond);
-}
-
-TEST(BatchScheduler, RejectsOversizedJob) {
-  sim::Engine e;
-  BatchScheduler s(e, 8);
-  Events ev;
-  EXPECT_EQ(s.submit(job(1, 9), ev.on_start(), ev.on_end()).code(),
-            util::ErrorCode::kResourceExhausted);
 }
 
 TEST(BatchScheduler, CancelQueuedUnblocksSuccessors) {
@@ -185,18 +178,15 @@ TEST(BatchScheduler, SnapshotReflectsQueue) {
   EXPECT_EQ(snap.queued_work(), 2 * 5 * sim::kSecond);
 }
 
-TEST(BatchScheduler, RecordsWaitHistory) {
+TEST(BatchScheduler, QueuedJobStartsWhenProcessorsFree) {
   sim::Engine e;
   BatchScheduler s(e, 4);
-  Events ev;
+  Events ev(e);
   s.submit(job(1, 4, 10 * sim::kSecond), ev.on_start(), ev.on_end());
   s.submit(job(2, 4, sim::kSecond), ev.on_start(), ev.on_end());
   e.run();
-  ASSERT_EQ(s.wait_history().size(), 2u);
-  EXPECT_EQ(s.wait_history()[0].started_at - s.wait_history()[0].submitted_at,
-            0);
-  EXPECT_EQ(s.wait_history()[1].started_at - s.wait_history()[1].submitted_at,
-            10 * sim::kSecond);
+  EXPECT_EQ(ev.started, (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(ev.started_at, (std::vector<sim::Time>{0, 10 * sim::kSecond}));
 }
 
 // ---- EASY backfill ---------------------------------------------------------------
@@ -266,7 +256,7 @@ TEST(Backfill, FcfsNeverBackfills) {
 TEST(Backfill, ZeroEstimateJobsUseOnlySpareProcessors) {
   sim::Engine e;
   BatchScheduler s(e, 16, Backfill::kEasy);
-  Events ev;
+  Events ev(e);
   // Job 1 blocks most of the machine; head job 2 will start at t=10 with
   // exactly 1 spare processor (16 - 15).
   s.submit(job(1, 4, 10 * sim::kSecond, 10 * sim::kSecond), ev.on_start(),
@@ -283,16 +273,16 @@ TEST(Backfill, ZeroEstimateJobsUseOnlySpareProcessors) {
   // The forever-running spare job never delays the head: job 2 starts the
   // moment job 1 ends, and job 3 finally runs FCFS once job 2 finishes.
   EXPECT_EQ(ev.started, (std::vector<JobId>{1, 4, 2, 3}));
-  ASSERT_EQ(s.wait_history().size(), 4u);
-  EXPECT_EQ(s.wait_history()[2].started_at, 10 * sim::kSecond);
-  EXPECT_EQ(s.wait_history()[3].started_at, 20 * sim::kSecond);
+  ASSERT_EQ(ev.started_at.size(), 4u);
+  EXPECT_EQ(ev.started_at[2], 10 * sim::kSecond);
+  EXPECT_EQ(ev.started_at[3], 20 * sim::kSecond);
   EXPECT_TRUE(s.profile().invariants_ok());
 }
 
 TEST(Backfill, ExpiredEstimateMakesShadowImmediate) {
   sim::Engine e;
   BatchScheduler s(e, 10, Backfill::kEasy);
-  Events ev;
+  Events ev(e);
   // Job 1 underestimates badly: claims 5 s, actually runs 20 s.
   s.submit(job(1, 4, 20 * sim::kSecond, 5 * sim::kSecond), ev.on_start(),
            ev.on_end());
@@ -312,15 +302,15 @@ TEST(Backfill, ExpiredEstimateMakesShadowImmediate) {
   e.run();
   // Order: job 2 starts when job 1 really ends (t=20), job 4 after job 2.
   EXPECT_EQ(ev.started, (std::vector<JobId>{1, 3, 2, 4}));
-  ASSERT_EQ(s.wait_history().size(), 4u);
-  EXPECT_EQ(s.wait_history()[2].started_at, 20 * sim::kSecond);
-  EXPECT_EQ(s.wait_history()[3].started_at, 25 * sim::kSecond);
+  ASSERT_EQ(ev.started_at.size(), 4u);
+  EXPECT_EQ(ev.started_at[2], 20 * sim::kSecond);
+  EXPECT_EQ(ev.started_at[3], 25 * sim::kSecond);
 }
 
 TEST(Backfill, CancelHeadWhileBackfillHoldsRun) {
   sim::Engine e;
   BatchScheduler s(e, 10, Backfill::kEasy);
-  Events ev;
+  Events ev(e);
   s.submit(job(1, 8, 10 * sim::kSecond, 10 * sim::kSecond), ev.on_start(),
            ev.on_end());
   s.submit(job(2, 10, 10 * sim::kSecond, 10 * sim::kSecond), ev.on_start(),
@@ -337,8 +327,36 @@ TEST(Backfill, CancelHeadWhileBackfillHoldsRun) {
   EXPECT_EQ(ev.started, (std::vector<JobId>{1, 3, 4}));
   ASSERT_EQ(ev.ended.size(), 4u);
   EXPECT_EQ(ev.ended[0], (std::pair<JobId, EndReason>{2, EndReason::kCancelled}));
-  ASSERT_EQ(s.wait_history().size(), 3u);
-  EXPECT_EQ(s.wait_history()[2].started_at, 10 * sim::kSecond);
+  ASSERT_EQ(ev.started_at.size(), 3u);
+  EXPECT_EQ(ev.started_at[2], 10 * sim::kSecond);
+}
+
+// A job with neither estimate nor runtime is planned to run until its
+// wall limit kills it, so the head's shadow falls at that kill.
+TEST(Backfill, WallLimitIsThePlannedLengthOfLastResort) {
+  sim::Engine e;
+  BatchScheduler s(e, 10, Backfill::kEasy);
+  Events ev(e);
+  JobDescriptor walled = job(1, 8);
+  walled.max_wall_time = 10 * sim::kSecond;
+  s.submit(walled, ev.on_start(), ev.on_end());
+  s.submit(job(2, 10, sim::kSecond, sim::kSecond), ev.on_start(),
+           ev.on_end());
+  // Would end after the shadow (t=10): waits.
+  s.submit(job(3, 2, 20 * sim::kSecond, 20 * sim::kSecond), ev.on_start(),
+           ev.on_end());
+  // Ends by the shadow: backfills now.
+  s.submit(job(4, 2, 5 * sim::kSecond, 5 * sim::kSecond), ev.on_start(),
+           ev.on_end());
+  EXPECT_EQ(ev.started, (std::vector<JobId>{1, 4}));
+  e.run();
+  EXPECT_EQ(ev.started, (std::vector<JobId>{1, 4, 2, 3}));
+  EXPECT_EQ(ev.started_at,
+            (std::vector<sim::Time>{0, 0, 10 * sim::kSecond,
+                                    11 * sim::kSecond}));
+  ASSERT_EQ(ev.ended.size(), 4u);
+  EXPECT_EQ(ev.ended[1], (std::pair<JobId, EndReason>{
+                             1, EndReason::kWallTimeExceeded}));
 }
 
 /// Property: under EASY backfill, the head job never starts later than it
@@ -348,39 +366,29 @@ class BackfillProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BackfillProperty, HeadNeverDelayedVsFcfs) {
   for (int variant = 0; variant < 4; ++variant) {
     sim::Rng rng(GetParam() * 977 + variant);
-    struct Run {
-      std::vector<sim::Time> starts;
-    };
+    // Returns each started job's wait, in start order.
     auto simulate = [&](Backfill mode) {
       sim::Engine e;
       BatchScheduler s(e, 32, mode);
-      Run run;
-      run.starts.resize(40, -1);
+      std::vector<sim::Time> waits;
       sim::Rng local = rng;  // same workload for both modes
       for (JobId id = 1; id <= 40; ++id) {
         const auto count = static_cast<std::int32_t>(local.uniform_int(1, 32));
         const sim::Time runtime = local.uniform_time(1, 100) * sim::kSecond;
         const sim::Time at = local.uniform_time(0, 200) * sim::kSecond;
-        e.schedule_at(at, [&s, &run, id, count, runtime] {
+        e.schedule_at(at, [&s, &e, &waits, id, count, runtime, at] {
           JobDescriptor d;
           d.id = id;
           d.count = count;
           d.runtime = runtime;
           d.estimated_runtime = runtime;  // perfect estimates
           s.submit(
-              d,
-              [&run](JobId j) {
-                // started_at recorded via history below
-                (void)j;
-              },
+              d, [&e, &waits, at](JobId) { waits.push_back(e.now() - at); },
               nullptr);
         });
       }
       e.run();
-      for (const auto& h : s.wait_history()) {
-        run.starts[static_cast<std::size_t>(h.count) % 40] = 0;  // unused
-      }
-      return s.wait_history();
+      return waits;
     };
     auto fcfs = simulate(Backfill::kNone);
     auto easy = simulate(Backfill::kEasy);
@@ -389,8 +397,8 @@ TEST_P(BackfillProperty, HeadNeverDelayedVsFcfs) {
     // Mean wait under EASY is never worse than FCFS for this workload
     // (with perfect estimates EASY dominates FCFS in aggregate).
     sim::Time fcfs_total = 0, easy_total = 0;
-    for (const auto& h : fcfs) fcfs_total += h.started_at - h.submitted_at;
-    for (const auto& h : easy) easy_total += h.started_at - h.submitted_at;
+    for (const sim::Time w : fcfs) fcfs_total += w;
+    for (const sim::Time w : easy) easy_total += w;
     EXPECT_LE(easy_total, fcfs_total);
   }
 }
@@ -612,6 +620,92 @@ TEST_P(ReservationProperty, AdmittedWindowsNeverOversubscribe) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReservationProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---- admission: one rule for every scheduler ---------------------------------
+
+// Every submit entry point rejects the same descriptors with the same
+// codes, empty or not, and a rejected submit leaves the scheduler as it
+// was.  Once filled, each scheduler holds job 1 running and job 2 queued
+// (the fork scheduler's job 2 is still forking).
+TEST(Admission, EveryEntryPointAppliesTheSameRule) {
+  sim::Engine e;
+  Events ev;
+  BatchScheduler batch(e, 8);
+  ReservationScheduler reserving(e, 8);
+  ForkScheduler fork(e, sim::kMillisecond, 8);
+  const auto window = reserving.reserve(3 * sim::kHour, 4 * sim::kHour, 8);
+  ASSERT_TRUE(window.is_ok());
+
+  using Submit = std::function<util::Status(const JobDescriptor&)>;
+  struct Entry {
+    const char* name;
+    Submit submit;
+    bool space_shared;
+  };
+  const std::vector<Entry> entries = {
+      {"batch",
+       [&](const JobDescriptor& d) {
+         return batch.submit(d, ev.on_start(), ev.on_end());
+       },
+       true},
+      {"reservation best-effort",
+       [&](const JobDescriptor& d) {
+         return reserving.submit(d, ev.on_start(), ev.on_end());
+       },
+       true},
+      {"reservation bound",
+       [&](const JobDescriptor& d) {
+         return reserving.submit_reserved(d, window.value().id, ev.on_start(),
+                                          ev.on_end());
+       },
+       true},
+      {"fork",
+       [&](const JobDescriptor& d) {
+         return fork.submit(d, ev.on_start(), ev.on_end());
+       },
+       false},
+  };
+  std::vector<std::pair<const char*, JobDescriptor>> invalid = {
+      {"count 0", job(9, 0)}, {"count -3", job(9, -3)}, {"id 0", job(0, 1)}};
+  auto expect_rejected = [&](const char* phase) {
+    for (const Entry& entry : entries) {
+      for (const auto& [what, d] : invalid) {
+        SCOPED_TRACE(std::string(phase) + " " + entry.name + ": " + what);
+        EXPECT_EQ(entry.submit(d).code(), util::ErrorCode::kInvalidArgument);
+      }
+      if (entry.space_shared) {
+        SCOPED_TRACE(std::string(phase) + " " + entry.name);
+        EXPECT_EQ(entry.submit(job(9, 9)).code(),
+                  util::ErrorCode::kResourceExhausted);
+      }
+    }
+  };
+  expect_rejected("empty");
+
+  for (LocalScheduler* s : {static_cast<LocalScheduler*>(&batch),
+                            static_cast<LocalScheduler*>(&reserving)}) {
+    ASSERT_TRUE(s->submit(job(1, 8, sim::kHour), ev.on_start(), ev.on_end())
+                    .is_ok());
+    ASSERT_TRUE(s->submit(job(2, 8, sim::kHour), ev.on_start(), ev.on_end())
+                    .is_ok());
+  }
+  ASSERT_TRUE(
+      fork.submit(job(1, 8, sim::kHour), ev.on_start(), ev.on_end()).is_ok());
+  e.run_until(sim::kSecond);
+  ASSERT_TRUE(
+      fork.submit(job(2, 8, sim::kHour), ev.on_start(), ev.on_end()).is_ok());
+  invalid.emplace_back("queued id", job(2, 1));
+  invalid.emplace_back("running id", job(1, 1));
+  expect_rejected("filled");
+
+  EXPECT_EQ(batch.busy_processors(), 8);
+  EXPECT_EQ(batch.queue_length(), 1u);
+  EXPECT_EQ(reserving.busy_processors(), 8);
+  EXPECT_EQ(reserving.queue_length(), 1u);
+  EXPECT_EQ(fork.busy_processors(), 8);
+  // The fork scheduler timeshares: no count is too large for it.
+  EXPECT_TRUE(fork.submit(job(9, 9), ev.on_start(), ev.on_end()).is_ok());
+}
 
 // ---- predictors ------------------------------------------------------------------
 
@@ -880,6 +974,18 @@ TEST(LoadInformationServiceDeathTest, RejectsNonPositiveInterval) {
   EXPECT_DEATH(LoadInformationService(e, 0), "positive publish interval");
   EXPECT_DEATH(LoadInformationService(e, -sim::kSecond),
                "positive publish interval");
+}
+
+TEST(BatchSchedulerDeathTest, HistoryCapacityAcceptsOnlyZero) {
+  // The setter survives only for the benchmark harness, which passes 0;
+  // the scheduler keeps no history, so every other value aborts in every
+  // build.
+  sim::Engine e;
+  BatchScheduler s(e, 4);
+  s.set_history_capacity(0);
+  EXPECT_DEATH(s.set_history_capacity(1), "keeps no wait history");
+  EXPECT_DEATH(s.set_history_capacity(static_cast<std::size_t>(-1)),
+               "keeps no wait history");
 }
 
 }  // namespace
