@@ -1,6 +1,5 @@
 #include "app/behaviors.hpp"
 
-#include <charconv>
 #include <memory>
 
 namespace grid::app {
@@ -80,12 +79,6 @@ void CoallocatedProcess::enter_barrier(bool ok, const std::string& message) {
     }
     return;
   }
-  {
-    const std::string s = api_->getenv(core::env::kSubjob);
-    std::uint64_t v = 0;
-    std::from_chars(s.data(), s.data() + s.size(), v);
-    subjob_ = v;
-  }
   if (stats_ != nullptr) {
     if (ok) {
       ++stats_->checkins_ok;
@@ -99,7 +92,7 @@ void CoallocatedProcess::enter_barrier(bool ok, const std::string& message) {
         if (stats_ != nullptr) {
           ++stats_->releases;
           BarrierRecord rec;
-          rec.subjob = subjob_;
+          rec.subjob = barrier_->subjob();
           rec.rank = release.global_rank();
           rec.entered_at = barrier_->entered_at();
           rec.released_at = barrier_->released_at();

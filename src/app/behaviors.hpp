@@ -98,7 +98,6 @@ class CoallocatedProcess final : public gram::ProcessBehavior {
   std::optional<core::BarrierClient> barrier_;
   sim::EventId init_event_;
   sim::EventId run_event_;
-  std::uint64_t subjob_ = 0;
 };
 
 /// Installs an executable that spawns CoallocatedProcess instances.

@@ -60,6 +60,9 @@ class GRID_HOT BarrierClient {
   /// after release, e.g. by the gridmpi runtime).
   net::Endpoint& endpoint() { return endpoint_; }
 
+  /// The subjob handle from GRID_DUROC_SUBJOB (0 if absent or malformed).
+  SubjobHandle subjob() const { return subjob_; }
+
   sim::Time entered_at() const { return entered_at_; }
   sim::Time released_at() const { return released_at_; }
   bool released() const { return released_at_ >= 0; }

@@ -15,6 +15,18 @@ std::string_view decimal(char (&buf)[N], std::uint64_t v) {
   return {buf, static_cast<std::size_t>(end - buf)};
 }
 
+/// Drops the state watcher of an accepted job and, when its gatekeeper is
+/// known, cancels it: a subjob's job, or an orphan accepted after its
+/// request or slot moved on.
+void abandon(gram::Client& client, net::NodeId gatekeeper,
+             const util::Result<gram::JobId>& accepted, sim::Time timeout) {
+  if (!accepted.is_ok()) return;
+  client.forget(accepted.value());
+  if (gatekeeper != net::kInvalidNode) {
+    client.cancel(gatekeeper, accepted.value(), timeout, nullptr);
+  }
+}
+
 }  // namespace
 
 CoallocationRequest::CoallocationRequest(Coallocator& owner, RequestId id,
@@ -107,7 +119,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
   sj->gram_job = 0;
   sj->gatekeeper = net::kInvalidNode;
   sj->process_nodes.clear();
-  sj->checked.clear();
   sj->checked_count = 0;
   sj->early_checkins.clear();
   sj->failure = util::Status::ok();
@@ -191,12 +202,8 @@ void CoallocationRequest::pump_submissions() {
          gatekeeper = gatekeeper.value(),
          timeout = config_.rpc_timeout](util::Result<gram::JobId> result) {
           if (!*alive) {
-            // The request was destroyed while the submit was in flight; any
-            // job that did get created is an orphan — reap it.
-            if (result.is_ok()) {
-              client->forget(result.value());
-              client->cancel(gatekeeper, result.value(), timeout, nullptr);
-            }
+            // The request was destroyed while the submit was in flight.
+            abandon(*client, gatekeeper, result, timeout);
             return;
           }
           submission_in_flight_ = false;
@@ -218,15 +225,10 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   Subjob* sj = find(handle);
   if (sj == nullptr || sj->incarnation != incarnation ||
       sj->state != SubjobState::kSubmitting) {
-    // The slot was edited or failed while the request was in flight; any
-    // job that did get created is an orphan — reap it.  Its state changes
-    // can no longer matter to the slot, so drop its watcher too.
-    if (result.is_ok()) owner_->gram().forget(result.value());
-    if (result.is_ok() && sj != nullptr &&
-        sj->gatekeeper != net::kInvalidNode) {
-      owner_->gram().cancel(sj->gatekeeper, result.value(),
-                            config_.rpc_timeout, nullptr);
-    }
+    // The slot was edited or failed while the request was in flight: reap
+    // the orphan at the slot's gatekeeper, if the slot still names one.
+    abandon(owner_->gram(), sj != nullptr ? sj->gatekeeper : net::kInvalidNode,
+            result, config_.rpc_timeout);
     return;
   }
   if (!result.is_ok()) {
@@ -335,12 +337,10 @@ void CoallocationRequest::on_checkin(net::NodeId src,
   const auto count = static_cast<std::size_t>(sj->request.count);
   if (sj->process_nodes.size() != count) {
     sj->process_nodes.assign(count, net::kInvalidNode);
-    sj->checked.assign(count, false);
   }
   if (msg.rank < 0 || static_cast<std::size_t>(msg.rank) >= count) return;
   const auto rank = static_cast<std::size_t>(msg.rank);
-  if (sj->checked[rank]) return;  // duplicate
-  sj->checked[rank] = true;
+  if (sj->process_nodes[rank] != net::kInvalidNode) return;  // duplicate
   sj->process_nodes[rank] = src;
   ++sj->checked_count;
   if (sj->checked_count == sj->request.count) {
@@ -478,9 +478,7 @@ void CoallocationRequest::arm_timeout(Subjob& sj) {
 
 void CoallocationRequest::cancel_gram_job(Subjob& sj) {
   if (sj.gram_job == 0 || sj.gatekeeper == net::kInvalidNode) return;
-  owner_->gram().forget(sj.gram_job);
-  owner_->gram().cancel(sj.gatekeeper, sj.gram_job, config_.rpc_timeout,
-                        nullptr);
+  abandon(owner_->gram(), sj.gatekeeper, sj.gram_job, config_.rpc_timeout);
   sj.gram_job = 0;
 }
 
@@ -494,7 +492,7 @@ void CoallocationRequest::abort_subjob_processes(Subjob& sj,
   const sim::Payload frame =
       net::Endpoint::encode_notify(kNotifyAbort, w.take());
   for (std::size_t rank = 0; rank < sj.process_nodes.size(); ++rank) {
-    if (sj.checked[rank] && sj.process_nodes[rank] != net::kInvalidNode) {
+    if (sj.process_nodes[rank] != net::kInvalidNode) {
       owner_->endpoint().notify_frame(sj.process_nodes[rank], frame.share());
     }
   }

@@ -183,8 +183,8 @@ class GRID_HOT CoallocationRequest {
     std::uint32_t incarnation = 0;
     net::NodeId gatekeeper = net::kInvalidNode;
     gram::JobId gram_job = 0;
-    std::vector<net::NodeId> process_nodes;  // indexed by local rank
-    std::vector<bool> checked;
+    /// Indexed by local rank; kInvalidNode until that rank checks in.
+    std::vector<net::NodeId> process_nodes;
     std::int32_t checked_count = 0;
     bool queued = false;    // waiting in the submission pipeline
     util::Status failure;

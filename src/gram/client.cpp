@@ -5,69 +5,126 @@ namespace grid::gram {
 Client::Client(net::Endpoint& endpoint, const gsi::CertificateAuthority& ca,
                gsi::Credential identity, gsi::CostModel gsi_costs)
     : endpoint_(&endpoint),
-      gsi_(endpoint, ca, std::move(identity), gsi_costs) {
+      gsi_(endpoint, ca, std::move(identity), gsi_costs),
+      crashes_seen_(endpoint.crash_count()) {
   endpoint_->register_notify(
       kNotifyJobState, [this](net::NodeId src, util::Reader& payload) {
         on_state_notify(src, payload);
       });
 }
 
-struct Client::AuthRetryState {
-  net::NodeId gatekeeper;
-  sim::Time timeout;
-  net::RetrySchedule schedule;
-  gsi::ClientContext::DoneFn done;
-};
+Client::~Client() {
+  retries_.for_each([this](std::uint64_t, Retry& r) {
+    endpoint_->engine().cancel(r.backoff);
+  });
+}
 
-void Client::authenticate_with_retry(net::NodeId gatekeeper, sim::Time timeout,
-                                     gsi::ClientContext::DoneFn on_done) {
+void Client::authenticate(net::NodeId gatekeeper, sim::Time timeout,
+                          gsi::ClientContext::DoneFn on_done) {
   if (!retry_.has_value()) {
     gsi_.authenticate(gatekeeper, timeout, std::move(on_done));
     return;
   }
-  auto state = std::make_shared<AuthRetryState>(AuthRetryState{
-      gatekeeper, timeout, net::RetrySchedule(*retry_, next_auth_stream_++),
-      std::move(on_done)});
-  auth_attempt(std::move(state), 1);
+  // A handshake's jitter stream is keyed by this client's own counter.
+  Retry retry(*retry_, next_auth_stream_++);
+  retry.dst = gatekeeper;
+  retry.timeout = timeout;
+  retry.on_session = std::move(on_done);
+  start(std::move(retry));
 }
 
-void Client::auth_attempt(std::shared_ptr<AuthRetryState> state, int n) {
-  AuthRetryState* s = state.get();
-  gsi_.authenticate(
-      s->gatekeeper, s->timeout,
-      [this, state = std::move(state),
-       n](util::Result<gsi::Session> session) mutable {
-        if (session.is_ok() ||
-            session.status().code() != util::ErrorCode::kTimeout ||
-            n >= net::kRetryAttempts) {
-          state->done(std::move(session));
-          return;
-        }
-        const sim::Time backoff = state->schedule.backoff_before(n + 1);
-        endpoint_->engine().schedule_after(
-            backoff, [this, state = std::move(state), n]() mutable {
-              auth_attempt(std::move(state), n + 1);
-            });
-      });
-}
-
-void Client::idempotent_call(net::NodeId dst, std::uint32_t method,
-                             sim::Payload args, sim::Time timeout,
-                             net::Endpoint::ResponseFn on_response) {
-  if (retry_.has_value()) {
-    endpoint_->retrying_call(dst, method, std::move(args), *retry_,
-                             std::move(on_response));
-  } else {
-    endpoint_->call(dst, method, std::move(args), timeout,
-                    std::move(on_response));
+void Client::send_cancel(net::NodeId gatekeeper, std::uint32_t method,
+                         std::uint64_t id, sim::Time timeout,
+                         DoneFn on_done) {
+  util::Writer w;
+  w.u64(id);
+  if (!retry_.has_value()) {
+    endpoint_->call(gatekeeper, method, w.take(), timeout,
+                    [on_done = std::move(on_done)](
+                        const util::Status& status, util::Reader&) {
+                      if (on_done) on_done(status);
+                    });
+    return;
   }
+  // A retried call takes one endpoint call id as its ticket, which keys
+  // its jitter stream.
+  Retry retry(*retry_, endpoint_->take_call_id());
+  retry.dst = gatekeeper;
+  retry.method = method;
+  retry.args = w.take();
+  retry.on_done = std::move(on_done);
+  start(std::move(retry));
+}
+
+void Client::start(Retry retry) {
+  drop_retries_if_crashed();
+  const std::uint64_t id = next_retry_++;
+  retries_.emplace(id, std::move(retry));
+  issue(id);
+}
+
+void Client::issue(std::uint64_t retry) {
+  Retry& r = *retries_.find(retry);
+  ++r.attempt;
+  if (r.method == kHandshake) {
+    gsi_.authenticate(r.dst, r.timeout,
+                      [this, retry](util::Result<gsi::Session> session) {
+                        on_outcome(retry, session.status(), &session);
+                      });
+    return;
+  }
+  if (r.attempt > 1) ++endpoint_->network().mutable_stats().rpc_retries;
+  // The frozen args are shared into the attempt; call() only reads them
+  // (copying into the frame), so re-sends never re-encode.
+  endpoint_->call(r.dst, r.method, r.args.share(), net::kRetryAttemptTimeout,
+                  [this, retry](const util::Status& status, util::Reader&) {
+                    on_outcome(retry, status, nullptr);
+                  });
+}
+
+void Client::on_outcome(std::uint64_t retry, const util::Status& status,
+                        util::Result<gsi::Session>* session) {
+  Retry& r = *retries_.find(retry);
+  // Only a timeout is retried: success or a definitive error is final.
+  if (status.code() == util::ErrorCode::kTimeout &&
+      r.attempt < net::kRetryAttempts) {
+    r.backoff = endpoint_->engine().schedule_after(
+        r.schedule.backoff_before(r.attempt + 1), [this, retry] {
+          if (drop_retries_if_crashed()) return;
+          retries_.find(retry)->backoff = {};
+          issue(retry);
+        });
+    return;
+  }
+  Retry done = std::move(r);
+  retries_.erase(retry);
+  if (session != nullptr) {
+    done.on_session(std::move(*session));
+  } else if (done.on_done) {
+    done.on_done(status.code() != util::ErrorCode::kTimeout
+                     ? status
+                     : util::Status(util::ErrorCode::kTimeout,
+                                    "rpc timeout after " +
+                                        std::to_string(done.attempt) +
+                                        " attempt(s)"));
+  }
+}
+
+bool Client::drop_retries_if_crashed() {
+  if (endpoint_->crash_count() == crashes_seen_) return false;
+  crashes_seen_ = endpoint_->crash_count();
+  retries_.for_each([this](std::uint64_t, Retry& r) {
+    endpoint_->engine().cancel(r.backoff);
+  });
+  retries_.clear();
+  return true;
 }
 
 void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
                     AcceptedFn on_accepted, StateFn on_state) {
   // Pre-ack phase (handshake) retries; the job-request RPC below is
   // deliberately one-shot — see set_retry_policy().
-  authenticate_with_retry(
+  authenticate(
       gatekeeper, timeout,
       [this, gatekeeper, rsl = std::move(rsl), timeout,
        on_accepted = std::move(on_accepted),
@@ -153,20 +210,14 @@ std::size_t Client::buffered_change_count() const {
 
 void Client::cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
                     DoneFn on_done) {
-  util::Writer w;
-  w.u64(job);
-  idempotent_call(gatekeeper, kMethodJobCancel, w.take(), timeout,
-                  [on_done = std::move(on_done)](const util::Status& status,
-                                                 util::Reader&) {
-                    if (on_done) on_done(status);
-                  });
+  send_cancel(gatekeeper, kMethodJobCancel, job, timeout, std::move(on_done));
 }
 
 void Client::reserve(
     net::NodeId gatekeeper, sim::Time start, sim::Time end,
     std::int32_t count, sim::Time timeout,
     std::function<void(util::Result<ReservationHandle>)> on_done) {
-  authenticate_with_retry(
+  authenticate(
       gatekeeper, timeout,
       [this, gatekeeper, start, end, count, timeout,
        on_done = std::move(on_done)](util::Result<gsi::Session> session) {
@@ -206,13 +257,8 @@ void Client::reserve(
 void Client::cancel_reservation(net::NodeId gatekeeper,
                                 std::uint64_t reservation, sim::Time timeout,
                                 DoneFn on_done) {
-  util::Writer w;
-  w.u64(reservation);
-  idempotent_call(gatekeeper, kMethodReserveCancel, w.take(), timeout,
-                  [on_done = std::move(on_done)](const util::Status& status,
-                                                 util::Reader&) {
-                    if (on_done) on_done(status);
-                  });
+  send_cancel(gatekeeper, kMethodReserveCancel, reservation, timeout,
+              std::move(on_done));
 }
 
 void Client::forget(JobId job) { watchers_.erase(job); }

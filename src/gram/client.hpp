@@ -21,6 +21,7 @@
 #include "gsi/protocol.hpp"
 #include "net/retry.hpp"
 #include "net/rpc.hpp"
+#include "simkit/idmap.hpp"
 #include "simkit/status.hpp"
 
 namespace grid::gram {
@@ -31,6 +32,8 @@ class Client {
   /// per endpoint.
   Client(net::Endpoint& endpoint, const gsi::CertificateAuthority& ca,
          gsi::Credential identity, gsi::CostModel gsi_costs = {});
+  /// Cancels the backoff timer of every retried operation.
+  ~Client();
 
   using AcceptedFn = std::function<void(util::Result<JobId>)>;
   using StateFn = std::function<void(const JobStateChange&)>;
@@ -43,7 +46,8 @@ class Client {
   /// reserve() retry only their pre-ack phase (the GSI handshake) — the
   /// job-request / reserve RPC itself is never re-sent, since a retry
   /// after a lost *accept reply* would allocate a second job or window on
-  /// the server.  nullopt restores one-shot calls.
+  /// the server.  nullopt restores one-shot calls.  Destroying the client
+  /// or crashing its host ends a retried operation silently.
   void set_retry_policy(std::optional<net::RetryPolicy> policy) {
     retry_ = policy;
   }
@@ -80,12 +84,12 @@ class Client {
   /// Detaches the state callback of a job (e.g. after DUROC releases it).
   void forget(JobId job);
 
-  net::Endpoint& endpoint() { return *endpoint_; }
-
   /// Jobs with a state callback attached.
   std::size_t watcher_count() const { return watchers_.size(); }
   /// State changes buffered for accept replies still in flight.
   std::size_t buffered_change_count() const;
+  /// Retried operations in flight (a crash's are dropped lazily).
+  std::size_t retry_count() const { return retries_.size(); }
 
  private:
   void on_state_notify(net::NodeId src, util::Reader& payload);
@@ -93,24 +97,47 @@ class Client {
   /// buffered changes of `job` (0 = none) to its watcher, then drops the
   /// gatekeeper's buffer if no other submission to it is waiting.
   void settle_submission(net::NodeId gatekeeper, JobId job);
-  /// Runs the GSI handshake, re-trying whole handshakes on timeout when a
-  /// retry policy is installed (the handshake is idempotent: an abandoned
-  /// half-open exchange only leaves server-side state that expires).
-  void authenticate_with_retry(net::NodeId gatekeeper, sim::Time timeout,
-                               gsi::ClientContext::DoneFn on_done);
-  /// One handshake attempt of the retry loop; continuations share `state`
-  /// (a plain data holder, so no closure cycle keeps it alive forever).
-  struct AuthRetryState;
-  void auth_attempt(std::shared_ptr<AuthRetryState> state, int attempt);
-  /// Issues `method` with the retry policy when set, one-shot otherwise.
-  void idempotent_call(net::NodeId dst, std::uint32_t method,
-                       sim::Payload args, sim::Time timeout,
-                       net::Endpoint::ResponseFn on_response);
+  /// An operation under the retry policy, a GSI handshake (kHandshake) or
+  /// an idempotent call, with its jitter stream and its backoff timer.
+  static constexpr std::uint32_t kHandshake = 0;
+  struct Retry {
+    net::NodeId dst = net::kInvalidNode;
+    std::uint32_t method = kHandshake;
+    sim::Payload args;      // a call's frozen args, share()d into attempts
+    sim::Time timeout = 0;  // a handshake's bound on each round trip
+    net::RetrySchedule schedule;
+    int attempt = 0;  // attempts issued so far
+    sim::EventId backoff;
+    gsi::ClientContext::DoneFn on_session;  // a handshake's outcome
+    DoneFn on_done;                         // a call's outcome
+    Retry(const net::RetryPolicy& policy, std::uint64_t stream)
+        : schedule(policy, stream) {}
+  };
+
+  /// The GSI handshake, re-tried whole on timeout under a retry policy (an
+  /// abandoned half-open exchange only leaves server state that expires).
+  void authenticate(net::NodeId gatekeeper, sim::Time timeout,
+                    gsi::ClientContext::DoneFn on_done);
+  /// A cancel verb naming `id`: idempotent, so re-issued on timeout under
+  /// a retry policy.
+  void send_cancel(net::NodeId gatekeeper, std::uint32_t method,
+                   std::uint64_t id, sim::Time timeout, DoneFn on_done);
+  /// The retry loop: files `retry` and issues attempts until one ends it.
+  void start(Retry retry);
+  void issue(std::uint64_t retry);
+  void on_outcome(std::uint64_t retry, const util::Status& status,
+                  util::Result<gsi::Session>* session);
+  /// Ends every retried operation if the endpoint crashed since they
+  /// began (each began after the last such check); true if it did.
+  bool drop_retries_if_crashed();
 
   net::Endpoint* endpoint_;
   gsi::ClientContext gsi_;
   std::optional<net::RetryPolicy> retry_;
   std::uint64_t next_auth_stream_ = 1;
+  sim::IdSlab<Retry> retries_;
+  std::uint64_t next_retry_ = 1;
+  std::uint32_t crashes_seen_;
   std::unordered_map<JobId, StateFn> watchers_;
   /// Per gatekeeper: job requests awaiting their reply, and the unclaimed
   /// state changes that arrived meanwhile.

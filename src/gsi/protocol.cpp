@@ -1,6 +1,5 @@
 #include "gsi/protocol.hpp"
 
-#include <memory>
 #include <utility>
 
 namespace grid::gsi {
@@ -154,78 +153,94 @@ ClientContext::ClientContext(net::Endpoint& endpoint,
     : endpoint_(&endpoint),
       ca_(&ca),
       identity_(std::move(identity)),
-      costs_(costs) {}
+      costs_(costs),
+      crashes_seen_(endpoint.crash_count()) {}
+
+ClientContext::~ClientContext() {
+  flows_.for_each([this](std::uint64_t, Flow& f) { engine().cancel(f.timer); });
+}
+
+bool ClientContext::drop_flows_if_crashed() {
+  if (endpoint_->crash_count() == crashes_seen_) return false;
+  crashes_seen_ = endpoint_->crash_count();
+  flows_.for_each([this](std::uint64_t, Flow& f) { engine().cancel(f.timer); });
+  flows_.clear();
+  return true;
+}
+
+void ClientContext::finish(std::uint64_t flow, util::Result<Session> result) {
+  DoneFn on_done = std::move(flows_.find(flow)->on_done);
+  flows_.erase(flow);
+  on_done(std::move(result));
+}
 
 void ClientContext::authenticate(net::NodeId server, sim::Time timeout,
                                  DoneFn on_done) {
-  // State shared across the handshake continuations.
-  struct Flow {
-    net::Endpoint* endpoint;
-    const CertificateAuthority* ca;
-    Credential identity;
-    CostModel costs;
-    net::NodeId server;
-    sim::Time timeout;
-    DoneFn on_done;
-  };
-  auto flow = std::make_shared<Flow>(Flow{endpoint_, ca_, identity_, costs_,
-                                          server, timeout,
-                                          std::move(on_done)});
-  // Phase 1: client signing cost, then INIT.
-  flow->endpoint->engine().schedule_after(flow->costs.client_sign, [flow] {
+  drop_flows_if_crashed();
+  const std::uint64_t id = next_flow_++;
+  Flow& flow = flows_.emplace(id, Flow{});
+  flow.server = server;
+  flow.timeout = timeout;
+  flow.on_done = std::move(on_done);
+  // Phase 1: client signing cost, then INIT.  Each continuation finds its
+  // flow by id; a timer's continuation first checks for a crash.
+  flow.timer = engine().schedule_after(costs_.client_sign, [this, id] {
+    if (drop_flows_if_crashed()) return;
+    Flow& sign = *flows_.find(id);
+    sign.timer = {};
     util::Writer w;
-    flow->identity.encode(w);
-    flow->endpoint->call(
-        flow->server, kMethodInit, w.take(), flow->timeout,
-        [flow](const util::Status& status, util::Reader& reply) {
+    identity_.encode(w);
+    endpoint_->call(
+        sign.server, kMethodInit, w.take(), sign.timeout,
+        [this, id](const util::Status& status, util::Reader& reply) {
           if (!status.is_ok()) {
-            flow->on_done(status);
+            finish(id, status);
             return;
           }
-          Credential server_cred = Credential::decode(reply);
-          const std::uint64_t handshake_id = reply.varint();
-          const std::uint64_t challenge = reply.u64();
+          Flow& ack = *flows_.find(id);
+          ack.server_cred = Credential::decode(reply);
+          ack.handshake_id = reply.varint();
+          ack.challenge = reply.u64();
           if (!reply.ok()) {
-            flow->on_done(util::Status(util::ErrorCode::kInternal,
-                                       "malformed INIT reply"));
+            finish(id, util::Status(util::ErrorCode::kInternal,
+                                    "malformed INIT reply"));
             return;
           }
           // Phase 2: verify the server's identity (client CPU), then FINAL.
-          flow->endpoint->engine().schedule_after(
-              flow->costs.client_verify,
-              [flow, server_cred = std::move(server_cred), handshake_id,
-               challenge] {
-                const sim::Time now = flow->endpoint->engine().now();
-                if (auto st = flow->ca->verify(server_cred, now);
-                    !st.is_ok()) {
-                  flow->on_done(util::Status(
-                      st.code(), "server identity rejected: " + st.message()));
-                  return;
-                }
-                util::Writer w2;
-                w2.varint(handshake_id);
-                w2.u64(challenge_response(challenge, flow->identity.subject));
-                flow->endpoint->call(
-                    flow->server, kMethodFinal, w2.take(), flow->timeout,
-                    [flow](const util::Status& status2, util::Reader& reply2) {
-                      if (!status2.is_ok()) {
-                        flow->on_done(status2);
-                        return;
-                      }
-                      Session session;
-                      session.token = reply2.u64();
-                      const std::string_view lu = reply2.str_view();
-                      session.local_user.assign(lu.begin(), lu.end());
-                      session.expires = reply2.i64();
-                      session.subject = flow->identity.subject;
-                      if (!reply2.ok()) {
-                        flow->on_done(util::Status(util::ErrorCode::kInternal,
-                                                   "malformed FINAL reply"));
-                        return;
-                      }
-                      flow->on_done(std::move(session));
-                    });
-              });
+          ack.timer = engine().schedule_after(costs_.client_verify, [this, id] {
+            if (drop_flows_if_crashed()) return;
+            Flow& fin = *flows_.find(id);
+            fin.timer = {};
+            if (auto st = ca_->verify(fin.server_cred, engine().now());
+                !st.is_ok()) {
+              finish(id, util::Status(st.code(), "server identity rejected: " +
+                                                     st.message()));
+              return;
+            }
+            util::Writer w2;
+            w2.varint(fin.handshake_id);
+            w2.u64(challenge_response(fin.challenge, identity_.subject));
+            endpoint_->call(
+                fin.server, kMethodFinal, w2.take(), fin.timeout,
+                [this, id](const util::Status& status2, util::Reader& reply2) {
+                  if (!status2.is_ok()) {
+                    finish(id, status2);
+                    return;
+                  }
+                  Session session;
+                  session.token = reply2.u64();
+                  const std::string_view lu = reply2.str_view();
+                  session.local_user.assign(lu.begin(), lu.end());
+                  session.expires = reply2.i64();
+                  session.subject = identity_.subject;
+                  if (!reply2.ok()) {
+                    finish(id, util::Status(util::ErrorCode::kInternal,
+                                            "malformed FINAL reply"));
+                    return;
+                  }
+                  finish(id, std::move(session));
+                });
+          });
         });
   });
 }

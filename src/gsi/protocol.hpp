@@ -21,6 +21,7 @@
 
 #include "gsi/credential.hpp"
 #include "net/rpc.hpp"
+#include "simkit/idmap.hpp"
 #include "simkit/status.hpp"
 #include "simkit/time.hpp"
 
@@ -109,12 +110,18 @@ class ServerContext {
 std::uint64_t challenge_response(std::uint64_t challenge,
                                  std::string_view subject);
 
-/// Client half: runs the handshake.  `on_done` fires exactly once with the
-/// session or an error (authentication failure, timeout, malformed reply).
+/// Client half: runs handshakes.  `on_done` fires exactly once with the
+/// session or an error (authentication failure, timeout, malformed reply),
+/// unless destroying the context or crashing its host ends the handshake
+/// first, silently.
 class ClientContext {
  public:
   ClientContext(net::Endpoint& endpoint, const CertificateAuthority& ca,
                 Credential identity, CostModel costs = {});
+  /// Cancels the CPU-delay timer of every handshake in flight.
+  ~ClientContext();
+  ClientContext(const ClientContext&) = delete;
+  ClientContext& operator=(const ClientContext&) = delete;
 
   using DoneFn = std::function<void(util::Result<Session>)>;
 
@@ -123,10 +130,30 @@ class ClientContext {
   void authenticate(net::NodeId server, sim::Time timeout, DoneFn on_done);
 
  private:
+  /// A handshake in flight: its continuations' state and CPU-delay timer.
+  struct Flow {
+    net::NodeId server = net::kInvalidNode;
+    sim::Time timeout = 0;
+    DoneFn on_done;
+    sim::EventId timer;
+    Credential server_cred;  // from the INIT reply, verified after a delay
+    std::uint64_t handshake_id = 0;
+    std::uint64_t challenge = 0;
+  };
+
+  /// Ends every handshake if the endpoint crashed since they began (each
+  /// began after the last such check); true if it did.
+  bool drop_flows_if_crashed();
+  void finish(std::uint64_t flow, util::Result<Session> result);
+  sim::Engine& engine() { return endpoint_->engine(); }
+
   net::Endpoint* endpoint_;
   const CertificateAuthority* ca_;
   Credential identity_;
   CostModel costs_;
+  sim::IdSlab<Flow> flows_;
+  std::uint64_t next_flow_ = 1;
+  std::uint32_t crashes_seen_;
 };
 
 }  // namespace grid::gsi

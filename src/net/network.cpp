@@ -5,7 +5,6 @@
 namespace grid::net {
 
 sim::Time Network::TimeTable::get(NodeId id, sim::Time absent) const {
-  if (id == kInvalidNode) return absent;  // IdMap key 0 is its empty marker
   const std::uint32_t i = index.find(id);
   return i == sim::IdMap::kNotFound ? absent : values[i];
 }

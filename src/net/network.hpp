@@ -94,10 +94,8 @@ struct NetworkStats {
   // almost entirely recycled).  Payload-less messages count in neither.
   std::uint64_t payloads_fresh = 0;
   std::uint64_t payloads_recycled = 0;
-  // RPC retry layer (Endpoint::retrying_call).
-  std::uint64_t rpc_retries = 0;          // re-issued attempts
-  std::uint64_t rpc_retry_successes = 0;  // calls that recovered via retry
-  std::uint64_t rpc_retry_exhausted = 0;  // calls that ran out of attempts
+  // Re-issued attempts of retried calls (gram::Client's cancel verbs).
+  std::uint64_t rpc_retries = 0;
 };
 
 /// The network itself.  Owns addressing, delivery, and failure injection.
@@ -165,7 +163,7 @@ class GRID_HOT Network {
   sim::Time node_extra_delay(NodeId node) const;
 
   const NetworkStats& stats() const { return stats_; }
-  /// Mutable counters, for the RPC layer's retry accounting.
+  /// Mutable counters, for the retry accounting of the layers above.
   NetworkStats& mutable_stats() { return stats_; }
   std::size_t node_count() const { return attached_; }
 

@@ -2,13 +2,13 @@
 //
 // The network drops messages silently (crashes, partitions, injected
 // loss), so every lost request or reply surfaces as kTimeout at the RPC
-// layer.  A retrying call turns that one-shot failure surface into a
-// bounded, deterministic schedule: up to kRetryAttempts attempts of
-// kRetryAttemptTimeout each, separated by a backoff that starts at
-// kRetryInitialBackoff, doubles before each further attempt and is scaled
-// by seeded jitter.  Only calls the caller declares idempotent should be
-// retried — re-issuing a non-idempotent request whose reply was lost
-// duplicates its effect.
+// layer.  gram::Client's retry loop turns that one-shot failure surface
+// into a bounded, deterministic schedule: up to kRetryAttempts attempts,
+// separated by a backoff that starts at kRetryInitialBackoff, doubles
+// before each further attempt and is scaled by seeded jitter.  Only
+// idempotent operations are retried (cancel verbs, GSI handshakes) —
+// re-issuing a non-idempotent request whose reply was lost duplicates its
+// effect.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@ namespace grid::net {
 
 /// Total attempts of a retrying call, including the first.
 inline constexpr int kRetryAttempts = 4;
-/// Timeout of each attempt.
+/// Timeout of each attempt of a retried call (a handshake keeps its own).
 inline constexpr sim::Time kRetryAttemptTimeout = 3 * sim::kSecond;
 /// Backoff before the second attempt; doubles before each further one.
 inline constexpr sim::Time kRetryInitialBackoff = 200 * sim::kMillisecond;

@@ -51,26 +51,19 @@ Endpoint::Endpoint(Network& network, std::string name)
 
 Endpoint::~Endpoint() {
   // Teardown with outstanding calls must leave nothing scheduled that
-  // captures `this`: cancel every per-call timeout and every retry backoff
-  // timer (each holds a lambda over this endpoint — a use-after-free if it
-  // ever fired after destruction).  Callbacks simply never fire.  The
-  // audit counts what the drain found and proves both tables emptied.
+  // captures `this`: cancel every per-call timeout, so callbacks simply
+  // never fire.  The audit counts what the drain found.
   TeardownReport report;
   report.pending_calls = pending_.size();
-  report.retrying_calls = retrying_.size();
   pending_.for_each([this, &report](std::uint64_t, PendingCall& pc) {
     if (engine().cancel(pc.timeout_event)) ++report.timers_cancelled;
   });
   pending_.clear();
-  retrying_.for_each([this, &report](std::uint64_t, RetryingCall& rc) {
-    if (engine().cancel(rc.backoff_event)) ++report.timers_cancelled;
-  });
-  retrying_.clear();
-  report.leaked_slots = pending_.size() + retrying_.size();
+  report.leaked_slots = pending_.size();
   GRID_CHECK(report.leaked_slots == 0,
              "Endpoint teardown leaked call-table slots");
-  GRID_CHECK(pending_.consistent() && retrying_.consistent(),
-             "Endpoint call tables inconsistent at teardown");
+  GRID_CHECK(pending_.consistent(),
+             "Endpoint call table inconsistent at teardown");
   teardown_report_slot() = report;
   network_->detach(id_);
 }
@@ -94,76 +87,6 @@ std::uint64_t Endpoint::call(NodeId dst, std::uint32_t method,
   pending_.emplace(call_id, std::move(pc));
   network_->send(id_, dst, kFrameRequest, w.take());
   return call_id;
-}
-
-std::uint64_t Endpoint::retrying_call(NodeId dst, std::uint32_t method,
-                                      sim::Payload args,
-                                      const RetryPolicy& policy,
-                                      ResponseFn on_response) {
-  const std::uint64_t ticket = next_call_id_++;
-  RetryingCall rc(policy, ticket);
-  rc.dst = dst;
-  rc.method = method;
-  rc.args = std::move(args);
-  rc.on_response = std::move(on_response);
-  retrying_.emplace(ticket, std::move(rc));
-  issue_attempt(ticket);
-  return ticket;
-}
-
-void Endpoint::issue_attempt(std::uint64_t ticket) {
-  RetryingCall* rc = retrying_.find(ticket);
-  if (rc == nullptr) return;
-  ++rc->attempt;
-  if (rc->attempt > 1) ++network_->mutable_stats().rpc_retries;
-  // The frozen args buffer is shared into the attempt; call() only reads
-  // it (copying into the frame), so re-sends never re-encode.
-  call(rc->dst, rc->method, rc->args.share(), kRetryAttemptTimeout,
-       [this, ticket](const util::Status& status, util::Reader& result) {
-         on_attempt_response(ticket, status, result);
-       });
-}
-
-void Endpoint::on_attempt_response(std::uint64_t ticket,
-                                   const util::Status& status,
-                                   util::Reader& result) {
-  RetryingCall* rc = retrying_.find(ticket);
-  if (rc == nullptr) return;  // dropped with the endpoint's calls
-  if (status.code() != util::ErrorCode::kTimeout) {
-    // Success or a definitive (non-retryable) error: deliver it.
-    if (status.is_ok() && rc->attempt > 1) {
-      ++network_->mutable_stats().rpc_retry_successes;
-    }
-    ResponseFn fn = std::move(rc->on_response);
-    retrying_.erase(ticket);
-    fn(status, result);
-    return;
-  }
-  if (rc->attempt >= kRetryAttempts) {
-    ++network_->mutable_stats().rpc_retry_exhausted;
-    const int attempts = rc->attempt;
-    ResponseFn fn = std::move(rc->on_response);
-    retrying_.erase(ticket);
-    util::Reader r(nullptr, 0);
-    fn(util::Status(util::ErrorCode::kTimeout,
-                    "rpc timeout after " + std::to_string(attempts) +
-                        " attempt(s)"),
-       r);
-    return;
-  }
-  rc->backoff_event = engine().schedule_after(
-      rc->schedule.backoff_before(rc->attempt + 1), [this, ticket] {
-        RetryingCall* rit = retrying_.find(ticket);
-        if (rit != nullptr) rit->backoff_event = {};
-        issue_attempt(ticket);
-      });
-}
-
-void Endpoint::drop_retrying_calls() {
-  retrying_.for_each([this](std::uint64_t, RetryingCall& rc) {
-    engine().cancel(rc.backoff_event);
-  });
-  retrying_.clear();
 }
 
 void Endpoint::fail_call(std::uint64_t call_id, util::ErrorCode code,
@@ -289,13 +212,11 @@ void Endpoint::handle_message(const Message& msg) {
 
 void Endpoint::on_crash() {
   crashed_ = true;
+  ++crashes_;
   pending_.for_each([this](std::uint64_t, PendingCall& pc) {
     engine().cancel(pc.timeout_event);
   });
   pending_.clear();
-  // Retrying calls die with the host: a crashed client must not wake up
-  // from a backoff timer and transmit.
-  drop_retrying_calls();
   if (crash_hook) crash_hook();
 }
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/retry.hpp"
 #include "simkit/annotate.hpp"
 #include "simkit/codec.hpp"
 #include "simkit/engine.hpp"
@@ -54,7 +53,9 @@ class GRID_HOT Endpoint : public Node {
   Network& network() { return *network_; }
   sim::Engine& engine() { return network_->engine(); }
   const std::string& name() const { return name_; }
-  bool crashed() const { return crashed_; }
+  /// Crashes of this endpoint's host so far: state kept above the RPC
+  /// layer across a timer checks it when the timer fires.
+  std::uint32_t crash_count() const { return crashes_; }
 
   // ---- client side -------------------------------------------------------
 
@@ -72,22 +73,11 @@ class GRID_HOT Endpoint : public Node {
   std::uint64_t call(NodeId dst, std::uint32_t method, sim::Payload args,
                      sim::Time timeout, ResponseFn on_response);
 
-  /// Issues a call that is transparently re-issued on kTimeout, following
-  /// the retry schedule of net/retry.hpp with `policy`'s jitter seed.  ONLY
-  /// safe for idempotent methods: a retry after a lost *reply* re-executes
-  /// the request on the server.  The callback fires exactly once — with
-  /// the first non-timeout outcome, or with a single kTimeout error once
-  /// the attempts are exhausted.
-  /// Returns the call's ticket.  A ticket takes a plain call id, and it
-  /// keys the call's jitter stream, so both show on the wire.  The frozen
-  /// args buffer is share()d into each attempt, so retries re-send without
-  /// re-encoding.
-  std::uint64_t retrying_call(NodeId dst, std::uint32_t method,
-                              sim::Payload args, const RetryPolicy& policy,
-                              ResponseFn on_response);
+  /// Consumes one call id without issuing a call.  A retried call takes
+  /// one as its ticket, so the wire ids of its attempts follow it.
+  std::uint64_t take_call_id() { return next_call_id_++; }
 
   std::size_t pending_calls() const { return pending_.size(); }
-  std::size_t pending_retrying_calls() const { return retrying_.size(); }
 
   // ---- server side -------------------------------------------------------
 
@@ -138,8 +128,7 @@ class GRID_HOT Endpoint : public Node {
   /// aborts; in all builds the report lets tests assert the audit's
   /// numbers directly.
   struct TeardownReport {
-    std::uint64_t pending_calls = 0;    // live plain calls found at teardown
-    std::uint64_t retrying_calls = 0;   // live retrying tickets found
+    std::uint64_t pending_calls = 0;    // live calls found at teardown
     std::uint64_t timers_cancelled = 0; // engine events this teardown killed
     std::uint64_t leaked_slots = 0;     // entries surviving the drain (== 0)
   };
@@ -154,41 +143,20 @@ class GRID_HOT Endpoint : public Node {
     sim::EventId timeout_event;
   };
 
-  /// One retrying operation: the frozen request, its schedule, and the
-  /// backoff timer between attempts.
-  struct RetryingCall {
-    NodeId dst = kInvalidNode;
-    std::uint32_t method = 0;
-    sim::Payload args;
-    RetrySchedule schedule;
-    ResponseFn on_response;
-    int attempt = 0;             // attempts issued so far
-    sim::EventId backoff_event;  // pending timer between attempts
-
-    RetryingCall(const RetryPolicy& policy, std::uint64_t stream)
-        : schedule(policy, stream) {}
-  };
-
   void fail_call(std::uint64_t call_id, util::ErrorCode code,
                  const std::string& message);
-  void issue_attempt(std::uint64_t ticket);
-  void on_attempt_response(std::uint64_t ticket, const util::Status& status,
-                           util::Reader& result);
-  /// Cancels timers and live attempts of every retrying call; callbacks
-  /// will not fire.  Used by teardown and crash handling.
-  void drop_retrying_calls();
 
   Network* network_;
   NodeId id_;
   std::string name_;
   bool crashed_ = false;
+  std::uint32_t crashes_ = 0;
   /// Wire call ids stay a plain monotonic counter (NOT slab slot/
   /// generation encodings): keeping id values — and so their varint
   /// lengths — identical to the pre-slab implementation is part of the
   /// byte-identical-results guarantee for seeded experiments.
   std::uint64_t next_call_id_ = 1;
   sim::IdSlab<PendingCall> pending_;
-  sim::IdSlab<RetryingCall> retrying_;
 
   /// Registration tables: an endpoint registers a handful of kinds, so a
   /// vector searched linearly on every delivered frame beats any index.

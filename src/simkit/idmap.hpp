@@ -25,7 +25,7 @@ namespace grid::sim {
 
 /// uint64 -> uint32 open-addressed hash map, linear probing, power-of-two
 /// capacity, backward-shift deletion (no tombstones, so lookup cost never
-/// degrades under churn).  Key 0 is reserved as the empty marker.
+/// degrades under churn).  Key 0 marks an empty cell and is never found.
 class GRID_HOT IdMap {
  public:
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
@@ -42,7 +42,7 @@ class GRID_HOT IdMap {
   }
 
   std::uint32_t find(std::uint64_t key) const {
-    if (size_ == 0) return kNotFound;
+    if (size_ == 0 || key == 0) return kNotFound;
     const std::size_t mask = cells_.size() - 1;
     for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
       if (cells_[i].key == key) return cells_[i].value;
@@ -51,7 +51,7 @@ class GRID_HOT IdMap {
   }
 
   bool erase(std::uint64_t key) {
-    if (size_ == 0) return false;
+    if (size_ == 0 || key == 0) return false;
     const std::size_t mask = cells_.size() - 1;
     std::size_t hole = hash(key) & mask;
     while (cells_[hole].key != key) {

@@ -627,33 +627,28 @@ TEST_F(RpcFixture, LargeResponseCaptureStillFires) {
 
 // ---- endpoint teardown ----------------------------------------------------------
 
-// Destroying an endpoint with calls still in flight must drain both call
-// tables, kill every timer that captures the endpoint, and never fire the
+// Destroying an endpoint with calls still in flight must drain its call
+// table, kill every timer that captures the endpoint, and never fire the
 // response callbacks.  The teardown audit reports exactly what it found.
-TEST_F(RpcFixture, TeardownMidFlightDrainsTablesAndSilencesCallbacks) {
+TEST_F(RpcFixture, TeardownMidFlightDrainsTableAndSilencesCallbacks) {
   int fired = 0;
   {
     net::Endpoint doomed{network, "doomed"};
-    // One plain call with a timeout (server never answers: method 9 is
-    // registered but deliberately silent) ...
+    // Two calls with timeouts (the server never answers: method 9 is
+    // registered but deliberately silent).
     server.register_method(9, [](net::NodeId, std::uint64_t, util::Reader&) {});
     util::Writer w;
     w.u32(1);
     doomed.call(server.id(), 9, w.take(), 5 * sim::kSecond,
                 [&](const util::Status&, util::Reader&) { ++fired; });
-    // ... and one retrying call whose first attempt is in flight (its
-    // inner call occupies a second pending slot plus a timeout timer).
-    net::RetryPolicy policy;
-    doomed.retrying_call(server.id(), 9, {}, policy,
-                         [&](const util::Status&, util::Reader&) { ++fired; });
+    doomed.call(server.id(), 9, {}, 3 * sim::kSecond,
+                [&](const util::Status&, util::Reader&) { ++fired; });
     EXPECT_EQ(doomed.pending_calls(), 2u);
-    EXPECT_EQ(doomed.pending_retrying_calls(), 1u);
     // Destroyed here, with everything outstanding.
   }
   const auto& report = net::Endpoint::last_teardown_report();
   EXPECT_EQ(report.pending_calls, 2u);
-  EXPECT_EQ(report.retrying_calls, 1u);
-  EXPECT_EQ(report.timers_cancelled, 2u);  // both attempt-timeout timers
+  EXPECT_EQ(report.timers_cancelled, 2u);  // both call-timeout timers
   EXPECT_EQ(report.leaked_slots, 0u);
   // Draining the rest of the simulation (request frames arriving at the
   // server, responses sent back to a detached node) must fire nothing.
@@ -661,27 +656,27 @@ TEST_F(RpcFixture, TeardownMidFlightDrainsTablesAndSilencesCallbacks) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST_F(RpcFixture, TeardownWithBackoffTimerCancelsIt) {
+TEST_F(RpcFixture, TeardownCountsOnlyLiveTimers) {
   int fired = 0;
   {
     net::Endpoint doomed{network, "doomed"};
     server.register_method(9, [](net::NodeId, std::uint64_t, util::Reader&) {});
-    net::RetryPolicy policy;
-    // The server swallows method 9: the first attempt times out at 3 s and
-    // the call parks on its backoff timer (at least 0.16 s), where we tear
-    // down.
-    doomed.retrying_call(server.id(), 9, {}, policy,
-                         [&](const util::Status&, util::Reader&) { ++fired; });
-    engine.run_until(3100 * sim::kMillisecond);
-    EXPECT_EQ(doomed.pending_calls(), 0u);        // attempt timed out
-    EXPECT_EQ(doomed.pending_retrying_calls(), 1u);  // waiting out backoff
+    // One call without a timeout (no timer to kill) and one that has
+    // already timed out (its slot and timer are gone).
+    doomed.call(server.id(), 9, {}, 0,
+                [&](const util::Status&, util::Reader&) { ++fired; });
+    doomed.call(server.id(), 9, {}, sim::kSecond,
+                [&](const util::Status&, util::Reader&) { ++fired; });
+    engine.run_until(1100 * sim::kMillisecond);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(doomed.pending_calls(), 1u);
   }
   const auto& report = net::Endpoint::last_teardown_report();
-  EXPECT_EQ(report.retrying_calls, 1u);
-  EXPECT_EQ(report.timers_cancelled, 1u);  // the backoff timer
+  EXPECT_EQ(report.pending_calls, 1u);
+  EXPECT_EQ(report.timers_cancelled, 0u);
   EXPECT_EQ(report.leaked_slots, 0u);
   engine.run();
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(fired, 1);
 }
 
 // ---- allocation shape -----------------------------------------------------------

@@ -1,12 +1,17 @@
-// Unit tests for the RPC retry layer: the retry schedule and
-// Endpoint::retrying_call() semantics.
+// Unit tests for the retry layer: the retry schedule, gram::Client's
+// retried cancel, and how a crash or teardown of the agent ends retried
+// operations and handshakes in flight.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/coallocator.hpp"
+#include "gram/client.hpp"
+#include "gram/protocol.hpp"
 #include "net/retry.hpp"
 #include "net/rpc.hpp"
+#include "testbed/grid.hpp"
 
 namespace grid {
 namespace {
@@ -52,147 +57,234 @@ TEST(RetrySchedule, JitterIsDeterministicPerSeedAndStream) {
   EXPECT_NE(first, other_stream);  // decorrelated across calls
 }
 
-// ---- retrying_call ---------------------------------------------------------
+// ---- retried cancel ---------------------------------------------------------
 
-struct RetryRpcFixture : ::testing::Test {
+/// A gatekeeper-like server that answers kMethodJobCancel, and an agent
+/// whose gram::Client retries.  Cancel opens no GSI handshake, so the
+/// credential is never presented.
+struct RetryCancelFixture : ::testing::Test {
   sim::Engine engine;
   net::Network network{engine};
-  net::Endpoint client{network, "client"};
-  net::Endpoint server{network, "server"};
+  gsi::CertificateAuthority ca{"test-ca", 7};
+  net::Endpoint server{network, "gatekeeper"};
+  net::Endpoint agent{network, "agent"};
+  gram::Client client{agent, ca, ca.issue("/CN=agent", sim::kHour)};
+
+  RetryCancelFixture() { client.set_retry_policy(net::RetryPolicy{}); }
 
   /// Deterministic flakiness: the server swallows the first `ignore`
-  /// requests and answers from then on.
+  /// cancels and answers from then on.  Records the call id of each.
   int requests = 0;
+  std::vector<std::uint64_t> call_ids;
   void serve_after(int ignore) {
     server.register_method(
-        1, [this, ignore](net::NodeId caller, std::uint64_t id,
-                          util::Reader&) {
+        gram::kMethodJobCancel,
+        [this, ignore](net::NodeId caller, std::uint64_t id, util::Reader&) {
+          call_ids.push_back(id);
           if (++requests <= ignore) return;  // lost in the server
-          util::Writer w;
-          w.u32(7);
-          server.respond(caller, id, w.take());
+          server.respond(caller, id, {});
         });
   }
 
-  net::RetryPolicy policy;
-};
-
-TEST_F(RetryRpcFixture, SucceedsAfterLosses) {
-  serve_after(2);
   int callbacks = 0;
   util::Status got;
-  std::uint32_t value = 0;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status& status, util::Reader& reply) {
-                         ++callbacks;
-                         got = status;
-                         if (status.is_ok()) value = reply.u32();
-                       });
+  void cancel() {
+    client.cancel(server.id(), 5, 10 * sim::kSecond,
+                  [this](const util::Status& status) {
+                    ++callbacks;
+                    got = status;
+                  });
+  }
+};
+
+TEST_F(RetryCancelFixture, SucceedsAfterLosses) {
+  serve_after(2);
+  cancel();
   engine.run();
   EXPECT_EQ(callbacks, 1);
   EXPECT_TRUE(got.is_ok());
-  EXPECT_EQ(value, 7u);
   EXPECT_EQ(requests, 3);
-  EXPECT_EQ(client.pending_retrying_calls(), 0u);
+  EXPECT_EQ(client.retry_count(), 0u);
   EXPECT_EQ(network.stats().rpc_retries, 2u);
-  EXPECT_EQ(network.stats().rpc_retry_successes, 1u);
-  EXPECT_EQ(network.stats().rpc_retry_exhausted, 0u);
 }
 
-TEST_F(RetryRpcFixture, ExhaustionDeliversSingleTimeout) {
+TEST_F(RetryCancelFixture, TicketTakesOneCallIdBeforeTheFirstAttempt) {
+  serve_after(1000);
+  cancel();
+  engine.run();
+  // The agent's endpoint is fresh: the ticket is call id 1, and the four
+  // attempts follow it on the wire.
+  EXPECT_EQ(call_ids, (std::vector<std::uint64_t>{2, 3, 4, 5}));
+}
+
+TEST_F(RetryCancelFixture, ExhaustionDeliversSingleTimeout) {
   serve_after(1000);  // never answers
-  int callbacks = 0;
-  util::Status got;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status& status, util::Reader&) {
-                         ++callbacks;
-                         got = status;
-                       });
+  cancel();
   engine.run();
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(got.code(), util::ErrorCode::kTimeout);
+  EXPECT_EQ(got.message(), "rpc timeout after 4 attempt(s)");
   EXPECT_EQ(requests, net::kRetryAttempts);
   // 4 x 3 s attempts + 0.2 + 0.4 + 0.8 s of backoff, each within +-20%.
   EXPECT_GE(engine.now(), 13120 * sim::kMillisecond);
   EXPECT_LE(engine.now(), 13680 * sim::kMillisecond);
-  EXPECT_EQ(network.stats().rpc_retry_exhausted, 1u);
-  EXPECT_EQ(client.pending_retrying_calls(), 0u);
+  EXPECT_EQ(client.retry_count(), 0u);
 }
 
-TEST_F(RetryRpcFixture, DefinitiveErrorIsNotRetried) {
+TEST_F(RetryCancelFixture, DefinitiveErrorIsNotRetried) {
   server.register_method(
-      1, [this](net::NodeId caller, std::uint64_t id, util::Reader&) {
+      gram::kMethodJobCancel,
+      [this](net::NodeId caller, std::uint64_t id, util::Reader&) {
         ++requests;
-        server.respond_error(caller, id, util::ErrorCode::kPermissionDenied,
-                             "nope");
+        server.respond_error(caller, id, util::ErrorCode::kNotFound,
+                             "unknown job");
       });
-  int callbacks = 0;
-  util::Status got;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status& status, util::Reader&) {
-                         ++callbacks;
-                         got = status;
-                       });
+  cancel();
   engine.run();
   EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(got.code(), util::ErrorCode::kPermissionDenied);
+  EXPECT_EQ(got.code(), util::ErrorCode::kNotFound);
   EXPECT_EQ(requests, 1);
   EXPECT_EQ(network.stats().rpc_retries, 0u);
 }
 
-TEST_F(RetryRpcFixture, LateReplyOfEarlierAttemptIsIgnored) {
+TEST_F(RetryCancelFixture, LateReplyOfEarlierAttemptIsIgnored) {
   // The first reply arrives after its attempt already timed out; the
   // second attempt answers promptly.  Exactly one callback fires.
   server.register_method(
-      1, [this](net::NodeId caller, std::uint64_t id, util::Reader&) {
+      gram::kMethodJobCancel,
+      [this](net::NodeId caller, std::uint64_t id, util::Reader&) {
         ++requests;
         const sim::Time delay = requests == 1 ? 4 * sim::kSecond : 0;
         engine.schedule_after(delay, [this, caller, id] {
-          util::Writer w;
-          w.u32(static_cast<std::uint32_t>(requests));
-          server.respond(caller, id, w.take());
+          server.respond(caller, id, {});
         });
       });
-  int callbacks = 0;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status& status, util::Reader&) {
-                         ++callbacks;
-                         EXPECT_TRUE(status.is_ok());
-                       });
+  cancel();
   engine.run();
   EXPECT_EQ(callbacks, 1);
+  EXPECT_TRUE(got.is_ok());
+  EXPECT_EQ(requests, 2);
 }
 
-TEST_F(RetryRpcFixture, ClientCrashDropsRetryingCalls) {
+TEST_F(RetryCancelFixture, ClientCrashEndsRetriedCancel) {
   serve_after(1000);
-  int callbacks = 0;
-  client.retrying_call(server.id(), 1, {}, policy,
-                       [&](const util::Status&, util::Reader&) {
-                         ++callbacks;
-                       });
+  cancel();
   // Crash during the first backoff: the backoff timer must not wake a dead
   // client up and transmit.
-  engine.schedule_after(3100 * sim::kMillisecond, [&] {
-    network.set_node_up(client.id(), false);
-  });
+  engine.run_until(3100 * sim::kMillisecond);
+  network.set_node_up(agent.id(), false);
   engine.run();
   EXPECT_EQ(callbacks, 0);
   EXPECT_EQ(requests, 1);
-  EXPECT_EQ(client.pending_retrying_calls(), 0u);
+  EXPECT_EQ(client.retry_count(), 0u);
 }
 
-TEST_F(RetryRpcFixture, EndpointDestructionWithRetryInFlightIsSafe) {
+TEST_F(RetryCancelFixture, ClientDestructionWithRetryInFlightIsSafe) {
   serve_after(1000);
-  auto doomed = std::make_unique<net::Endpoint>(network, "doomed");
+  auto endpoint = std::make_unique<net::Endpoint>(network, "doomed");
+  auto doomed = std::make_unique<gram::Client>(
+      *endpoint, ca, ca.issue("/CN=doomed", sim::kHour));
+  doomed->set_retry_policy(net::RetryPolicy{});
+  auto count = [this](const util::Status&) { ++callbacks; };
+  doomed->cancel(server.id(), 1, sim::kSecond, count);
+  // At 3.1 s the first cancel waits out its backoff and the second has an
+  // attempt in flight.
+  engine.run_until(3050 * sim::kMillisecond);
+  doomed->cancel(server.id(), 2, sim::kSecond, count);
+  engine.run_until(3100 * sim::kMillisecond);
+  EXPECT_EQ(doomed->retry_count(), 2u);
+  doomed.reset();
+  endpoint.reset();
+  EXPECT_EQ(engine.pending(), 0u);
+  engine.run();
+  EXPECT_EQ(callbacks, 0);
+}
+
+// ---- the agent's lifetime against in-flight handshakes and retries ----------
+
+/// An agent cut off from its gatekeeper, with paper costs: a handshake's
+/// first attempt signs for 120 ms and times out 5 s after INIT, at 5.12 s;
+/// a retried cancel's first attempt times out at 3 s.  Either backoff
+/// lasts at least 160 ms.
+struct CutOffAgent : ::testing::Test {
+  CutOffAgent() {
+    grid.add_host("site1", 16);
+    mech = grid.make_coallocator("agent", "/CN=agent");
+    gatekeeper = grid.host("site1")->contact();
+    grid.network().set_partitioned(mech->endpoint().id(), gatekeeper, true);
+  }
+
+  void submit() {
+    mech->gram().submit(gatekeeper, "&(count=1)(executable=app)",
+                        5 * sim::kSecond,
+                        [this](util::Result<gram::JobId>) { ++callbacks; });
+  }
+
+  void cancel() {
+    mech->gram().cancel(gatekeeper, 1, 5 * sim::kSecond,
+                        [this](const util::Status&) { ++callbacks; });
+  }
+
+  /// Runs to `t` and crashes the agent's host; returns the sends so far.
+  std::uint64_t crash_agent_at(sim::Time t) {
+    grid.run_until(t);
+    grid.network().set_node_up(mech->endpoint().id(), false);
+    return grid.network().stats().sent;
+  }
+
+  testbed::Grid grid{testbed::CostModel::paper()};
+  std::unique_ptr<core::Coallocator> mech;
+  net::NodeId gatekeeper = net::kInvalidNode;
   int callbacks = 0;
-  doomed->retrying_call(server.id(), 1, {}, policy,
-                        [&](const util::Status&, util::Reader&) {
-                          ++callbacks;
-                        });
-  doomed->call(server.id(), 1, {}, sim::kSecond,
-               [&](const util::Status&, util::Reader&) { ++callbacks; });
-  doomed.reset();  // outstanding attempt + backoff timer + plain call
-  engine.run();    // must not touch freed memory
+};
+
+TEST_F(CutOffAgent, CrashInHandshakeBackoffEndsItSilently) {
+  mech->gram().set_retry_policy(net::RetryPolicy{});
+  submit();
+  const std::uint64_t sent = crash_agent_at(5200 * sim::kMillisecond);
+  grid.run();
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(grid.network().stats().sent, sent);  // no INIT after the crash
+  EXPECT_EQ(mech->gram().retry_count(), 0u);
+}
+
+TEST_F(CutOffAgent, CrashInRetriedCancelEndsItSilently) {
+  mech->gram().set_retry_policy(net::RetryPolicy{});
+  cancel();
+  const std::uint64_t sent = crash_agent_at(3100 * sim::kMillisecond);
+  grid.run();
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(grid.network().stats().sent, sent);
+  EXPECT_EQ(mech->gram().retry_count(), 0u);
+}
+
+TEST_F(CutOffAgent, CrashInClientSignEndsTheHandshakeSilently) {
+  submit();
+  const std::uint64_t sent = crash_agent_at(50 * sim::kMillisecond);
+  grid.run();
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(grid.network().stats().sent, sent);
+}
+
+// Destroying the agent must take every timer it scheduled with it: the
+// engine holds nothing once the Coallocator is gone, so running on cannot
+// call into freed memory.
+TEST_F(CutOffAgent, DestroyInHandshakeBackoffLeavesNoEvent) {
+  mech->gram().set_retry_policy(net::RetryPolicy{});
+  submit();
+  grid.run_until(5200 * sim::kMillisecond);
+  mech.reset();
+  ASSERT_EQ(grid.engine().pending(), 0u);
+  grid.run();
+  EXPECT_EQ(callbacks, 0);
+}
+
+TEST_F(CutOffAgent, DestroyInClientSignLeavesNoEvent) {
+  submit();  // no retry policy: the path every subjob takes
+  grid.run_until(50 * sim::kMillisecond);
+  mech.reset();
+  ASSERT_EQ(grid.engine().pending(), 0u);
+  grid.run();
   EXPECT_EQ(callbacks, 0);
 }
 

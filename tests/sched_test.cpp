@@ -150,6 +150,17 @@ TEST(BatchScheduler, CancelRunningFreesProcessors) {
   EXPECT_EQ(ev.started, (std::vector<JobId>{1, 2}));
 }
 
+TEST(BatchScheduler, CancelOfIdZeroTouchesNoJob) {
+  sim::Engine e;
+  BatchScheduler s(e, 10);
+  Events ev;
+  s.submit(job(5, 6), ev.on_start(), ev.on_end());
+  ASSERT_EQ(s.busy_processors(), 6);
+  EXPECT_FALSE(s.cancel(0));
+  EXPECT_EQ(s.busy_processors(), 6);
+  EXPECT_TRUE(ev.ended.empty());
+}
+
 TEST(BatchScheduler, WallTimeEndsJob) {
   sim::Engine e;
   BatchScheduler s(e, 4);

@@ -411,6 +411,28 @@ TEST(IdMap, InsertFindErase) {
   EXPECT_EQ(m.find(1), 0u);
 }
 
+// Key 0 marks an empty cell, so a lookup of 0 must not match one: on a
+// non-empty map it would hand back the empty cell's value, and erase(0)
+// would "erase" it and shrink the size.
+TEST(IdMap, KeyZeroIsAbsent) {
+  sim::IdMap m;
+  m.insert(5, 0);
+  EXPECT_EQ(m.find(0), sim::IdMap::kNotFound);
+  EXPECT_FALSE(m.erase(0));
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.find(5), 0u);
+}
+
+TEST(IdSlab, KeyZeroIsAbsent) {
+  sim::IdSlab<std::string> slab;
+  slab.emplace(5, "five");
+  EXPECT_EQ(slab.find(0), nullptr);
+  EXPECT_FALSE(slab.erase(0));
+  EXPECT_EQ(slab.size(), 1u);
+  ASSERT_NE(slab.find(5), nullptr);
+  EXPECT_EQ(*slab.find(5), "five");
+}
+
 TEST(IdMap, RandomizedChurnMatchesUnorderedMap) {
   // Drive the open-addressed table and a reference std::unordered_map with
   // the same operation stream; they must agree at every step.  The churn
