@@ -91,7 +91,6 @@ class Communicator {
 
   // Bootstrap state (leaders only use the gather/exchange parts).
   std::vector<net::NodeId> my_subjob_nodes_;  // by local rank
-  std::int32_t gathered_ = 0;
   std::vector<std::vector<net::NodeId>> leader_tables_;  // by subjob index
   std::int32_t leader_tables_received_ = 0;
   std::vector<net::NodeId> table_;  // by global rank (post-init)

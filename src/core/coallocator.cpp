@@ -47,14 +47,18 @@ void Coallocator::on_checkin_notify(net::NodeId src, util::Reader& payload) {
   if (!payload.ok()) return;
   CoallocationRequest* request = find_request(msg.request);
   if (request == nullptr) {
-    // Dead request: reap the orphan process.
-    AbortMessage abort_msg{msg.request, "request no longer exists"};
-    util::Writer w;
-    abort_msg.encode(w);
-    endpoint_.notify(src, kNotifyAbort, w.take());
+    abort_orphan(src, msg.request, "request no longer exists");
     return;
   }
   request->on_checkin(src, msg);
+}
+
+void Coallocator::abort_orphan(net::NodeId process, RequestId request,
+                               std::string reason) {
+  AbortMessage abort_msg{request, std::move(reason)};
+  util::Writer w;
+  abort_msg.encode(w);
+  endpoint_.notify(process, kNotifyAbort, w.take());
 }
 
 }  // namespace grid::core

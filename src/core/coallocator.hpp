@@ -64,6 +64,11 @@ class GRID_HOT Coallocator {
   const ContactResolver& resolver() const { return resolver_; }
   std::size_t request_count() const { return requests_.size(); }
 
+  /// Tells a process that checked in for `request` to exit, with `reason`:
+  /// no live subjob claims it.
+  void abort_orphan(net::NodeId process, RequestId request,
+                    std::string reason);
+
  private:
   void on_checkin_notify(net::NodeId src, util::Reader& payload);
 

@@ -3,6 +3,7 @@
 namespace grid::core {
 
 struct NetworkCoReserver::Flow {
+  gram::Client* client = nullptr;
   std::vector<std::string> contacts;
   std::vector<net::NodeId> gatekeepers;
   Options options;
@@ -25,6 +26,7 @@ void NetworkCoReserver::acquire(std::vector<std::string> contacts,
     return;
   }
   auto flow = std::make_shared<Flow>();
+  flow->client = client_;
   flow->contacts = std::move(contacts);
   flow->options = options;
   flow->on_done = std::move(on_done);
@@ -62,10 +64,10 @@ void NetworkCoReserver::reserve_next(std::shared_ptr<Flow> flow) {
     return;
   }
   const std::size_t i = flow->next;
-  client_->reserve(
+  flow->client->reserve(
       flow->gatekeepers[i], flow->probe, flow->probe + flow->options.duration,
       flow->options.count, flow->options.rpc_timeout,
-      [this, flow](util::Result<gram::Client::ReservationHandle> result) {
+      [flow](util::Result<gram::Client::ReservationHandle> result) {
         if (result.is_ok()) {
           Hold hold;
           hold.contact = flow->contacts[flow->next];
@@ -80,21 +82,26 @@ void NetworkCoReserver::reserve_next(std::shared_ptr<Flow> flow) {
         }
         // Unsupported resources can never succeed: give up immediately.
         if (result.status().code() == util::ErrorCode::kFailedPrecondition) {
-          release(flow->holds);
+          cancel_holds(*flow->client, flow->holds);
           flow->on_done(result.status());
           return;
         }
         // Phase 2 abort: roll back and try the next window.
-        release(flow->holds);
+        cancel_holds(*flow->client, flow->holds);
         flow->probe += flow->options.step;
         try_probe(flow);
       });
 }
 
 void NetworkCoReserver::release(const std::vector<Hold>& holds) {
+  cancel_holds(*client_, holds);
+}
+
+void NetworkCoReserver::cancel_holds(gram::Client& client,
+                                     const std::vector<Hold>& holds) {
   for (const Hold& hold : holds) {
-    client_->cancel_reservation(hold.gatekeeper, hold.reservation,
-                                30 * sim::kSecond, nullptr);
+    client.cancel_reservation(hold.gatekeeper, hold.reservation,
+                              30 * sim::kSecond, nullptr);
   }
 }
 

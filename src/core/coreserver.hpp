@@ -42,7 +42,7 @@ class GRID_HOT NetworkCoReserver {
     sim::Time end = 0;
   };
 
-  /// `client` and the resolver must outlive any in-flight acquisition.
+  /// `client` must outlive any in-flight acquisition; the reserver need not.
   NetworkCoReserver(gram::Client& client, ContactResolver resolver)
       : client_(&client), resolver_(std::move(resolver)) {}
 
@@ -65,9 +65,12 @@ class GRID_HOT NetworkCoReserver {
       rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired);
 
  private:
+  /// One acquisition, client included: its continuations capture only it.
   struct Flow;
-  void try_probe(std::shared_ptr<Flow> flow);
-  void reserve_next(std::shared_ptr<Flow> flow);
+  static void try_probe(std::shared_ptr<Flow> flow);
+  static void reserve_next(std::shared_ptr<Flow> flow);
+  static void cancel_holds(gram::Client& client,
+                           const std::vector<Hold>& holds);
 
   gram::Client* client_;
   ContactResolver resolver_;

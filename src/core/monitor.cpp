@@ -39,7 +39,7 @@ void HeartbeatDetector::tick() {
     // Released subjobs stay watched: a post-release death would otherwise
     // surface only when the application notices.
     const bool watchable =
-        v.gram_job != 0 && v.gatekeeper != net::kInvalidNode &&
+        v.gram_job != 0 &&
         (v.state == SubjobState::kPending || v.state == SubjobState::kActive ||
          v.state == SubjobState::kCheckedIn ||
          v.state == SubjobState::kReleased);
@@ -48,7 +48,7 @@ void HeartbeatDetector::tick() {
     if (w.job != v.gram_job) w = Watch{v.gram_job};  // substituted: fresh slate
     if (w.dead) continue;       // verdict already out
     if (w.in_flight) continue;  // previous beat still pending; let it miss
-    beat(h, v.gatekeeper, v.gram_job);
+    beat(h, v.gram_job);
   }
   tick_event_ = mech_->engine().schedule_after(
       config_.interval, [this, alive = alive_] {
@@ -56,14 +56,13 @@ void HeartbeatDetector::tick() {
       });
 }
 
-void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
-                             gram::JobId job) {
+void HeartbeatDetector::beat(SubjobHandle handle, gram::JobId job) {
   ++beats_sent_;
   watches_[handle - 1].in_flight = true;
   // Raw single-attempt ping: a beat the RPC layer silently retried would
   // hide exactly the misses this detector exists to count.
   mech_->endpoint().call(
-      gatekeeper, gram::kMethodPing, {}, config_.beat_timeout,
+      gram::gatekeeper_of(job), gram::kMethodPing, {}, config_.beat_timeout,
       [this, alive = alive_, handle, job](const util::Status& status,
                                           util::Reader&) {
         if (!*alive) return;

@@ -65,7 +65,8 @@ class GRID_HOT HeartbeatDetector {
   };
 
   void tick();
-  void beat(SubjobHandle handle, net::NodeId gatekeeper, gram::JobId job);
+  /// Pings the gatekeeper that `job`'s id names.
+  void beat(SubjobHandle handle, gram::JobId job);
 
   Coallocator* mech_;
   RequestId request_;

@@ -15,16 +15,13 @@ std::string_view decimal(char (&buf)[N], std::uint64_t v) {
   return {buf, static_cast<std::size_t>(end - buf)};
 }
 
-/// Drops the state watcher of an accepted job and, when its gatekeeper is
-/// known, cancels it: a subjob's job, or an orphan accepted after its
-/// request or slot moved on.
-void abandon(gram::Client& client, net::NodeId gatekeeper,
-             const util::Result<gram::JobId>& accepted, sim::Time timeout) {
+/// Drops the state watcher of an accepted job and cancels it: a subjob's
+/// job, or an orphan accepted after its request or slot moved on.
+void abandon(gram::Client& client, const util::Result<gram::JobId>& accepted,
+             sim::Time timeout) {
   if (!accepted.is_ok()) return;
   client.forget(accepted.value());
-  if (gatekeeper != net::kInvalidNode) {
-    client.cancel(gatekeeper, accepted.value(), timeout, nullptr);
-  }
+  client.cancel(accepted.value(), timeout, nullptr);
 }
 
 }  // namespace
@@ -38,7 +35,6 @@ CoallocationRequest::CoallocationRequest(Coallocator& owner, RequestId id,
       config_(config) {}
 
 CoallocationRequest::~CoallocationRequest() {
-  *alive_ = false;
   for (Subjob& sj : slots_) {
     owner_->engine().cancel(sj.timeout_event);
     // Unregister the state watcher so late notifies from the job manager
@@ -117,7 +113,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
   sj->request = std::move(request);
   sj->state = SubjobState::kUnsubmitted;
   sj->gram_job = 0;
-  sj->gatekeeper = net::kInvalidNode;
   sj->process_nodes.clear();
   sj->checked_count = 0;
   sj->early_checkins.clear();
@@ -177,7 +172,6 @@ void CoallocationRequest::pump_submissions() {
       fail_subjob(handle, gatekeeper.status());
       continue;
     }
-    sj->gatekeeper = gatekeeper.value();
     sj->state = SubjobState::kSubmitting;
     sj->submitted_at = owner_->engine().now();
     arm_timeout(*sj);
@@ -196,24 +190,27 @@ void CoallocationRequest::pump_submissions() {
     const std::uint32_t inc = sj->incarnation;
     notify_subjob(*sj);  // may move every slot: `sj` is not read again
     submission_in_flight_ = true;
+    // The callbacks find the request by id in the owner's table (ids are
+    // never reused, and the owner's teardown cancels all that calls back).
     owner_->gram().submit(
         gatekeeper.value(), std::move(rsl), config_.rpc_timeout,
-        [this, handle, inc, alive = alive_, client = &owner_->gram(),
-         gatekeeper = gatekeeper.value(),
+        [owner = owner_, id = id_, handle, inc,
          timeout = config_.rpc_timeout](util::Result<gram::JobId> result) {
-          if (!*alive) {
+          CoallocationRequest* self = owner->find_request(id);
+          if (self == nullptr) {
             // The request was destroyed while the submit was in flight.
-            abandon(*client, gatekeeper, result, timeout);
+            abandon(owner->gram(), result, timeout);
             return;
           }
-          submission_in_flight_ = false;
-          on_accepted(handle, inc, std::move(result));
-          pump_submissions();
+          self->submission_in_flight_ = false;
+          self->on_accepted(handle, inc, std::move(result));
+          self->pump_submissions();
         },
-        [this, handle, inc,
-         alive = alive_](const gram::JobStateChange& change) {
-          if (!*alive) return;
-          on_gram_state(handle, inc, change);
+        [owner = owner_, id = id_, handle,
+         inc](const gram::JobStateChange& change) {
+          if (CoallocationRequest* self = owner->find_request(id)) {
+            self->on_gram_state(handle, inc, change);
+          }
         });
     return;  // one submission at a time
   }
@@ -226,9 +223,8 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   if (sj == nullptr || sj->incarnation != incarnation ||
       sj->state != SubjobState::kSubmitting) {
     // The slot was edited or failed while the request was in flight: reap
-    // the orphan at the slot's gatekeeper, if the slot still names one.
-    abandon(owner_->gram(), sj != nullptr ? sj->gatekeeper : net::kInvalidNode,
-            result, config_.rpc_timeout);
+    // the orphan at the gatekeeper its id names.
+    abandon(owner_->gram(), result, config_.rpc_timeout);
     return;
   }
   if (!result.is_ok()) {
@@ -306,11 +302,8 @@ void CoallocationRequest::on_checkin(net::NodeId src,
                                      const CheckinMessage& msg) {
   Subjob* sj = find(msg.subjob);
   if (sj == nullptr || is_request_terminal(state_)) {
-    // Unknown slot or dead request: tell the orphan process to exit.
-    AbortMessage abort_msg{id_, "request no longer live"};
-    util::Writer w;
-    abort_msg.encode(w);
-    owner_->endpoint().notify(src, kNotifyAbort, w.take());
+    // Unknown slot or dead request.
+    owner_->abort_orphan(src, id_, "request no longer live");
     return;
   }
   if (sj->gram_job == 0 && sj->state == SubjobState::kSubmitting) {
@@ -320,11 +313,8 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     return;
   }
   if (msg.gram_job != sj->gram_job || is_subjob_terminal(sj->state)) {
-    // Stale incarnation (substituted or failed slot): reap the process.
-    AbortMessage abort_msg{id_, "subjob superseded"};
-    util::Writer w;
-    abort_msg.encode(w);
-    owner_->endpoint().notify(src, kNotifyAbort, w.take());
+    // Stale incarnation (substituted or failed slot).
+    owner_->abort_orphan(src, id_, "subjob superseded");
     return;
   }
   if (!msg.ok) {
@@ -477,8 +467,8 @@ void CoallocationRequest::arm_timeout(Subjob& sj) {
 }
 
 void CoallocationRequest::cancel_gram_job(Subjob& sj) {
-  if (sj.gram_job == 0 || sj.gatekeeper == net::kInvalidNode) return;
-  abandon(owner_->gram(), sj.gatekeeper, sj.gram_job, config_.rpc_timeout);
+  if (sj.gram_job == 0) return;
+  abandon(owner_->gram(), sj.gram_job, config_.rpc_timeout);
   sj.gram_job = 0;
 }
 
@@ -606,7 +596,6 @@ CoallocationRequest::subjob_brief(SubjobHandle handle) const {
   b.count = sj->request.count;
   b.checked_in = sj->checked_count;
   b.gram_job = sj->gram_job;
-  b.gatekeeper = sj->gatekeeper;
   b.submitted_at = sj->submitted_at;
   b.accepted_at = sj->accepted_at;
   b.active_at = sj->active_at;

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,8 +152,7 @@ class GRID_HOT CoallocationRequest {
     rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired;
     std::int32_t count = 0;
     std::int32_t checked_in = 0;
-    gram::JobId gram_job = 0;
-    net::NodeId gatekeeper = net::kInvalidNode;
+    gram::JobId gram_job = 0;  // names its gatekeeper (gram::gatekeeper_of)
     sim::Time submitted_at = -1;
     sim::Time accepted_at = -1;
     sim::Time active_at = -1;
@@ -181,7 +179,6 @@ class GRID_HOT CoallocationRequest {
     rsl::JobRequest request;
     SubjobState state = SubjobState::kUnsubmitted;
     std::uint32_t incarnation = 0;
-    net::NodeId gatekeeper = net::kInvalidNode;
     gram::JobId gram_job = 0;
     /// Indexed by local rank; kInvalidNode until that rank checks in.
     std::vector<net::NodeId> process_nodes;
@@ -249,10 +246,6 @@ class GRID_HOT CoallocationRequest {
   std::vector<Subjob> slots_;  // handle h at index h - 1
   RuntimeConfig config_table_;
   sim::Time released_at_ = -1;
-  /// Cleared by the destructor; captured by callbacks handed to the gram
-  /// client (submit accept, state notify), which can outlive the request
-  /// when it is destroyed mid-flight.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace grid::core

@@ -208,9 +208,9 @@ std::size_t Client::buffered_change_count() const {
   return n;
 }
 
-void Client::cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
-                    DoneFn on_done) {
-  send_cancel(gatekeeper, kMethodJobCancel, job, timeout, std::move(on_done));
+void Client::cancel(JobId job, sim::Time timeout, DoneFn on_done) {
+  send_cancel(gatekeeper_of(job), kMethodJobCancel, job, timeout,
+              std::move(on_done));
 }
 
 void Client::reserve(

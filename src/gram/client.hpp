@@ -59,9 +59,9 @@ class Client {
   void submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
               AcceptedFn on_accepted, StateFn on_state = nullptr);
 
-  /// Cancels a job previously accepted by `gatekeeper`.
-  void cancel(net::NodeId gatekeeper, JobId job, sim::Time timeout,
-              DoneFn on_done);
+  /// Cancels a job at the gatekeeper that accepted it, which its id names
+  /// (GRAM's cancel takes only the job contact).
+  void cancel(JobId job, sim::Time timeout, DoneFn on_done);
 
   /// An acquired advance reservation as seen by the client.
   struct ReservationHandle {

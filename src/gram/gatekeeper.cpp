@@ -20,8 +20,7 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
                        const gsi::GridMap& gridmap,
                        gsi::Credential host_credential, net::NodeId nis_server,
                        gsi::CostModel gsi_costs, GatekeeperCosts costs)
-    : endpoint_(network, host_name),
-      host_name_(std::move(host_name)),
+    : endpoint_(network, std::move(host_name)),
       scheduler_(&scheduler),
       registry_(&registry),
       gsi_(endpoint_, ca, gridmap, std::move(host_credential), gsi_costs),
@@ -55,13 +54,6 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
   endpoint_.crash_hook = [this] { crash(); };
 }
 
-namespace {
-
-/// Index of a job id's sequence number in Gatekeeper::final_states_.
-std::size_t sequence_index(JobId id) { return (id & 0xffffffff) - 1; }
-
-}  // namespace
-
 void Gatekeeper::job_ended(JobId id) {
   ended_.push_back(Ended{endpoint_.engine().now(), id});
 }
@@ -72,7 +64,7 @@ void Gatekeeper::reap_finished() {
   for (; first_kept != ended_.end() && first_kept->at < now; ++first_kept) {
     const JobManager* manager = live_job(first_kept->id);
     if (manager == nullptr) continue;
-    const std::size_t i = sequence_index(first_kept->id);
+    const std::size_t i = sequence_of(first_kept->id) - 1;
     if (final_states_.size() <= i) final_states_.resize(i + 1);
     final_states_[i] = manager->state();
     jobs_.erase(first_kept->id);
@@ -97,13 +89,12 @@ void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
                             session.status().message());
     return;
   }
-  const std::string local_user = session.value().local_user;
   // initgroups(): the dominant cost (Figure 3).  The gatekeeper must set up
   // the local user's supplementary groups before spawning the job manager.
   nis_.initgroups(
-      local_user, kNisTimeout,
-      [this, caller, call_id, request = std::move(request),
-       local_user](const util::Status& groups) mutable {
+      session.value().local_user, kNisTimeout,
+      [this, caller, call_id,
+       request = std::move(request)](const util::Status& groups) mutable {
         if (!groups.is_ok()) {
           endpoint_.respond_error(caller, call_id,
                                   util::ErrorCode::kUnavailable,
@@ -113,31 +104,28 @@ void Gatekeeper::handle_job_request(net::NodeId caller, std::uint64_t call_id,
         // Miscellaneous processing (request parsing, job manager setup).
         endpoint_.engine().schedule_after(
             costs_.misc_processing,
-            [this, caller, call_id, request = std::move(request),
-             local_user]() mutable {
-              accept_job(caller, call_id, std::move(request), local_user);
+            [this, caller, call_id, request = std::move(request)]() mutable {
+              accept_job(caller, call_id, std::move(request));
             });
       });
 }
 
 void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
-                            JobRequestArgs request, std::string local_user) {
+                            JobRequestArgs request) {
   auto job_request = rsl::parse_job_request(request.rsl);
   if (!job_request.is_ok()) {
     endpoint_.respond_error(caller, call_id, job_request.status().code(),
                             "bad RSL: " + job_request.status().message());
     return;
   }
-  // Job ids are globally unique: gatekeeper address in the high bits.
-  const JobId id =
-      (static_cast<JobId>(endpoint_.id()) << 32) | next_job_++;
+  const JobId id = make_job_id(endpoint_.id(), next_job_++);
   // Registered before start(): the scheduler may start the job (and so
   // call back, by id) inside the submit.
   JobManager* manager =
       jobs_
           .emplace(id, std::make_unique<JobManager>(
-                           *this, id, job_request.take(), local_user,
-                           request.callback_contact, costs_.exec_startup))
+                           *this, id, job_request.take(),
+                           request.callback_contact))
           .get();
   if (auto st = manager->start(); !st.is_ok()) {
     jobs_.erase(id);
@@ -227,9 +215,8 @@ void Gatekeeper::handle_reserve_cancel(net::NodeId caller,
 
 util::Result<JobState> Gatekeeper::job_state(JobId id) const {
   if (const auto* manager = jobs_.find(id)) return (*manager)->state();
-  // Reaped jobs carry this gatekeeper's address in the high half.
-  if ((id >> 32) == endpoint_.id() && (id & 0xffffffff) != 0) {
-    const std::size_t i = sequence_index(id);
+  if (gatekeeper_of(id) == endpoint_.id() && sequence_of(id) != 0) {
+    const std::size_t i = sequence_of(id) - 1;
     if (i < final_states_.size() && is_terminal(final_states_[i])) {
       return final_states_[i];
     }

@@ -53,7 +53,6 @@ class Gatekeeper {
              gsi::CostModel gsi_costs = {}, GatekeeperCosts costs = {});
 
   net::NodeId contact() const { return endpoint_.id(); }
-  const std::string& host_name() const { return host_name_; }
   net::Endpoint& endpoint() { return endpoint_; }
   sched::LocalScheduler& scheduler() { return *scheduler_; }
   const gsi::ServerContext& gsi() const { return gsi_; }
@@ -96,23 +95,22 @@ class Gatekeeper {
   void handle_reserve_cancel(net::NodeId caller, std::uint64_t call_id,
                              util::Reader& args);
   void accept_job(net::NodeId caller, std::uint64_t call_id,
-                  JobRequestArgs request, std::string local_user);
+                  JobRequestArgs request);
 
   net::Endpoint endpoint_;
-  std::string host_name_;
   sched::LocalScheduler* scheduler_;
   const ExecutableRegistry* registry_;
   gsi::ServerContext gsi_;
   NisClient nis_;
   GatekeeperCosts costs_;
-  std::uint64_t next_job_ = 1;
+  std::uint32_t next_job_ = 1;  // sequence number of the next job id
   sim::IdSlab<std::unique_ptr<JobManager>> jobs_;
   struct Ended {
     sim::Time at;
     JobId id;
   };
   std::vector<Ended> ended_;  // awaiting reaping, in terminal-instant order
-  /// Final state of each reaped job, indexed by the job id's low half - 1
+  /// Final state of each reaped job, indexed by its id's sequence_of() - 1
   /// (kUnsubmitted for ids never accepted or not yet reaped).
   std::vector<JobState> final_states_;
 };

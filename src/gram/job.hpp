@@ -11,12 +11,27 @@
 #include <cstdint>
 #include <string>
 
+#include "net/network.hpp"
 #include "simkit/status.hpp"
 #include "simkit/time.hpp"
 
 namespace grid::gram {
 
+/// A job id names its job as a GRAM job contact does: the accepting
+/// gatekeeper's address in the high half, that gatekeeper's sequence
+/// number (from 1) in the low half.  So ids are globally unique, and a
+/// cancel or a ping needs nothing but the id to find the job manager.
 using JobId = std::uint64_t;
+
+constexpr JobId make_job_id(net::NodeId gatekeeper, std::uint32_t sequence) {
+  return (static_cast<JobId>(gatekeeper) << 32) | sequence;
+}
+constexpr net::NodeId gatekeeper_of(JobId job) {
+  return static_cast<net::NodeId>(job >> 32);
+}
+constexpr std::uint32_t sequence_of(JobId job) {
+  return static_cast<std::uint32_t>(job);
+}
 
 enum class JobState : std::uint8_t {
   kUnsubmitted = 0,

@@ -74,17 +74,14 @@ class JobManager::Process final : public ProcessApi {
 };
 
 JobManager::JobManager(Gatekeeper& gatekeeper, JobId id,
-                       rsl::JobRequest request, std::string local_user,
-                       net::NodeId callback_contact, sim::Time exec_startup)
+                       rsl::JobRequest request, net::NodeId callback_contact)
     : gatekeeper_(&gatekeeper),
       endpoint_(&gatekeeper.endpoint()),
       scheduler_(&gatekeeper.scheduler()),
       registry_(gatekeeper.registry_),
       id_(id),
       request_(std::move(request)),
-      local_user_(std::move(local_user)),
-      callback_contact_(callback_contact),
-      exec_startup_(exec_startup) {}
+      callback_contact_(callback_contact) {}
 
 JobManager::~JobManager() = default;
 
@@ -129,11 +126,12 @@ void JobManager::on_scheduler_start() {
   if (is_terminal(state_)) return;
   // Processors are allocated; loading and exec'ing the executable takes
   // exec_startup before the processes are really running (ACTIVE).
-  if (exec_startup_ > 0) {
+  const sim::Time exec_startup = gatekeeper_->costs_.exec_startup;
+  if (exec_startup > 0) {
     // Like the scheduler callbacks, the event finds the manager by id: a
     // job cancelled during exec startup may be reaped before it fires.
     endpoint_->engine().schedule_after(
-        exec_startup_, [gk = gatekeeper_, id = id_] {
+        exec_startup, [gk = gatekeeper_, id = id_] {
           if (JobManager* m = gk->live_job(id)) m->exec_processes();
         });
     return;

@@ -26,14 +26,12 @@ class Gatekeeper;
 class JobManager {
  public:
   /// `gatekeeper` owns the manager: callbacks leave through its endpoint,
-  /// the job runs on its local scheduler and registry, and it is told when
-  /// the job reaches a terminal state (it reaps the manager later).
-  /// `exec_startup` models executable load/exec time between processor
-  /// allocation and the processes entering main() (ACTIVE is reported when
-  /// the processes are actually running).
+  /// the job runs on its local scheduler and registry, its processes start
+  /// its exec_startup after processor allocation (ACTIVE is reported when
+  /// they are actually running), and it is told when the job reaches a
+  /// terminal state (it reaps the manager later).
   JobManager(Gatekeeper& gatekeeper, JobId id, rsl::JobRequest request,
-             std::string local_user, net::NodeId callback_contact,
-             sim::Time exec_startup);
+             net::NodeId callback_contact);
   ~JobManager();
 
   JobManager(const JobManager&) = delete;
@@ -70,9 +68,7 @@ class JobManager {
   const ExecutableRegistry* registry_;
   JobId id_;
   rsl::JobRequest request_;
-  std::string local_user_;
   net::NodeId callback_contact_;
-  sim::Time exec_startup_;
 
   JobState state_ = JobState::kUnsubmitted;
   std::vector<Process> processes_;  // sized once at exec; never grows

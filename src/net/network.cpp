@@ -86,8 +86,10 @@ util::Status Network::send(NodeId src, NodeId dst, std::uint32_t kind,
                        node_extra_delay(src) + node_extra_delay(dst);
   Message msg{src, dst, kind, std::move(payload)};
   engine_->schedule_after(
-      dt, [this, m = std::move(msg), se = epoch_of(src),
-           de = epoch_of(dst)]() mutable { deliver(std::move(m), se, de); });
+      dt, [this, m = std::move(msg), se = crash_count(src),
+           de = crash_count(dst)]() mutable {
+        deliver(std::move(m), se, de);
+      });
   return util::Status::ok();
 }
 
@@ -106,7 +108,7 @@ void Network::deliver(Message msg, std::uint32_t src_epoch,
   }
   // A crash of either endpoint while the message was in flight loses it,
   // even if the node was restored before the nominal delivery time.
-  if (d->epoch != dst_epoch || epoch_of(msg.src) != src_epoch) {
+  if (d->epoch != dst_epoch || crash_count(msg.src) != src_epoch) {
     ++stats_.dropped_down;
     return;
   }
@@ -115,7 +117,7 @@ void Network::deliver(Message msg, std::uint32_t src_epoch,
   d->node->handle_message(msg);
 }
 
-std::uint32_t Network::epoch_of(NodeId id) const {
+std::uint32_t Network::crash_count(NodeId id) const {
   const Slot* s = slot(id);
   return s == nullptr ? 0 : s->epoch;
 }

@@ -140,8 +140,12 @@ class GRID_HOT Network {
 
   /// Crash (up=false) or restore (up=true) a node.  Crashing invokes
   /// Node::on_crash and drops all in-flight messages to and from the node.
+  /// A restored node receives what is sent after its restore; what the
+  /// crash ended stays ended.
   void set_node_up(NodeId id, bool up);
   bool is_up(NodeId id) const;
+  /// Crashes of `id` so far (its crash epoch; 0 for an unknown address).
+  std::uint32_t crash_count(NodeId id) const;
 
   /// Blocks (or unblocks) delivery between a pair, both directions.
   void set_partitioned(NodeId a, NodeId b, bool blocked);
@@ -177,9 +181,9 @@ class GRID_HOT Network {
   /// tables below.
   struct Slot {
     Node* node = nullptr;  // nullptr = detached
-    /// Bumped on every crash: messages in flight across a crash of either
-    /// endpoint are dropped even if the node is restored before their
-    /// delivery time (the crash cut the wire).
+    /// Bumped on every crash (crash_count()): messages in flight across a
+    /// crash of either endpoint are dropped even if the node is restored
+    /// before their delivery time (the crash cut the wire).
     std::uint32_t epoch = 0;
     bool up = true;
   };
@@ -194,7 +198,6 @@ class GRID_HOT Network {
   };
 
   void deliver(Message msg, std::uint32_t src_epoch, std::uint32_t dst_epoch);
-  std::uint32_t epoch_of(NodeId id) const;
   Slot* slot(NodeId id);
   const Slot* slot(NodeId id) const;
 

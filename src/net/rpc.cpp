@@ -148,7 +148,6 @@ void Endpoint::register_notify(std::uint32_t kind, NotifyHandler handler) {
 }
 
 void Endpoint::handle_message(const Message& msg) {
-  if (crashed_) return;
   util::Reader r(msg.payload);
   switch (msg.kind) {
     case kFrameRequest: {
@@ -211,8 +210,6 @@ void Endpoint::handle_message(const Message& msg) {
 }
 
 void Endpoint::on_crash() {
-  crashed_ = true;
-  ++crashes_;
   pending_.for_each([this](std::uint64_t, PendingCall& pc) {
     engine().cancel(pc.timeout_event);
   });

@@ -53,9 +53,9 @@ class GRID_HOT Endpoint : public Node {
   Network& network() { return *network_; }
   sim::Engine& engine() { return network_->engine(); }
   const std::string& name() const { return name_; }
-  /// Crashes of this endpoint's host so far: state kept above the RPC
-  /// layer across a timer checks it when the timer fires.
-  std::uint32_t crash_count() const { return crashes_; }
+  /// Crashes of this endpoint's host so far (the network's count): state
+  /// kept above the RPC layer across a timer checks it when it fires.
+  std::uint32_t crash_count() const { return network_->crash_count(id_); }
 
   // ---- client side -------------------------------------------------------
 
@@ -112,12 +112,9 @@ class GRID_HOT Endpoint : public Node {
 
   // ---- Node --------------------------------------------------------------
 
+  /// The network delivers nothing to a crashed host (Network::set_node_up).
   void handle_message(const Message& msg) override;
   void on_crash() override;
-
-  /// Clears the crashed flag after the host is restored (reboot).  Pending
-  /// state from before the crash is already gone.
-  void restart() { crashed_ = false; }
 
   /// Optional hook invoked when this endpoint's host is crashed.
   sim::InplaceFunction<48> crash_hook;
@@ -149,8 +146,6 @@ class GRID_HOT Endpoint : public Node {
   Network* network_;
   NodeId id_;
   std::string name_;
-  bool crashed_ = false;
-  std::uint32_t crashes_ = 0;
   /// Wire call ids stay a plain monotonic counter (NOT slab slot/
   /// generation encodings): keeping id values — and so their varint
   /// lengths — identical to the pre-slab implementation is part of the

@@ -83,7 +83,6 @@ void Host::crash() {
 
 void Host::restore() {
   grid_->network().set_node_up(gatekeeper_->contact(), true);
-  gatekeeper_->endpoint().restart();
 }
 
 bool Host::is_up() const {

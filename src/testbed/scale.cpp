@@ -8,7 +8,10 @@ namespace grid::testbed {
 namespace {
 
 // Background job ids must never collide with the gatekeepers' GRAM job
-// ids, which share the same local scheduler id space and count up from 1.
+// ids, which share the same local scheduler id space and carry their
+// gatekeeper's address in the high half (gram::make_job_id).  Background
+// ids carry 1 there: the NIS server's address (the grid's first node),
+// never a gatekeeper's.
 constexpr std::uint64_t kBackgroundJobBase = 1ULL << 32;
 
 constexpr double kPi = 3.14159265358979323846;

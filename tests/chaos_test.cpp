@@ -454,6 +454,36 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   EXPECT_TRUE(degraded);
 }
 
+// ---- recovery --------------------------------------------------------------
+
+TEST(ChaosRecovery, RestoredGatekeeperServesLaterGrab) {
+  // The injector crashes site1's gatekeeper at 1 s and restores it at 5 s.
+  // A GRAB request over all three sites committed at 10 s must find it
+  // serving again: a restore is a recovery, not a silent death.
+  ChaosTrial trial(3, 1);
+  const net::NodeId site1 = trial.grid->host("site1")->contact();
+  trial.inject->crash_at(site1, sim::kSecond);
+  trial.inject->restore_at(site1, 5 * sim::kSecond);
+  core::GrabAllocator grab(*trial.mech);
+  Outcome out;
+  trial.grid->engine().schedule_at(10 * sim::kSecond, [&] {
+    auto allocated = grab.allocate(
+        trial.rsl({"required"}),
+        {.on_subjob = nullptr,
+         .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+         .on_terminal =
+             [&](const util::Status& status) {
+               ++out.terminals;
+               out.ok = status.is_ok();
+             }});
+    EXPECT_TRUE(allocated.is_ok());
+  });
+  trial.grid->run_until(kHorizon);
+  EXPECT_EQ(out.releases, 1);
+  EXPECT_EQ(out.terminals, 1);
+  EXPECT_TRUE(out.ok);
+}
+
 // ---- check-in re-send ------------------------------------------------------
 
 /// Check-in phase under a total-loss window covering the moment every

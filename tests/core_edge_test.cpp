@@ -49,12 +49,43 @@ TEST(CoallocationEdge, SubstituteWhileSubmissionInFlightReapsOrphan) {
   g.grid->run();
   ASSERT_TRUE(outcome.released);
   EXPECT_EQ(outcome.config.subjobs[0].contact, "host2");
-  // The orphan host1 job was cancelled: eventually no live host1 job.
+  // The orphan, host1's only job, was cancelled.
   auto& gk = g.grid->host("host1")->gatekeeper();
-  for (std::size_t i = 0; i < gk.job_count(); ++i) {
-    // all jobs on host1 must be terminal
-  }
+  EXPECT_EQ(gk.job_state(gram::make_job_id(gk.contact(), 1)).value(),
+            gram::JobState::kFailed);
   EXPECT_EQ(g.stats.releases, 4);
+}
+
+TEST(CoallocationEdge, OrphanOfSubstitutedSlotIsCancelled) {
+  // The slot is substituted right after start(), so the job its first
+  // submission creates is an orphan, accepted once the slot no longer
+  // names a job.  It must be cancelled at the gatekeeper its id names, not
+  // hold the host's 4 processors until its processes check in 10 minutes
+  // later with the substitute's job queued behind it.
+  testbed::Grid grid(testbed::CostModel::paper());
+  grid.add_host("host1", 4, testbed::SchedulerKind::kFcfs);
+  app::BarrierStats stats;
+  app::install_app(grid.executables(), "app",
+                   app::StartupProfile{.init_delay = 10 * sim::kMinute},
+                   &stats);
+  auto coallocator = grid.make_coallocator("agent", "/O=Grid/CN=tester");
+  Outcome outcome;
+  auto* req = coallocator->create_request(outcome.callbacks());
+  auto handle =
+      req->add_subjob(make_job("host1", 4, SubjobStartType::kInteractive));
+  ASSERT_TRUE(handle.is_ok());
+  req->start();
+  ASSERT_TRUE(req->substitute_subjob(
+                     handle.value(),
+                     make_job("host1", 4, SubjobStartType::kInteractive))
+                  .is_ok());
+  grid.run_until(sim::kMinute);
+  const gram::JobId substitute =
+      req->subjob_brief(handle.value()).value().gram_job;
+  ASSERT_NE(substitute, 0u);
+  EXPECT_EQ(grid.host("host1")->gatekeeper().job_state(substitute).value(),
+            gram::JobState::kActive);
+  EXPECT_EQ(grid.host("host1")->scheduler().queue_length(), 0u);
 }
 
 TEST(CoallocationEdge, AbortedRequestLeavesNoGramClientState) {

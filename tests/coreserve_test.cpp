@@ -135,6 +135,27 @@ TEST_F(CoReserveFixture, NetworkCoReserverFindsCommonWindow) {
             2u);
 }
 
+TEST_F(CoReserveFixture, ReserverDestroyedMidAcquisitionStillFinishes) {
+  // The acquisition holds the client, not the reserver: destroying the
+  // reserver right after acquire() leaves it to finish and report once.
+  auto reserver = std::make_unique<core::NetworkCoReserver>(
+      coallocator->gram(), grid.resolver());
+  int calls = 0;
+  util::Result<std::vector<core::NetworkCoReserver::Hold>> got{
+      util::Status(util::ErrorCode::kInternal, "unset")};
+  reserver->acquire(
+      {"res1", "res2"}, {},
+      [&](util::Result<std::vector<core::NetworkCoReserver::Hold>> r) {
+        ++calls;
+        got = std::move(r);
+      });
+  reserver.reset();
+  grid.run_until(sim::kHour);  // before any window expires
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value().size(), 2u);
+}
+
 TEST_F(CoReserveFixture, CoReserverFailsFastOnUnsupportedResource) {
   core::NetworkCoReserver reserver(coallocator->gram(), grid.resolver());
   util::Status status;

@@ -143,7 +143,7 @@ TEST_F(GramFixture, CancelRunningJob) {
   grid_.run_until(5 * sim::kSecond);
   ASSERT_TRUE(accepted.is_ok());
   util::Status cancel_status(util::ErrorCode::kInternal, "unset");
-  client_->cancel(rm1(), accepted.value(), 10 * sim::kSecond,
+  client_->cancel(accepted.value(), 10 * sim::kSecond,
                   [&](util::Status s) { cancel_status = s; });
   grid_.run();
   EXPECT_TRUE(cancel_status.is_ok());
@@ -154,7 +154,7 @@ TEST_F(GramFixture, CancelRunningJob) {
 
 TEST_F(GramFixture, CancelUnknownJobFails) {
   util::Status status;
-  client_->cancel(rm1(), 999999, 10 * sim::kSecond,
+  client_->cancel(gram::make_job_id(rm1(), 999999), 10 * sim::kSecond,
                   [&](util::Status s) { status = s; });
   grid_.run();
   EXPECT_EQ(status.code(), util::ErrorCode::kNotFound);
@@ -183,7 +183,7 @@ TEST_F(GramFixture, ReapedJobsAnswerAsBefore) {
   const gram::JobId never_issued = done + 1000;
   std::vector<util::Status> cancels;
   for (const gram::JobId id : {done, never_issued}) {
-    client_->cancel(rm1(), id, 10 * sim::kSecond,
+    client_->cancel(id, 10 * sim::kSecond,
                     [&](util::Status s) { cancels.push_back(std::move(s)); });
   }
   grid_.run();
@@ -223,7 +223,7 @@ TEST_F(GramFixture, JobIsReapedOnlyAfterItsTerminalInstant) {
   ASSERT_EQ(gk.job_state(id).value(), gram::JobState::kActive);
   std::vector<util::Status> cancels;
   auto cancel = [&] {
-    client_->cancel(rm1(), id, 10 * sim::kSecond,
+    client_->cancel(id, 10 * sim::kSecond,
                     [&](util::Status s) { cancels.push_back(std::move(s)); });
   };
   cancel();

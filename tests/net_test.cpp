@@ -495,6 +495,33 @@ TEST_F(RpcFixture, CrashDropsPendingCallsSilently) {
   EXPECT_EQ(client.pending_calls(), 0u);
 }
 
+TEST_F(RpcFixture, EndpointRestoredByInjectorAnswersAgain) {
+  // The network is the one record of a crash: a server it restores (here
+  // through the failure injector, which only marks the node up) answers a
+  // call made after the restore.
+  server.register_method(
+      1, [&](net::NodeId caller, std::uint64_t id, util::Reader&) {
+        server.respond(caller, id, {});
+      });
+  app::FailureInjector inject(network);
+  inject.crash_at(server.id(), sim::kSecond);
+  inject.restore_at(server.id(), 2 * sim::kSecond);
+  util::Status got(util::ErrorCode::kInternal, "unset");
+  sim::Time answered_at = -1;
+  engine.schedule_at(3 * sim::kSecond, [&] {
+    client.call(server.id(), 1, {}, sim::kSecond,
+                [&](const util::Status& status, util::Reader&) {
+                  got = status;
+                  answered_at = engine.now();
+                });
+  });
+  engine.run();
+  EXPECT_TRUE(got.is_ok()) << got.to_string();
+  EXPECT_EQ(answered_at, 3 * sim::kSecond + 4 * sim::kMillisecond);
+  EXPECT_EQ(server.crash_count(), 1u);
+  EXPECT_EQ(network.crash_count(server.id()), 1u);
+}
+
 TEST_F(RpcFixture, EndpointDestructionCancelsOutstandingCalls) {
   // Regression: destroying an endpoint with calls in flight used to leave
   // their timeout events scheduled against the dead object.

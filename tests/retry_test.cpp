@@ -89,7 +89,7 @@ struct RetryCancelFixture : ::testing::Test {
   int callbacks = 0;
   util::Status got;
   void cancel() {
-    client.cancel(server.id(), 5, 10 * sim::kSecond,
+    client.cancel(gram::make_job_id(server.id(), 5), 10 * sim::kSecond,
                   [this](const util::Status& status) {
                     ++callbacks;
                     got = status;
@@ -186,11 +186,11 @@ TEST_F(RetryCancelFixture, ClientDestructionWithRetryInFlightIsSafe) {
       *endpoint, ca, ca.issue("/CN=doomed", sim::kHour));
   doomed->set_retry_policy(net::RetryPolicy{});
   auto count = [this](const util::Status&) { ++callbacks; };
-  doomed->cancel(server.id(), 1, sim::kSecond, count);
+  doomed->cancel(gram::make_job_id(server.id(), 1), sim::kSecond, count);
   // At 3.1 s the first cancel waits out its backoff and the second has an
   // attempt in flight.
   engine.run_until(3050 * sim::kMillisecond);
-  doomed->cancel(server.id(), 2, sim::kSecond, count);
+  doomed->cancel(gram::make_job_id(server.id(), 2), sim::kSecond, count);
   engine.run_until(3100 * sim::kMillisecond);
   EXPECT_EQ(doomed->retry_count(), 2u);
   doomed.reset();
@@ -221,7 +221,7 @@ struct CutOffAgent : ::testing::Test {
   }
 
   void cancel() {
-    mech->gram().cancel(gatekeeper, 1, 5 * sim::kSecond,
+    mech->gram().cancel(gram::make_job_id(gatekeeper, 1), 5 * sim::kSecond,
                         [this](const util::Status&) { ++callbacks; });
   }
 
