@@ -3,9 +3,18 @@
 // focused probe of the information-service query path the scale run leans
 // on.
 //
-// Two measurements:
+// Two measurements, in this order:
 //
-//   1. GIS query-path probe: one resource with a deep backfill queue,
+//   1. The scale scenario itself: heterogeneous resources, open-loop
+//      diurnal background arrivals, a sustained stream of mixed
+//      atomic/interactive co-allocation transactions.  The scenario is
+//      deterministic (the committed JSON carries its event counts and an
+//      order-sensitive fingerprint); wall-clock throughput, peak RSS and
+//      the heap allocations it makes (a sim::AllocGuard count, in total
+//      and per attempted transaction) are measured around it.  It runs
+//      first, so the peak RSS read right after it is the scenario's own.
+//
+//   2. GIS query-path probe: one resource with a deep backfill queue,
 //      served over the simulated network.  Full-snapshot queries are
 //      measured with the reply-payload cache off (every query re-encodes
 //      the queued-job list: the old O(queue-depth) behaviour) and on
@@ -13,14 +22,6 @@
 //      and against the aggregate-only summary method (fixed-size reply
 //      regardless of depth).  This is the before/after number for the
 //      query-path fix.
-//
-//   2. The scale scenario itself: heterogeneous resources, open-loop
-//      diurnal background arrivals, a sustained stream of mixed
-//      atomic/interactive co-allocation transactions.  The scenario is
-//      deterministic (the committed JSON carries its event counts and an
-//      order-sensitive fingerprint); wall-clock throughput, peak RSS and
-//      the heap allocations it makes (a sim::AllocGuard count, in total
-//      and per attempted transaction) are measured around it.
 //
 // Writes BENCH_scale.json (override with argv[1]); --quick shrinks both
 // measurements to ctest size and gates the shape.
@@ -145,27 +146,7 @@ int main(int argc, char** argv) {
       "Grid at scale: O(1k) resources, O(1M) jobs/day, sustained "
       "co-allocation");
 
-  // ---- 1. query-path probe -------------------------------------------------
-  const std::size_t probe_depth = quick ? 4000 : 50000;
-  const int probe_queries = quick ? 100 : 200;
-  const GisProbe probe = probe_gis(probe_depth, probe_queries);
-  const double cached_speedup =
-      probe.uncached_query_us / probe.cached_query_us;
-  const double summary_speedup =
-      probe.uncached_query_us / probe.summary_query_us;
-
-  testbed::Table gis_table({"queue_depth", "uncached_us", "cached_us",
-                            "summary_us", "cached_speedup",
-                            "summary_speedup"});
-  gis_table.add_row({std::to_string(probe.depth),
-                     testbed::Table::num(probe.uncached_query_us, 1),
-                     testbed::Table::num(probe.cached_query_us, 1),
-                     testbed::Table::num(probe.summary_query_us, 1),
-                     testbed::Table::num(cached_speedup, 1) + "x",
-                     testbed::Table::num(summary_speedup, 1) + "x"});
-  testbed::print_table(gis_table);
-
-  // ---- 2. the scale scenario ----------------------------------------------
+  // ---- 1. the scale scenario ----------------------------------------------
   const testbed::ScaleSpec spec =
       quick ? testbed::ScaleSpec::quick() : testbed::ScaleSpec{};
   testbed::ScaleScenario scenario(spec);
@@ -216,6 +197,26 @@ int main(int argc, char** argv) {
   table.add_row({"events_per_sec", testbed::Table::num(events_per_sec / 1e6, 2) + "M"});
   table.add_row({"peak_rss_mb", testbed::Table::num(rss_mb, 1)});
   testbed::print_table(table);
+
+  // ---- 2. query-path probe -------------------------------------------------
+  const std::size_t probe_depth = quick ? 4000 : 50000;
+  const int probe_queries = quick ? 100 : 200;
+  const GisProbe probe = probe_gis(probe_depth, probe_queries);
+  const double cached_speedup =
+      probe.uncached_query_us / probe.cached_query_us;
+  const double summary_speedup =
+      probe.uncached_query_us / probe.summary_query_us;
+
+  testbed::Table gis_table({"queue_depth", "uncached_us", "cached_us",
+                            "summary_us", "cached_speedup",
+                            "summary_speedup"});
+  gis_table.add_row({std::to_string(probe.depth),
+                     testbed::Table::num(probe.uncached_query_us, 1),
+                     testbed::Table::num(probe.cached_query_us, 1),
+                     testbed::Table::num(probe.summary_query_us, 1),
+                     testbed::Table::num(cached_speedup, 1) + "x",
+                     testbed::Table::num(summary_speedup, 1) + "x"});
+  testbed::print_table(gis_table);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f != nullptr) {

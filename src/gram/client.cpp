@@ -128,14 +128,15 @@ void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
       gatekeeper, timeout,
       [this, gatekeeper, rsl = std::move(rsl), timeout,
        on_accepted = std::move(on_accepted),
-       on_state = std::move(on_state)](util::Result<gsi::Session> session) {
+       on_state = std::move(on_state)](
+          util::Result<gsi::Session> session) mutable {
         if (!session.is_ok()) {
           on_accepted(session.status());
           return;
         }
         JobRequestArgs args;
         args.session_token = session.value().token;
-        args.rsl = rsl;
+        args.rsl = std::move(rsl);
         args.callback_contact =
             on_state != nullptr ? endpoint_->id() : net::kInvalidNode;
         util::Writer w;
@@ -143,8 +144,9 @@ void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
         ++awaiting_[gatekeeper].submissions;
         endpoint_->call(
             gatekeeper, kMethodJobRequest, w.take(), timeout,
-            [this, gatekeeper, on_accepted, on_state](
-                const util::Status& status, util::Reader& reply) {
+            [this, gatekeeper, on_accepted = std::move(on_accepted),
+             on_state = std::move(on_state)](const util::Status& status,
+                                             util::Reader& reply) mutable {
               if (!status.is_ok()) {
                 settle_submission(gatekeeper, 0);
                 on_accepted(status);
@@ -158,7 +160,7 @@ void Client::submit(net::NodeId gatekeeper, std::string rsl, sim::Time timeout,
                 return;
               }
               if (on_state != nullptr) {
-                watchers_[id] = on_state;
+                watchers_[id] = std::move(on_state);
               }
               on_accepted(id);
               // Flush transitions that beat the accept reply here.

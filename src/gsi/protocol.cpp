@@ -51,9 +51,10 @@ void ServerContext::handle_init(net::NodeId caller, std::uint64_t call_id,
           endpoint_->respond_error(caller, call_id, st.code(), st.message());
           return;
         }
-        if (auto lu = gridmap_->lookup(cred.subject); !lu.is_ok()) {
-          endpoint_->respond_error(caller, call_id, lu.status().code(),
-                                   lu.status().message());
+        auto local = gridmap_->lookup(cred.subject);
+        if (!local.is_ok()) {
+          endpoint_->respond_error(caller, call_id, local.status().code(),
+                                   local.status().message());
           return;
         }
         while (!pending_.empty() &&
@@ -63,8 +64,10 @@ void ServerContext::handle_init(net::NodeId caller, std::uint64_t call_id,
         const std::uint64_t handshake_id = next_handshake_++;
         const std::uint64_t challenge =
             0x9e3779b97f4a7c15ULL * handshake_id ^ 0x5bf03635ULL;
-        pending_.emplace_hint(pending_.end(), handshake_id,
-                              PendingHandshake{cred.subject, challenge, now});
+        pending_.emplace_hint(
+            pending_.end(), handshake_id,
+            PendingHandshake{local.take(),
+                             challenge_response(challenge, cred.subject), now});
         util::Writer w;
         w.reserve(18);
         identity_.encode(w);
@@ -92,18 +95,12 @@ void ServerContext::handle_final(net::NodeId caller, std::uint64_t call_id,
                                    "unknown handshake");
           return;
         }
-        const PendingHandshake hs = it->second;
+        PendingHandshake hs = std::move(it->second);
         pending_.erase(it);
-        if (response != challenge_response(hs.challenge, hs.subject)) {
+        if (response != hs.response) {
           endpoint_->respond_error(caller, call_id,
                                    util::ErrorCode::kPermissionDenied,
                                    "challenge response mismatch");
-          return;
-        }
-        auto local = gridmap_->lookup(hs.subject);
-        if (!local.is_ok()) {
-          endpoint_->respond_error(caller, call_id, local.status().code(),
-                                   local.status().message());
           return;
         }
         const sim::Time now = endpoint_->engine().now();
@@ -118,12 +115,10 @@ void ServerContext::handle_final(net::NodeId caller, std::uint64_t call_id,
           base_token_ += dropped_;
           dropped_ = 0;
         }
-        Session session;
+        Session& session = sessions_.emplace_back();
         session.token = next_token_++;
-        session.subject = hs.subject;
-        session.local_user = local.take();
+        session.local_user = std::move(hs.local_user);
         session.expires = now + sim::kHour;
-        sessions_.push_back(session);
         util::Writer w;
         w.reserve(22 + session.local_user.size());
         w.u64(session.token);
@@ -232,7 +227,6 @@ void ClientContext::authenticate(net::NodeId server, sim::Time timeout,
                   const std::string_view lu = reply2.str_view();
                   session.local_user.assign(lu.begin(), lu.end());
                   session.expires = reply2.i64();
-                  session.subject = identity_.subject;
                   if (!reply2.ok()) {
                     finish(id, util::Status(util::ErrorCode::kInternal,
                                             "malformed FINAL reply"));

@@ -42,10 +42,11 @@ struct CostModel {
   sim::Time server_issue = 120 * sim::kMillisecond;
 };
 
-/// An established security context.
+/// An established security context.  The server holds one per token for
+/// an hour, so it keeps only what its readers read: the client presents
+/// the token, and the gatekeeper runs the job as the local account.
 struct Session {
   std::uint64_t token = 0;
-  std::string subject;     // authenticated grid identity
   std::string local_user;  // gridmap-resolved local account
   sim::Time expires = 0;
 };
@@ -89,10 +90,12 @@ class ServerContext {
   // Challenges outstanding, keyed by handshake id.  Ids are issued in INIT
   // order, so the oldest handshakes sit at the front: an INIT drops those
   // whose FINAL has not come within a session lifetime (a FINAL for them
-  // then meets "unknown handshake", as for an id never issued).
+  // then meets "unknown handshake", as for an id never issued).  INIT
+  // resolves the local account; the gridmap never unmaps a subject, so
+  // FINAL needs only the response it expects.
   struct PendingHandshake {
-    std::string subject;
-    std::uint64_t challenge = 0;
+    std::string local_user;
+    std::uint64_t response = 0;  // challenge_response(challenge, subject)
     sim::Time issued = 0;
   };
   std::map<std::uint64_t, PendingHandshake> pending_;

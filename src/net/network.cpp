@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <limits>
 #include <utility>
 
 namespace grid::net {
@@ -25,24 +26,30 @@ Network::Network(sim::Engine& engine)
       drop_rng_(0xda7a5eedULL) {}
 
 Network::Slot* Network::slot(NodeId id) {
-  if (id == kInvalidNode) return nullptr;
-  const NodeId idx = id - 1;
-  if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
-  return &nodes_[idx];
+  return const_cast<Slot*>(std::as_const(*this).slot(id));
 }
 
 const Network::Slot* Network::slot(NodeId id) const {
-  if (id == kInvalidNode) return nullptr;
-  const NodeId idx = id - 1;
-  if (idx >= nodes_.size() || nodes_[idx].node == nullptr) return nullptr;
-  return &nodes_[idx];
+  // kInvalidNode wraps to SIZE_MAX, past every issued address.
+  const std::size_t idx = std::size_t{id} - 1;
+  if (idx >= issued_) return nullptr;
+  const Page* page = pages_[idx / kSlotsPerPage].get();
+  if (page == nullptr) return nullptr;
+  const Slot& s = page->slots[idx % kSlotsPerPage];
+  return s.node == nullptr ? nullptr : &s;
 }
 
 NodeId Network::attach(Node* node) {
   GRID_CHECK(node != nullptr, "Network::attach of a null node");
-  nodes_.push_back(Slot{node});
+  GRID_CHECK(issued_ < std::numeric_limits<NodeId>::max(),
+             "Network::attach past the last NodeId");
+  const std::size_t idx = issued_++;
+  if (idx % kSlotsPerPage == 0) pages_.push_back(std::make_unique<Page>());
+  Page& page = *pages_.back();
+  page.slots[idx % kSlotsPerPage].node = node;
+  ++page.attached;
   ++attached_;
-  return static_cast<NodeId>(nodes_.size());
+  return issued_;
 }
 
 void Network::detach(NodeId id) {
@@ -50,6 +57,12 @@ void Network::detach(NodeId id) {
   if (s == nullptr) return;
   s->node = nullptr;
   --attached_;
+  // A page is freed once no address in it can be attached again: every
+  // one has been issued (attach has moved past it) and detached.
+  const std::size_t p = (std::size_t{id} - 1) / kSlotsPerPage;
+  if (--pages_[p]->attached == 0 && (p + 1) * kSlotsPerPage <= issued_) {
+    pages_[p].reset();
+  }
 }
 
 void Network::set_latency_model(std::unique_ptr<LatencyModel> model) {

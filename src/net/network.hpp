@@ -105,11 +105,17 @@ class GRID_HOT Network {
 
   sim::Engine& engine() { return *engine_; }
 
-  /// Attaches a node and returns its address.  Addresses are never reused:
-  /// each one ever issued keeps a 16-byte slot (see Slot).
+  /// Slots per page of the address table (64 KiB of 16-byte slots).
+  static constexpr std::size_t kSlotsPerPage = 4096;
+
+  /// Attaches a node and returns its address: the next one in sequence
+  /// from 1.  Addresses are never reused, so a late message to a departed
+  /// node is dropped rather than misdelivered.
   NodeId attach(Node* node);
 
   /// Detaches a node; in-flight messages to it are dropped on arrival.
+  /// Frees the node's page once every address in it has been issued and
+  /// detached.
   void detach(NodeId id);
 
   /// Replaces the latency model (default: fixed 2 ms one-way, the paper's
@@ -172,13 +178,15 @@ class GRID_HOT Network {
   std::size_t node_count() const { return attached_; }
 
  private:
-  /// Per-address state, indexed directly by NodeId (ids are dense, assigned
-  /// sequentially from 1).  Slots are never erased — detach clears
-  /// `node` — so address lookups are a bounds check plus an index, and
-  /// nothing about node bookkeeping involves hashing or rehash-order.  Every
-  /// address ever issued keeps its slot, so a slot holds only what delivery
-  /// reads; names live in the Endpoint, fault-injection state in the side
-  /// tables below.
+  /// Per-address state.  Ids are dense, issued sequentially from 1, and
+  /// slot `id - 1` lives in page `(id - 1) / kSlotsPerPage`, so a lookup is
+  /// a bounds check against the issued count, a page index, a null check
+  /// and a slot index; nothing about node bookkeeping involves hashing or
+  /// rehash-order.  Detach clears `node`, and a detached slot is never read
+  /// again, so a page whose addresses have all been issued and detached is
+  /// freed and a lookup into it finds a detached slot.  A slot holds only
+  /// what delivery reads; names live in the Endpoint, fault-injection state
+  /// in the side tables below.
   struct Slot {
     Node* node = nullptr;  // nullptr = detached
     /// Bumped on every crash (crash_count()): messages in flight across a
@@ -186,6 +194,11 @@ class GRID_HOT Network {
     /// before their delivery time (the crash cut the wire).
     std::uint32_t epoch = 0;
     bool up = true;
+  };
+
+  struct Page {
+    std::uint32_t attached = 0;  // slots whose node is set
+    Slot slots[kSlotsPerPage];
   };
 
   /// A fault-injection side table: one time per address.  Only fault
@@ -206,7 +219,8 @@ class GRID_HOT Network {
   sim::Rng drop_rng_;
   double drop_prob_ = 0.0;
   std::size_t attached_ = 0;
-  std::vector<Slot> nodes_;  // index = NodeId - 1
+  NodeId issued_ = 0;  // the last address issued
+  std::vector<std::unique_ptr<Page>> pages_;  // nullptr = freed
   // Slow-node delays, keyed by address.
   TimeTable extra_delays_;
   // Blocked (a,b) pair keys.  An IdMap used as a set: deterministic across

@@ -119,7 +119,6 @@ TEST_F(GsiFixture, SuccessfulMutualAuth) {
                       });
   engine.run();
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-  EXPECT_EQ(got.value().subject, "/CN=alice");
   EXPECT_EQ(got.value().local_user, "alice");
   EXPECT_GT(got.value().token, 0u);
   EXPECT_EQ(server.session_count(), 1u);
@@ -127,6 +126,30 @@ TEST_F(GsiFixture, SuccessfulMutualAuth) {
   auto validated = server.validate(got.value().token);
   ASSERT_TRUE(validated.is_ok());
   EXPECT_EQ(validated.value().local_user, "alice");
+}
+
+// The gatekeeper validates a session on every job request.  A held session
+// keeps no subject, so validating one copies only the local account, which
+// fits the small-string buffer, however long the subject.
+TEST_F(GsiFixture, ValidateAllocatesNothing) {
+  const std::string subject = "/O=Grid/OU=Simulated/CN=Forty-char users";
+  ASSERT_EQ(subject.size(), 40u);
+  gridmap.add(subject, "user-agent1");
+  ServerContext server = make_server();
+  ClientContext client(client_ep, ca, ca.issue(subject, sim::kTimeNever / 2));
+  std::uint64_t token = 0;
+  client.authenticate(server_ep.id(), 10 * sim::kSecond,
+                      [&](util::Result<Session> s) {
+                        ASSERT_TRUE(s.is_ok());
+                        token = s.value().token;
+                      });
+  engine.run();
+  ASSERT_GT(token, 0u);
+  sim::AllocGuard guard;
+  const util::Result<Session> session = server.validate(token);
+  EXPECT_EQ(guard.allocations(), 0u);
+  ASSERT_TRUE(session.is_ok());
+  EXPECT_EQ(session.value().local_user, "user-agent1");
 }
 
 TEST_F(GsiFixture, HandshakeCostMatchesFigure3) {

@@ -261,6 +261,65 @@ TEST_F(NetFixture, DetachedAddressIsNeverReissued) {
   EXPECT_EQ(network.node_extra_delay(nd), 0);
 }
 
+// Addresses live in fixed-size pages.  A page whose addresses have all
+// been issued and detached is freed; its addresses still answer as
+// detached ones, and ids go on in sequence.
+TEST_F(NetFixture, FreedPageAnswersLikeDetachedAddresses) {
+  constexpr net::NodeId kPage = net::Network::kSlotsPerPage;
+  Recorder sink;
+  // na and nb open page 0; fill it and page 1.
+  for (net::NodeId id = nb + 1; id <= 2 * kPage; ++id) {
+    ASSERT_EQ(network.attach(&sink), id);
+  }
+  const net::NodeId victim = kPage + 5;  // in page 1
+  network.set_node_extra_delay(victim, 7 * sim::kMillisecond);
+  network.set_node_up(victim, false);
+  network.set_node_up(victim, true);
+  ASSERT_EQ(network.crash_count(victim), 1u);
+  ASSERT_TRUE(network.send(na, victim, 1, {}).is_ok());  // in flight
+  for (net::NodeId id = kPage + 1; id <= 2 * kPage; ++id) network.detach(id);
+  EXPECT_EQ(network.node_count(), kPage);
+  engine.run();
+  EXPECT_TRUE(sink.messages.empty());
+  EXPECT_EQ(network.stats().dropped_down, 1u);
+  network.send(na, victim, 2, {});
+  engine.run();
+  EXPECT_TRUE(sink.messages.empty());
+  EXPECT_EQ(network.stats().dropped_down, 2u);
+  EXPECT_EQ(network.send(victim, na, 3, {}).code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(network.is_up(victim));
+  EXPECT_EQ(network.crash_count(victim), 0u);
+  network.set_node_up(victim, false);
+  EXPECT_EQ(sink.crashes, 1);  // only the crash before the detach
+  EXPECT_EQ(network.node_extra_delay(victim), 7 * sim::kMillisecond);
+  // The next address opens page 2.  Detaching it leaves the page attach is
+  // still filling in place, and the one after it is delivered to.
+  const net::NodeId next = network.attach(&sink);
+  EXPECT_EQ(next, 2 * kPage + 1);
+  network.detach(next);
+  EXPECT_FALSE(network.is_up(next));
+  const net::NodeId after = network.attach(&sink);
+  EXPECT_EQ(after, next + 1);
+  network.send(na, after, 4, {});
+  engine.run();
+  ASSERT_EQ(sink.messages.size(), 1u);
+  EXPECT_EQ(sink.messages[0].kind, 4u);
+}
+
+TEST_F(NetFixture, DetachingAFullPageFreesIt) {
+  constexpr net::NodeId kPage = net::Network::kSlotsPerPage;
+  Recorder sink;
+  for (net::NodeId id = nb + 1; id <= 2 * kPage; ++id) network.attach(&sink);
+  const sim::AllocGuard guard;
+  for (net::NodeId id = kPage + 1; id <= 2 * kPage; ++id) network.detach(id);
+  const std::int64_t live_bytes = guard.live_bytes();
+  const std::uint64_t allocations = guard.allocations();
+  // Page 1 held kPage 16-byte slots.
+  EXPECT_LE(live_bytes, -static_cast<std::int64_t>(kPage * 16));
+  EXPECT_EQ(allocations, 0u);
+}
+
 TEST_F(NetFixture, SlowNodeDelaysBothDirections) {
   network.set_latency_model(
       std::make_unique<net::FixedLatency>(5 * sim::kMillisecond));
