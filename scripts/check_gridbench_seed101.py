@@ -7,11 +7,13 @@
 Builds the benchmark harness with gridbench/run.py's build(), runs
 `--mode run --seed 101` once per workload, and compares each run with
 tests/fixed_points/gridbench_seed101.json: the fingerprint,
-events_executed, net_bytes, and the SHA-256 of the run's whole `sim` block
-as canonical JSON (sorted keys, no whitespace).  Host-time fields live
-outside the `sim` block, so the check is deterministic.  Exits 0 when
-every workload matches.  --write records the current outputs instead; a
-change that moves these outputs on purpose does that and says so.
+events_executed, net_bytes, the SHA-256 of the run's whole `sim` block as
+canonical JSON (sorted keys, no whitespace), and the SHA-256 of each
+top-level `sim` key's value, so a mismatch names the keys that moved.
+Host-time fields live outside the `sim` block, so the check is
+deterministic.  Exits 0 when every workload matches.  --write records the
+current outputs instead; a change that moves these outputs on purpose does
+that and says so.
 """
 import argparse
 import hashlib
@@ -27,14 +29,19 @@ SEED = 101
 PIN = os.path.join(ROOT, "tests", "fixed_points", "gridbench_seed101.json")
 
 
+def sha256(value):
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def outputs(binary, workload):
     sim = bench.run_child(binary, workload, SEED, "run")["sim"]
-    canonical = json.dumps(sim, sort_keys=True, separators=(",", ":"))
     return {
         "fingerprint": sim["fingerprint"],
         "events_executed": sim["events_executed"],
         "net_bytes": sim["net_bytes"],
-        "sim_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "sim_sha256": sha256(sim),
+        "sim_key_sha256": {k: sha256(v) for k, v in sim.items()},
     }
 
 
@@ -57,10 +64,17 @@ def main():
     failures = 0
     for workload in bench.WORKLOADS:
         differ = [k for k, v in want[workload].items()
-                  if got[workload][k] != v]
+                  if got[workload].get(k) != v]
         for key in differ:
-            print("FAIL %-16s %s = %s, pinned %s" % (
-                workload, key, got[workload][key], want[workload][key]))
+            if key == "sim_key_sha256":
+                keys = want[workload][key].keys() | got[workload][key].keys()
+                moved = sorted(k for k in keys if want[workload][key].get(k)
+                               != got[workload][key].get(k))
+                print("FAIL %-16s sim keys moved: %s" % (
+                    workload, ", ".join(moved)))
+            else:
+                print("FAIL %-16s %s = %s, pinned %s" % (
+                    workload, key, got[workload][key], want[workload][key]))
         if not differ:
             print("ok   %-16s fingerprint %s" % (
                 workload, got[workload]["fingerprint"]))

@@ -79,46 +79,43 @@ util::Status CoallocationRequest::add_rsl(const std::string& rsl_text) {
   return util::Status::ok();
 }
 
-util::Status CoallocationRequest::remove_subjob(SubjobHandle handle) {
+util::Status CoallocationRequest::check_edit(SubjobHandle handle) const {
   if (state_ != RequestState::kEditing) {
     return {util::ErrorCode::kFailedPrecondition,
             "request contents may not be changed once committed"};
   }
-  Subjob* sj = find(handle);
+  const Subjob* sj = find(handle);
   if (sj == nullptr || sj->state == SubjobState::kDeleted) {
     return {util::ErrorCode::kNotFound, "unknown subjob"};
   }
-  owner_->engine().cancel(sj->timeout_event);
-  cancel_gram_job(*sj);
-  abort_subjob_processes(*sj, "subjob removed from request");
-  sj->state = SubjobState::kDeleted;
-  notify_subjob(*sj);
+  return util::Status::ok();
+}
+
+util::Status CoallocationRequest::remove_subjob(SubjobHandle handle) {
+  if (auto refused = check_edit(handle); !refused.is_ok()) return refused;
+  Subjob& sj = *find(handle);
+  retire(sj, "subjob removed from request");
+  sj.state = SubjobState::kDeleted;
+  release_hold(handle);
+  notify_subjob(*find(handle));
   return util::Status::ok();
 }
 
 util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
                                                     rsl::JobRequest request) {
-  if (state_ != RequestState::kEditing) {
-    return {util::ErrorCode::kFailedPrecondition,
-            "request contents may not be changed once committed"};
-  }
-  Subjob* sj = find(handle);
-  if (sj == nullptr || sj->state == SubjobState::kDeleted) {
-    return {util::ErrorCode::kNotFound, "unknown subjob"};
-  }
-  owner_->engine().cancel(sj->timeout_event);
-  cancel_gram_job(*sj);
-  abort_subjob_processes(*sj, "subjob substituted");
-  ++sj->incarnation;
-  sj->request = std::move(request);
-  sj->state = SubjobState::kUnsubmitted;
-  sj->gram_job = 0;
-  sj->process_nodes.clear();
-  sj->checked_count = 0;
-  sj->early_checkins.clear();
-  sj->failure = util::Status::ok();
-  sj->submitted_at = sj->accepted_at = sj->active_at = sj->checked_in_at = -1;
-  notify_subjob(*sj);
+  if (auto refused = check_edit(handle); !refused.is_ok()) return refused;
+  Subjob& sj = *find(handle);
+  retire(sj, "subjob substituted");
+  ++sj.incarnation;
+  sj.request = std::move(request);
+  sj.state = SubjobState::kUnsubmitted;
+  sj.process_nodes.clear();
+  sj.checked_count = 0;
+  sj.early_checkins.clear();
+  sj.failure = util::Status::ok();
+  sj.submitted_at = sj.accepted_at = sj.active_at = sj.checked_in_at = -1;
+  release_hold(handle);
+  notify_subjob(*find(handle));
   if (started_) enqueue_submission(handle);
   return util::Status::ok();
 }
@@ -339,10 +336,7 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     sj->checked_in_at = owner_->engine().now();
     owner_->engine().cancel(sj->timeout_event);
     notify_subjob(*sj);
-    if (hold_handle_ == handle) {
-      hold_handle_ = 0;
-      pump_submissions();
-    }
+    release_hold(handle);
     if (state_ == RequestState::kReleased) {
       // A late optional subjob joins the running computation (§3.2).
       Subjob& joined = *find(handle);
@@ -466,14 +460,12 @@ void CoallocationRequest::arm_timeout(Subjob& sj) {
       });
 }
 
-void CoallocationRequest::cancel_gram_job(Subjob& sj) {
-  if (sj.gram_job == 0) return;
-  abandon(owner_->gram(), sj.gram_job, config_.rpc_timeout);
-  sj.gram_job = 0;
-}
-
-void CoallocationRequest::abort_subjob_processes(Subjob& sj,
-                                                 const std::string& reason) {
+void CoallocationRequest::retire(Subjob& sj, const std::string& reason) {
+  owner_->engine().cancel(sj.timeout_event);
+  if (sj.gram_job != 0) {
+    abandon(owner_->gram(), sj.gram_job, config_.rpc_timeout);
+    sj.gram_job = 0;
+  }
   AbortMessage msg{id_, reason};
   util::Writer w;
   msg.encode(w);
@@ -488,19 +480,20 @@ void CoallocationRequest::abort_subjob_processes(Subjob& sj,
   }
 }
 
+void CoallocationRequest::release_hold(SubjobHandle handle) {
+  if (hold_handle_ != handle) return;
+  hold_handle_ = 0;
+  pump_submissions();
+}
+
 void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
   Subjob* sj = find(handle);
   if (sj == nullptr || is_subjob_terminal(sj->state)) return;
-  owner_->engine().cancel(sj->timeout_event);
-  cancel_gram_job(*sj);
-  abort_subjob_processes(*sj, "subjob failed: " + why.message());
+  retire(*sj, "subjob failed: " + why.message());
   sj->state = SubjobState::kFailed;
   sj->failure = why;
-  if (hold_handle_ == handle) {
-    hold_handle_ = 0;
-    pump_submissions();
-    sj = find(handle);
-  }
+  release_hold(handle);
+  sj = find(handle);
   const rsl::SubjobStartType type = sj->request.start_type;
   // The agent callback runs before category handling so a failure can be
   // repaired (substitute/remove) in the same turn (§3.2).
@@ -536,10 +529,8 @@ void CoallocationRequest::abort(const std::string& reason) {
   // Indexed: each failed slot runs the agent callback.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Subjob& sj = slots_[i];
-    owner_->engine().cancel(sj.timeout_event);
     if (sj.state == SubjobState::kDeleted) continue;
-    cancel_gram_job(sj);
-    abort_subjob_processes(sj, reason);
+    retire(sj, reason);
     if (sj.state != SubjobState::kFailed && sj.state != SubjobState::kDone) {
       sj.state = SubjobState::kFailed;
       sj.failure = util::Status(util::ErrorCode::kAborted, reason);

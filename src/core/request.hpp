@@ -214,10 +214,19 @@ class GRID_HOT CoallocationRequest {
   void send_releases(Subjob& sj);
   void send_release(const Subjob& sj, std::int32_t rank);
 
+  /// Why an edit of `handle` is refused: the request left the editing
+  /// phase, or the handle names no live slot.  OK when it may proceed.
+  util::Status check_edit(SubjobHandle handle) const;
+
   // Failure handling.
   void fail_subjob(SubjobHandle handle, util::Status why);
-  void abort_subjob_processes(Subjob& sj, const std::string& reason);
-  void cancel_gram_job(Subjob& sj);
+  /// Lets go of a subjob for every edit, failure and abort: cancels its
+  /// startup timer, forgets and cancels its GRAM job, and tells its
+  /// checked-in processes to abort with `reason`.
+  void retire(Subjob& sj, const std::string& reason);
+  /// If the serialize_until_checkin pipeline holds for `handle`, lets the
+  /// next submission go.  Pumping may run agent callbacks and move slots.
+  void release_hold(SubjobHandle handle);
   void arm_timeout(Subjob& sj);
   void maybe_done();
   void finish(util::Status status);

@@ -151,20 +151,9 @@ void JobManager::exec_processes() {
   live_ = request_.count;
   transition(JobState::kActive);
   for (Process& p : processes_) {
-    if (failing_ || is_terminal(state_)) break;
-    if (auto st = p.exec(); !st.is_ok()) {
-      // Executable missing or broken: the job fails at exec time.
-      --live_;
-      failing_ = true;
-      terminate_processes();
-      if (scheduler_job_live_) {
-        scheduler_job_live_ = false;
-        scheduler_->cancel(id_);
-      }
-      transition(JobState::kFailed, st.code(), st.message());
-      failing_ = false;
-      return;
-    }
+    if (is_terminal(state_)) break;
+    // Executable missing or broken: the job fails at exec time.
+    if (auto st = p.exec(); !st.is_ok()) fail(st.code(), st.message());
   }
 }
 
@@ -172,19 +161,12 @@ void JobManager::on_process_exit(std::int32_t rank, bool ok,
                                  const std::string& message) {
   if (is_terminal(state_)) return;
   --live_;
-  if (!ok && !failing_) {
-    failing_ = true;
-    terminate_processes();
-    if (scheduler_job_live_) {
-      scheduler_job_live_ = false;
-      scheduler_->cancel(id_);
-    }
-    transition(JobState::kFailed, util::ErrorCode::kInternal,
-               "process " + std::to_string(rank) + " failed: " + message);
-    failing_ = false;
+  if (!ok) {
+    fail(util::ErrorCode::kInternal,
+         "process " + std::to_string(rank) + " failed: " + message);
     return;
   }
-  if (ok && live_ == 0 && !failing_) {
+  if (live_ == 0) {
     if (scheduler_job_live_) {
       scheduler_job_live_ = false;
       scheduler_->complete(id_);
@@ -195,10 +177,7 @@ void JobManager::on_process_exit(std::int32_t rank, bool ok,
 
 void JobManager::terminate_processes() {
   for (Process& p : processes_) {
-    if (p.alive()) {
-      p.terminate();
-      --live_;
-    }
+    if (p.alive()) p.terminate();
   }
 }
 
@@ -210,40 +189,31 @@ void JobManager::on_scheduler_end(sched::EndReason reason) {
       // complete() initiated by us after processes exited; nothing to do.
       return;
     case sched::EndReason::kCancelled:
-      failing_ = true;
-      terminate_processes();
-      transition(JobState::kFailed, util::ErrorCode::kAborted,
-                 "job cancelled");
-      failing_ = false;
+      fail(util::ErrorCode::kAborted, "job cancelled");
       return;
     case sched::EndReason::kWallTimeExceeded:
-      failing_ = true;
-      terminate_processes();
-      transition(JobState::kFailed, util::ErrorCode::kTimeout,
-                 "wall time limit exceeded");
-      failing_ = false;
+      fail(util::ErrorCode::kTimeout, "wall time limit exceeded");
       return;
   }
 }
 
-void JobManager::cancel() {
+void JobManager::cancel() { fail(util::ErrorCode::kAborted, "job cancelled"); }
+
+void JobManager::fail(util::ErrorCode error, const std::string& message) {
   if (is_terminal(state_)) return;
+  terminate_processes();
+  transition(JobState::kFailed, error, message);
+  // Reported first, released second: every scheduler runs the job's end
+  // callback inside cancel(), which finds the job terminal and returns.
   if (scheduler_job_live_) {
     scheduler_job_live_ = false;
-    scheduler_->cancel(id_);  // triggers on_scheduler_end only if still known
+    scheduler_->cancel(id_);
   }
-  failing_ = true;
-  terminate_processes();
-  transition(JobState::kFailed, util::ErrorCode::kAborted, "job cancelled");
-  failing_ = false;
 }
 
 void JobManager::crash() {
   // The host died: no callbacks, no scheduler bookkeeping — just vanish.
-  for (Process& p : processes_) {
-    if (p.alive()) p.terminate();
-  }
-  live_ = 0;
+  terminate_processes();
   if (!is_terminal(state_)) gatekeeper_->job_ended(id_);
   state_ = JobState::kFailed;
 }

@@ -40,7 +40,8 @@ class JobManager {
   /// Submits to the scheduler; transitions to PENDING on success.
   util::Status start();
 
-  /// Cancels the job: dequeues or kills, then reports FAILED(cancelled).
+  /// Cancels the job: kills its processes, reports FAILED(ABORTED "job
+  /// cancelled"), then dequeues or ends its scheduler job.
   void cancel();
 
   /// Host crash: destroy all processes silently (no callbacks escape a
@@ -58,6 +59,10 @@ class JobManager {
   void exec_processes();
   void on_scheduler_end(sched::EndReason reason);
   void on_process_exit(std::int32_t rank, bool ok, const std::string& message);
+  /// Ends the job in FAILED for any cause: kills the processes, reports
+  /// `error`/`message`, then releases the scheduler job.  No-op once
+  /// terminal.
+  void fail(util::ErrorCode error, const std::string& message);
   void terminate_processes();
   void transition(JobState state, util::ErrorCode error = util::ErrorCode::kOk,
                   const std::string& message = "");
@@ -74,7 +79,6 @@ class JobManager {
   std::vector<Process> processes_;  // sized once at exec; never grows
   std::int32_t live_ = 0;
   bool scheduler_job_live_ = false;
-  bool failing_ = false;  // re-entrancy guard while killing processes
 };
 
 }  // namespace grid::gram

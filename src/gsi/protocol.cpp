@@ -104,18 +104,12 @@ void ServerContext::handle_final(net::NodeId caller, std::uint64_t call_id,
           return;
         }
         const sim::Time now = endpoint_->engine().now();
-        while (dropped_ < sessions_.size() &&
-               sessions_[dropped_].expires < now) {
-          sessions_[dropped_++] = Session{};
+        if (!sessions_) sessions_.emplace();
+        while (!sessions_->empty() && sessions_->front().expires < now) {
+          sessions_->pop_front();
+          ++base_token_;
         }
-        if (dropped_ * 2 >= sessions_.size()) {
-          sessions_.erase(sessions_.begin(),
-                          sessions_.begin() +
-                              static_cast<std::ptrdiff_t>(dropped_));
-          base_token_ += dropped_;
-          dropped_ = 0;
-        }
-        Session& session = sessions_.emplace_back();
+        Session& session = sessions_->emplace_back();
         session.token = next_token_++;
         session.local_user = std::move(hs.local_user);
         session.expires = now + sim::kHour;
@@ -134,12 +128,13 @@ util::Result<Session> ServerContext::validate(std::uint64_t token) const {
                         "unknown session token");
   }
   // Tokens below the first held session were dropped after they expired.
-  if (token < base_token_ + dropped_ ||
-      sessions_[token - base_token_].expires < endpoint_->engine().now()) {
+  const std::deque<Session>& held = *sessions_;  // a token was issued
+  if (token < base_token_ ||
+      held[token - base_token_].expires < endpoint_->engine().now()) {
     return util::Status(util::ErrorCode::kPermissionDenied,
                         "session expired");
   }
-  return sessions_[token - base_token_];
+  return held[token - base_token_];
 }
 
 ClientContext::ClientContext(net::Endpoint& endpoint,

@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "gsi/credential.hpp"
 #include "net/rpc.hpp"
@@ -67,7 +68,9 @@ class ServerContext {
 
   /// Sessions held: every unexpired one, plus expired ones the next
   /// handshake will drop.
-  std::size_t session_count() const { return sessions_.size() - dropped_; }
+  std::size_t session_count() const {
+    return sessions_ ? sessions_->size() : 0;
+  }
 
   /// Handshakes past INIT still waiting for their FINAL: every one younger
   /// than a session lifetime, plus older ones the next INIT will drop.
@@ -101,12 +104,12 @@ class ServerContext {
   std::map<std::uint64_t, PendingHandshake> pending_;
   std::uint64_t next_handshake_ = 1;
   /// Sessions in token order, which is also expiry order (every session
-  /// lives one hour from issue), so expired ones leave from the front:
-  /// slot i holds token base_token_ + i, and the first dropped_ slots are
-  /// emptied.  The vector sheds them once they are half of it.
-  std::vector<Session> sessions_;
+  /// lives one hour from issue), so expired ones leave from the front and
+  /// free their memory: slot i holds token base_token_ + i.  Made at the
+  /// first session, since an empty std::deque already allocates and a
+  /// grid builds a gatekeeper per host.
+  std::optional<std::deque<Session>> sessions_;
   std::uint64_t base_token_ = 1;
-  std::size_t dropped_ = 0;
 };
 
 /// Expected challenge response: ties the challenge to the subject.

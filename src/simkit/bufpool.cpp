@@ -4,12 +4,6 @@
 
 namespace grid::sim {
 
-Payload::Payload(std::vector<std::uint8_t>&& bytes) {
-  Payload p = BufferPool::local().adopt(std::move(bytes));
-  buf_ = p.buf_;
-  p.buf_ = nullptr;
-}
-
 const std::vector<std::uint8_t>& Payload::bytes() const {
   static const std::vector<std::uint8_t> kEmpty;
   return buf_ != nullptr ? buf_->data : kEmpty;
@@ -42,15 +36,6 @@ Payload BufferPool::acquire() {
   }
   b->refs = 1;
   return Payload(b);
-}
-
-Payload BufferPool::adopt(std::vector<std::uint8_t>&& bytes) {
-  Payload p = acquire();
-  p.buf_->data = std::move(bytes);
-  // The storage was heap-allocated by the caller, whatever the buffer
-  // wrapper's history — count the message as fresh, not recycled.
-  p.buf_->recycled = false;
-  return p;
 }
 
 void BufferPool::release(detail::PayloadBuffer* b) {

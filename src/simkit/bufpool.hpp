@@ -45,8 +45,7 @@ namespace detail {
 struct PayloadBuffer {
   std::vector<std::uint8_t> data;
   std::uint32_t refs = 0;
-  /// False only until the buffer's first trip through the free list (and
-  /// for adopted vectors, whose storage came from the general allocator).
+  /// False only until the buffer's first trip through the free list.
   /// Drives the NetworkStats fresh/recycled accounting.
   bool recycled = false;
   /// True while the buffer sits on the pool's free list.  The GRID_CHECKED
@@ -63,11 +62,6 @@ struct PayloadBuffer {
 class GRID_HOT Payload {
  public:
   Payload() = default;
-
-  /// Adopts an already-built byte vector (compatibility path for callers
-  /// that assemble payloads outside a Writer).  The storage came from the
-  /// general allocator, so the buffer counts as "fresh" in pool stats.
-  Payload(std::vector<std::uint8_t>&& bytes);  // NOLINT: implicit on purpose
 
   Payload(Payload&& other) noexcept : buf_(other.buf_) { other.buf_ = nullptr; }
   Payload& operator=(Payload&& other) noexcept {
@@ -147,10 +141,6 @@ class GRID_HOT BufferPool {
   /// An empty buffer, recycled if possible.  Capacity from its previous
   /// life is retained.
   Payload acquire();
-
-  /// Wraps an existing vector in a pooled buffer (see Payload's adopting
-  /// constructor).
-  Payload adopt(std::vector<std::uint8_t>&& bytes);
 
   const Stats& stats() const { return stats_; }
   std::size_t free_count() const;

@@ -145,7 +145,6 @@ class GRID_HOT Reader {
   bool ok() const { return ok_; }
   /// True when the reader is still ok and fully consumed.
   bool done() const { return ok_ && pos_ == size_; }
-  std::size_t remaining() const { return size_ - pos_; }
 
  private:
   template <typename T>

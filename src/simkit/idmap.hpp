@@ -164,7 +164,6 @@ class GRID_HOT IdSlab {
                "IdSlab index/slot generation mismatch (stale index entry)");
     slots_[slot].value.reset();
     slots_[slot].id = 0;
-    ++slots_[slot].gen;  // invalidates any notion of "the previous occupant"
     free_.push_back(slot);
     index_.erase(id);
     GRID_CHECK(consistent(), "IdSlab inconsistent after erase");
@@ -233,10 +232,6 @@ class GRID_HOT IdSlab {
  private:
   struct Slot {
     std::uint64_t id = 0;  // 0 = vacant
-    /// Occupancy generation, bumped on erase.  Diagnostic only: the
-    /// GRID_CHECKED mismatch tripwires compare ids, and a changed gen is
-    /// what distinguishes "slot reused by a newer entry" from corruption.
-    std::uint32_t gen = 0;
     std::optional<T> value;
   };
 

@@ -74,17 +74,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mean + stddev * z;
-}
-
 Time Rng::uniform_time(Time lo, Time hi) { return uniform_int(lo, hi); }
 
 Time Rng::exponential_time(Time mean) {

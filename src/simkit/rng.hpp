@@ -40,10 +40,6 @@ class GRID_HOT Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Normal via Box-Muller (no cached spare: keeps the stream replayable
-  /// regardless of call interleaving).
-  double normal(double mean, double stddev);
-
   /// Uniform duration in [lo, hi] inclusive.
   Time uniform_time(Time lo, Time hi);
 

@@ -12,7 +12,6 @@ namespace grid::util {
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
   void reset();
 
   std::size_t count() const { return n_; }

@@ -22,7 +22,7 @@ constexpr std::uint64_t kProcesses = kSubjobs * kProcessesPerSubjob;
 
 /// Allocations per co-allocated process, everything the transaction does
 /// counted: GSI, GRAM, the RSL round trip, the barrier and the processes.
-/// The request makes 260 (4.1 per process); it made 1,321 (20.6) while
+/// The request makes 256 (4.0 per process); it made 1,321 (20.6) while
 /// each process decoded its release into fresh vectors, each endpoint kept
 /// slab handler tables and the agent printed the subjob RSL from a tree.
 /// The budget leaves room for another standard library and still fails

@@ -281,6 +281,85 @@ TEST(CoallocationEdge, SerializeUntilCheckinOrdersSubjobsStrictly) {
   }
 }
 
+// The serialize_until_checkin pipeline holds the next submission until the
+// subjob it last accepted checks in.  Editing that subjob out of the
+// request first must let the next one go: otherwise nothing is ever
+// submitted again and no startup timer is armed to end the request.
+void edit_held_subjob(bool substitute) {
+  SmallGrid g(2, testbed::CostModel::fast(),
+              app::StartupProfile{.init_delay = sim::kSecond});
+  core::RequestConfig config;
+  config.serialize_until_checkin = true;
+  Outcome outcome;
+  auto cbs = outcome.callbacks();
+  core::CoallocationRequest* req = nullptr;
+  bool edited = false;
+  cbs.on_subjob = [&](core::SubjobHandle h, SubjobState s,
+                      const util::Status&) {
+    if (h != 1 || s != SubjobState::kPending || edited) return;
+    edited = true;
+    const util::Status edit =
+        substitute ? req->substitute_subjob(
+                         1, make_job("host1", 2, SubjobStartType::kInteractive))
+                   : req->remove_subjob(1);
+    ASSERT_TRUE(edit.is_ok()) << edit.to_string();
+    ASSERT_TRUE(req->commit().is_ok());
+  };
+  req = g.coallocator->create_request(cbs, config);
+  ASSERT_TRUE(
+      req->add_subjob(make_job("host1", 2, SubjobStartType::kInteractive))
+          .is_ok());
+  ASSERT_TRUE(
+      req->add_subjob(make_job("host2", 2, SubjobStartType::kInteractive))
+          .is_ok());
+  req->start();
+  g.grid->run();
+  ASSERT_TRUE(edited);
+  EXPECT_TRUE(outcome.released);
+  EXPECT_TRUE(outcome.terminal);
+  EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
+  EXPECT_EQ(outcome.config.subjobs.size(), substitute ? 2u : 1u);
+  EXPECT_EQ(req->subjob_brief(2).value().state, SubjobState::kDone);
+}
+
+TEST(CoallocationEdge, RemovingTheHeldSubjobReleasesThePipeline) {
+  edit_held_subjob(/*substitute=*/false);
+}
+
+TEST(CoallocationEdge, SubstitutingTheHeldSubjobReleasesThePipeline) {
+  edit_held_subjob(/*substitute=*/true);
+}
+
+// A required subjob whose process crashes fails with that crash as its
+// cause, and the abort names it.
+TEST(CoallocationEdge, CrashedProcessIsTheSubjobFailureCause) {
+  SmallGrid g(1, testbed::CostModel::fast(),
+              app::StartupProfile{
+                  .failure_probability = 1.0,
+                  .mode_on_chance = app::FailureMode::kCrashBeforeBarrier});
+  Outcome outcome;
+  auto cbs = outcome.callbacks();
+  util::Status failure;
+  cbs.on_subjob = [&](core::SubjobHandle, SubjobState s,
+                      const util::Status& why) {
+    if (s == SubjobState::kFailed && failure.is_ok()) failure = why;
+  };
+  auto* req = g.coallocator->create_request(cbs);
+  ASSERT_TRUE(
+      req->add_subjob(make_job("host1", 2, SubjobStartType::kRequired))
+          .is_ok());
+  ASSERT_TRUE(req->commit().is_ok());
+  g.grid->run();
+  const std::string cause =
+      "GRAM: process 0 failed: process crashed during initialization";
+  EXPECT_EQ(failure.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(failure.message(), cause);
+  ASSERT_TRUE(outcome.terminal);
+  EXPECT_EQ(outcome.status.code(), util::ErrorCode::kAborted);
+  EXPECT_NE(outcome.status.message().find(cause), std::string::npos)
+      << outcome.status.message();
+}
+
 TEST(CoallocationEdge, HeartbeatDetectsDeadHostEarly) {
   // Without a detector, a host that dies after accepting the job is only
   // detected at the startup deadline (30 min here).  With a heartbeat

@@ -81,14 +81,41 @@ TEST_F(GramFixture, BadRslRejected) {
 }
 
 TEST_F(GramFixture, MissingExecutableFailsJob) {
-  std::vector<gram::JobState> states;
+  std::vector<gram::JobStateChange> changes;
   client_->submit(
       rm1(), rsl(2, "no-such-binary"), 10 * sim::kSecond,
       [](util::Result<gram::JobId>) {},
-      [&](const gram::JobStateChange& c) { states.push_back(c.state); });
+      [&](const gram::JobStateChange& c) { changes.push_back(c); });
   grid_.run();
-  ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back(), gram::JobState::kFailed);
+  ASSERT_FALSE(changes.empty());
+  EXPECT_EQ(changes.back().state, gram::JobState::kFailed);
+  EXPECT_EQ(changes.back().error, util::ErrorCode::kNotFound);
+  EXPECT_EQ(changes.back().message, "executable not found: no-such-binary");
+}
+
+// A job whose process crashes reports that crash, not the cancel of its
+// scheduler job that follows it, whichever scheduler runs it.
+TEST_F(GramFixture, CrashedProcessIsTheReportedCause) {
+  grid_.add_host("batch1", 8, testbed::SchedulerKind::kFcfs);
+  app::StartupProfile crash;
+  crash.failure_probability = 1.0;
+  crash.mode_on_chance = app::FailureMode::kCrashBeforeBarrier;
+  app::install_app(grid_.executables(), "crashapp", crash, &stats_);
+  for (const std::string host : {"rm1", "batch1"}) {
+    SCOPED_TRACE(host);
+    std::vector<gram::JobStateChange> changes;
+    client_->submit(
+        grid_.host(host)->contact(),
+        "&(resourceManagerContact=" + host + ")(count=2)(executable=crashapp)",
+        10 * sim::kSecond, [](util::Result<gram::JobId>) {},
+        [&](const gram::JobStateChange& c) { changes.push_back(c); });
+    grid_.run();
+    ASSERT_FALSE(changes.empty());
+    EXPECT_EQ(changes.back().state, gram::JobState::kFailed);
+    EXPECT_EQ(changes.back().error, util::ErrorCode::kInternal);
+    EXPECT_EQ(changes.back().message,
+              "process 0 failed: process crashed during initialization");
+  }
 }
 
 TEST_F(GramFixture, UnknownContactAttributeStillRouted) {
@@ -135,11 +162,11 @@ TEST_F(GramFixture, CancelRunningJob) {
   app::install_app(grid_.executables(), "longapp", forever, &stats_);
   util::Result<gram::JobId> accepted{
       util::Status(util::ErrorCode::kInternal, "unset")};
-  std::vector<gram::JobState> states;
+  std::vector<gram::JobStateChange> changes;
   client_->submit(
       rm1(), rsl(4, "longapp"), 10 * sim::kSecond,
       [&](util::Result<gram::JobId> r) { accepted = std::move(r); },
-      [&](const gram::JobStateChange& c) { states.push_back(c.state); });
+      [&](const gram::JobStateChange& c) { changes.push_back(c); });
   grid_.run_until(5 * sim::kSecond);
   ASSERT_TRUE(accepted.is_ok());
   util::Status cancel_status(util::ErrorCode::kInternal, "unset");
@@ -147,8 +174,10 @@ TEST_F(GramFixture, CancelRunningJob) {
                   [&](util::Status s) { cancel_status = s; });
   grid_.run();
   EXPECT_TRUE(cancel_status.is_ok());
-  ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back(), gram::JobState::kFailed);
+  ASSERT_FALSE(changes.empty());
+  EXPECT_EQ(changes.back().state, gram::JobState::kFailed);
+  EXPECT_EQ(changes.back().error, util::ErrorCode::kAborted);
+  EXPECT_EQ(changes.back().message, "job cancelled");
   EXPECT_LT(sim::to_seconds(grid_.engine().now()), 3600.0);
 }
 
@@ -441,16 +470,18 @@ TEST_F(GramFixture, MaxWallTimeEnforcedFromRsl) {
   app::StartupProfile forever;
   forever.run_time = sim::kHour;
   app::install_app(grid_.executables(), "longapp", forever, &stats_);
-  std::vector<gram::JobState> states;
+  std::vector<gram::JobStateChange> changes;
   client_->submit(
       rm1(),
       "&(resourceManagerContact=rm1)(count=2)(executable=longapp)"
       "(maxWallTime=5)",  // five minutes
       10 * sim::kSecond, [](util::Result<gram::JobId>) {},
-      [&](const gram::JobStateChange& c) { states.push_back(c.state); });
+      [&](const gram::JobStateChange& c) { changes.push_back(c); });
   grid_.run();
-  ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back(), gram::JobState::kFailed);
+  ASSERT_FALSE(changes.empty());
+  EXPECT_EQ(changes.back().state, gram::JobState::kFailed);
+  EXPECT_EQ(changes.back().error, util::ErrorCode::kTimeout);
+  EXPECT_EQ(changes.back().message, "wall time limit exceeded");
   EXPECT_LT(grid_.engine().now(), 6 * sim::kMinute);
   EXPECT_GE(grid_.engine().now(), 5 * sim::kMinute);
 }

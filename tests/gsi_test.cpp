@@ -323,6 +323,32 @@ TEST_F(GsiFixture, SessionCountStaysBoundedPastExpiry) {
   EXPECT_EQ(server.session_count(), 7u);
 }
 
+// Expired sessions leave from the front and take their memory with them:
+// the handshake after 1,000 sessions expired gives back about 48 B each.
+TEST_F(GsiFixture, ExpiredSessionsFreeTheirMemory) {
+  ServerContext server = make_server();
+  ClientContext client(client_ep, ca,
+                       ca.issue("/CN=alice", sim::kTimeNever / 2));
+  int sessions = 0;
+  auto handshake = [&] {
+    client.authenticate(server_ep.id(), 10 * sim::kSecond,
+                        [&](util::Result<Session> s) {
+                          ASSERT_TRUE(s.is_ok());
+                          ++sessions;
+                        });
+  };
+  for (int i = 0; i < 1000; ++i) handshake();
+  engine.run();
+  ASSERT_EQ(sessions, 1000);
+  ASSERT_EQ(server.session_count(), 1000u);
+  sim::AllocGuard guard;
+  engine.schedule_at(2 * sim::kHour, handshake);
+  engine.run();
+  ASSERT_EQ(sessions, 1001);
+  EXPECT_EQ(server.session_count(), 1u);
+  EXPECT_LE(guard.live_bytes(), -40000);
+}
+
 TEST_F(GsiFixture, PendingHandshakeCountStaysBoundedWithoutFinal) {
   // One INIT every 10 minutes for 5 hours and never a FINAL: the server
   // keeps only the handshakes begun within the last hour (7: t-60 .. t

@@ -36,7 +36,7 @@ TEST(MemoryBound, ScaleScenarioHoldsNoMoreAfterEightHoursThanTwo) {
   // The live-object gauges are flat past the first hour, so the heap must
   // be too, within 25%.  The second run reuses the payload buffers the
   // first left in the thread's pool, so its count leaves them out (about
-  // 0.5 MB; each in a fresh process, the 8-hour scenario holds 1.26x
+  // 0.5 MB; each in a fresh process, the 8-hour scenario holds 1.22x
   // what the 2-hour one does).
   EXPECT_LE(eight * 4, two * 5)
       << "live bytes: " << two << " after 2 h, " << eight << " after 8 h";

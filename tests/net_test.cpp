@@ -46,7 +46,9 @@ struct NetFixture : ::testing::Test {
 TEST_F(NetFixture, DeliversWithLatency) {
   network.set_latency_model(
       std::make_unique<net::FixedLatency>(5 * sim::kMillisecond));
-  network.send(na, nb, 7, util::Bytes{1, 2, 3});
+  util::Writer w;
+  for (std::uint8_t v : {1, 2, 3}) w.u8(v);
+  network.send(na, nb, 7, w.take());
   engine.run();
   ASSERT_EQ(b.messages.size(), 1u);
   EXPECT_EQ(engine.now(), 5 * sim::kMillisecond);
@@ -126,7 +128,9 @@ TEST_F(NetFixture, RandomLossDropsApproximatelyP) {
 }
 
 TEST_F(NetFixture, StatsCountBytes) {
-  network.send(na, nb, 1, util::Bytes{0, 0, 0, 0});
+  util::Writer w;
+  w.u32(0);
+  network.send(na, nb, 1, w.take());
   engine.run();
   EXPECT_EQ(network.stats().sent, 1u);
   EXPECT_EQ(network.stats().delivered, 1u);
